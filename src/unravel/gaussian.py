@@ -387,12 +387,6 @@ def qbm_information_start(params):
     return np.array([[0.0, 0.0], [0.0, 1.0 / params.temperature]])
 
 
-def information_rhs(gen, y):
-    """dY/dt for Y = V^{-1}: -(Y Atil + Atil^T Y) - Y Qtil Y + Rtil."""
-    atil, qtil, rtil = gen.care_form()
-    return -(y @ atil + atil.T @ y) - y @ qtil @ y + rtil
-
-
 def conditioned_purity_curve(gen, t_grid, y0):
     """Mean conditional purity against time, starting from inverse covariance y0.
 

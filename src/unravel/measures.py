@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
 from . import gaussian as G
 from . import trajectories as T
@@ -122,6 +122,7 @@ def crossing_with_uncertainty(times, values, stderr, theta):
 # Brownian-particle backend (deterministic)
 
 _QBM_HORIZON = 200.0
+_QBM_ETA_XTOL = 1e-12
 
 
 def _log_grid(t_fast, horizon, n=400):
@@ -170,7 +171,7 @@ def survival_time_qbm(params, u, horizon=_QBM_HORIZON):
                                    "r": u.r, "phi": u.phi})
 
 
-def efficiency_threshold_qbm(params, u, tol=1e-3):
+def efficiency_threshold_qbm(params, u):
     """Detection efficiency at which the stationary conditional purity sits
     halfway between no observation (0) and perfect observation."""
     theta = QBM_THETA.theta
@@ -186,21 +187,12 @@ def efficiency_threshold_qbm(params, u, tol=1e-3):
         raise AssumptionError(f"stationary purity not monotone in eta: {vals}")
     if vals[-1] < theta:
         raise BracketError("even perfect efficiency stays below theta")
-    lo, lo_val = 0.0, 0.0
-    hi, hi_val = 1.0, vals[-1]
-    for e, v in zip(probe, vals):
-        if v < theta and e > lo:
-            lo, lo_val = e, v
-        if v >= theta and e < hi:
-            hi, hi_val = e, v
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if stationary_purity(mid) >= theta:
-            hi = mid
-        else:
-            lo = mid
-    eta_thr = 0.5 * (lo + hi)
-    return MeasureResult("efficiency_threshold", eta_thr, uncertainty=0.5 * (hi - lo),
+    lo = max([0.0] + [e for e, v in zip(probe, vals) if v < theta])
+    hi = min(e for e, v in zip(probe, vals) if v >= theta)
+    # a root to machine precision keeps the disk objective smooth in phi
+    eta_thr = brentq(lambda e: stationary_purity(e) - theta, lo, hi,
+                     xtol=_QBM_ETA_XTOL)
+    return MeasureResult("efficiency_threshold", eta_thr, uncertainty=_QBM_ETA_XTOL,
                          metadata={"temperature": params.temperature,
                                    "r": u.r, "phi": u.phi})
 

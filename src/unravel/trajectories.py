@@ -3,24 +3,34 @@
 Diffusive (homodyne / heterodyne / general-dyne), jump (direct detection)
 and adaptive-feedback jump (AID) steppers, plus a seeded ensemble runner
 whose per-trajectory noise streams are derived from (master seed,
-trajectory index) with a counter-based bit generator, so results never
-depend on chunking or thread count.
+trajectory index) with a counter-based bit generator, so results depend
+on chunking or thread count only through rounding.
 
-Three execution paths share the same stochastic law:
+One driver, `_drive`, steps every run over its pre-drawn noise and hands
+sampled states to a sink (purity collector, mean-state sum, final states,
+or one trajectory's states and clicks).  It runs one of four kernels,
+Kraus-form steppers after Rouchon & Ralph, PRA 91, 012118 (2015):
 
-* a small-dimension path (the two-level atom) that expands the one-step
-  Kraus map over precomputed real-packed superoperators, with the
-  deterministic part applied through an exact propagator so strong
-  driving does not force tiny steps;
-* a direct matrix path for large dimensions (the Fock-space oracle);
-* a purified path for efficient diffusive ensembles, which unravels a
-  mixed initial state as a weighted bundle of pure states driven by a
-  common measurement record (the conditional map is a pure Kraus map at
-  eta = 1, so the bundle stays rank-one per component).
+* `_KrausDiffusiveKernel`: diffusive schemes at small dimension (the
+  two-level atom), the one-step Kraus map expanded over precomputed
+  real-packed superoperators, with the deterministic part applied through
+  an exact propagator so strong driving does not force tiny steps;
+* `_SuperopJumpKernel`: direct detection and AID, with an exact no-click
+  propagator and the local-oscillator sign as per-trajectory state;
+* `_MatrixDiffusiveKernel`: diffusive schemes on raw matrices at large
+  dimension (the Fock-space oracle);
+* `_PurifiedKernel`: efficient diffusive runs at large dimension, which
+  unravel a mixed initial state as a weighted bundle of pure states driven
+  by a common measurement record (the conditional map is a pure Kraus map
+  at eta = 1, so the bundle stays rank-one per component).
+
+`_select_kernel` alone chooses among them, from the scheme, the
+dimension, eta and what the run records.
 """
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import expm
@@ -475,8 +485,9 @@ class _PurifiedKernel:
         self.prop = expm(k_drift * dt)
         self.zs = np.array(spec.channel_coefficients())
 
-    def initial(self, n_traj):
-        psi = np.broadcast_to(self.kets, (n_traj, self.n_comp, self.dim))
+    def initial(self, mats):
+        # the bundle of the rho0 given at construction; mats sets the batch size
+        psi = np.broadcast_to(self.kets, (len(mats), self.n_comp, self.dim))
         return np.ascontiguousarray(psi).astype(complex)
 
     def step(self, psi, dw_row):
@@ -511,10 +522,26 @@ class _PurifiedKernel:
 _SUPEROP_DIM_LIMIT = 8
 
 
-def _diffusive_kernel(model, spec, dt):
+def _select_kernel(model, spec, rho0, dt, statistic):
+    """The stepping kernel for one run; no other code chooses a kernel.
+
+    Counting schemes step through the jump kernel.  Diffusive schemes use
+    the Kraus superoperators up to dimension _SUPEROP_DIM_LIMIT.  Above it,
+    eta = 1 runs that need only purities or final states ("purity",
+    "final_states") use the purified bundle, and the rest ("mean_state",
+    "trajectory") the matrix kernel.
+    """
+    if not spec.is_diffusive:
+        return _SuperopJumpKernel(model, spec, dt)
     if model.dim <= _SUPEROP_DIM_LIMIT:
         return _KrausDiffusiveKernel(model, spec, dt)
+    if spec.eta == 1.0 and statistic in ("purity", "final_states"):
+        return _PurifiedKernel(model, spec, rho0, dt)
     return _MatrixDiffusiveKernel(model, spec, dt)
+
+
+def _as_matrix(rho):
+    return np.asarray(rho.matrix if isinstance(rho, DensityMatrix) else rho)
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +566,8 @@ def step_diffusive(model, spec, rho, noise, dt):
     k = len(spec.channel_coefficients())
     if noise.shape != (k,):
         raise ValueError(f"expected {k} noise increments, got shape {noise.shape}")
-    kernel = _diffusive_kernel(model, spec, dt)
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    m = _as_matrix(rho)
+    kernel = _select_kernel(model, spec, m, dt, "trajectory")
     y = kernel.initial(m[None, :, :])
     y = kernel.step(y, noise[None, :])
     out = kernel.to_matrices(y)[0]
@@ -560,8 +587,8 @@ def step_jump(model, spec, rho, uniform, dt, lo_sign=1.0):
     """
     if spec.is_diffusive:
         raise ValueError(f"{spec.kind} is not a counting scheme")
-    kernel = _SuperopJumpKernel(model, spec, dt)
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    m = _as_matrix(rho)
+    kernel = _select_kernel(model, spec, m, dt, "trajectory")
     y = kernel.initial(m[None, :, :])
     signs = np.array([float(lo_sign)])
     y, jumped = kernel.step(y, np.array([[float(uniform)]]), signs)
@@ -572,9 +599,46 @@ def step_jump(model, spec, rho, uniform, dt, lo_sign=1.0):
         raise StepSizeError(f"jump step left the state manifold: {exc}") from exc
 
 
-def aid_update(lo_sign, jumped):
-    """Feedback rule: the local-oscillator amplitude flips at detected jumps only."""
-    return -lo_sign if jumped else lo_sign
+# ---------------------------------------------------------------------------
+# the stepping driver
+
+def noise_width(spec):
+    return len(spec.channel_coefficients()) if spec.is_diffusive else 1
+
+
+def _noise_block(spec, n_steps, seed, start, stop):
+    """Noise of trajectories start..stop-1 as one (b, n_steps, k) block."""
+    noise = np.empty((stop - start, n_steps, noise_width(spec)))
+    for i in range(stop - start):
+        noise[i] = _noise_plan(spec, n_steps, trajectory_rng(seed, start + i))
+    return noise
+
+
+def _drive(kernel, y, noise, dt, sample_pos, sink, clicks=None):
+    """Step a batch through its pre-drawn noise; the one stepping loop.
+
+    `noise` is (b, n_steps, k): standard normals, scaled to Wiener
+    increments one step at a time, or uniforms for the jump kernel, whose
+    local-oscillator signs start at +1.  sink(j, y) receives the state
+    after every step listed in `sample_pos` (step 0 is the start) with
+    j = sample_pos[step].  For a jump kernel, (step, sign after the click)
+    of every click of trajectory 0 is appended to `clicks` if given.
+    """
+    b, n_steps, _ = noise.shape
+    counting = isinstance(kernel, _SuperopJumpKernel)
+    signs = np.ones(b)
+    root_dt = math.sqrt(dt)
+    if 0 in sample_pos:
+        sink(sample_pos[0], y)
+    for step in range(1, n_steps + 1):
+        if counting:
+            y, jumped = kernel.step(y, noise[:, step - 1, :], signs)
+            if clicks is not None and jumped[0]:
+                clicks.append((step, float(signs[0])))
+        else:
+            y = kernel.step(y, root_dt * noise[:, step - 1, :])
+        if step in sample_pos:
+            sink(sample_pos[step], y)
 
 
 @dataclass(frozen=True)
@@ -587,39 +651,25 @@ class TrajectoryResult:
 def run_trajectory(model, spec, rho0, config, traj_index=0):
     """One conditional trajectory; a pure function of (inputs, seed, index)."""
     n_steps, dt, sample_idx = config.grid()
-    rho0_m = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0)
-    if n_steps == 0:
-        return TrajectoryResult(np.array([0.0]), (DensityMatrix(rho0_m),),
-                                InnovationRecord())
-    rng = trajectory_rng(config.seed, traj_index)
-    noise = _noise_plan(spec, n_steps, rng)
-    sample_set = set(int(i) for i in sample_idx)
-
+    rho0_m = _as_matrix(rho0)
     states = [DensityMatrix(rho0_m)]
+    if n_steps == 0:
+        return TrajectoryResult(np.array([0.0]), tuple(states), InnovationRecord())
+    kernel = _select_kernel(model, spec, rho0_m, dt, "trajectory")
+    noise = _noise_block(spec, n_steps, config.seed, traj_index, traj_index + 1)
+
+    def sample(_j, y):
+        states.append(DensityMatrix(kernel.to_matrices(y)[0],
+                                    pos_tol=_sample_pos_tol(dt)))
+
+    clicks = []
+    _drive(kernel, kernel.initial(rho0_m[None, :, :]), noise, dt,
+           {int(s): j for j, s in enumerate(sample_idx) if s}, sample, clicks)
     if spec.is_diffusive:
-        kernel = _diffusive_kernel(model, spec, dt)
-        y = kernel.initial(rho0_m[None, :, :])
-        for step in range(1, n_steps + 1):
-            y = kernel.step(y, math.sqrt(dt) * noise[step - 1][None, :])
-            if step in sample_set:
-                states.append(DensityMatrix(kernel.to_matrices(y)[0],
-                                            pos_tol=_sample_pos_tol(dt)))
-        record = InnovationRecord(wiener=math.sqrt(dt) * noise)
+        record = InnovationRecord(wiener=math.sqrt(dt) * noise[0])
     else:
-        kernel = _SuperopJumpKernel(model, spec, dt)
-        y = kernel.initial(rho0_m[None, :, :])
-        signs = np.array([1.0])
-        jump_times, lo_signs = [], []
-        for step in range(1, n_steps + 1):
-            y, jumped = kernel.step(y, noise[step - 1][None, :], signs)
-            if jumped[0]:
-                jump_times.append(step * dt)
-                lo_signs.append(float(signs[0]))
-            if step in sample_set:
-                states.append(DensityMatrix(kernel.to_matrices(y)[0],
-                                            pos_tol=_sample_pos_tol(dt)))
-        record = InnovationRecord(jump_times=tuple(jump_times),
-                                  lo_signs=tuple(lo_signs))
+        record = InnovationRecord(jump_times=tuple(step * dt for step, _ in clicks),
+                                  lo_signs=tuple(sign for _, sign in clicks))
     return TrajectoryResult(sample_idx * dt, tuple(states), record)
 
 
@@ -638,6 +688,24 @@ def _iter_chunks(n_traj, chunk):
         stop = min(start + chunk, n_traj)
         yield start, stop
         start = stop
+
+
+def _run_chunks(kernel, spec, rho0_m, config, n_traj, sample_pos, sink):
+    """Drive n_traj trajectories from rho0 in chunks sized by the noise budget.
+
+    sink(rows, j, y) receives every sampled state of the chunk holding
+    trajectories `rows` (a slice).
+    """
+    n_steps, dt, _ = config.grid()
+    for start, stop in _iter_chunks(n_traj, _chunk_size(n_steps, noise_width(spec),
+                                                        rho0_m.shape[0])):
+        mats = np.broadcast_to(rho0_m, (stop - start, *rho0_m.shape))
+        # passed inline so that no name here keeps the start state alive
+        # through the steps, or this chunk's noise block alive while the
+        # next one is drawn
+        _drive(kernel, kernel.initial(mats),
+               _noise_block(spec, n_steps, config.seed, start, stop), dt,
+               sample_pos, partial(sink, slice(start, stop)))
 
 
 class _PurityCollector:
@@ -662,130 +730,56 @@ def _batch_purity(mats):
     return np.einsum("bij,bji->b", mats, mats).real
 
 
-def run_ensemble(model, spec, rho0, config, n_traj, statistic="purity",
-                 method="auto"):
+def _collect_static(statistic, mats, sink, j=0):
+    """Add states `mats` at sample index j to a purity collector or mean-state sum."""
+    if statistic == "purity":
+        sink.add(j, _batch_purity(mats))
+    else:
+        sink[j] += mats.sum(axis=0)
+
+
+def _emit(kernel, y, j, statistic, sink):
+    """Add the statistic of kernel state y at sample index j to `sink`."""
+    if isinstance(kernel, _PurifiedKernel):
+        sink.add(j, kernel.purity(y))
+    else:
+        _collect_static(statistic, kernel.to_matrices(y), sink, j)
+
+
+def run_ensemble(model, spec, rho0, config, n_traj, statistic="purity"):
     """Monte Carlo ensemble of conditional trajectories.
 
     statistic = "purity" returns an EnsembleCurve of mean conditional
     purity; "mean_state" returns a MeanStateCurve of the ensemble-averaged
     state (whose contract is to match unconditional propagation).  Per-
     trajectory noise streams depend only on (config.seed, trajectory
-    index), so the result is independent of chunking and thread count.
+    index), so the result depends on chunking and thread count only
+    through rounding (chunked sums, batch-shaped GEMMs).
     """
     if statistic not in ("purity", "mean_state"):
         raise ValueError(f"unknown statistic {statistic!r}")
     if n_traj < 2:
         raise ValueError("n_traj must be at least 2")
     n_steps, dt, sample_idx = config.grid()
-    rho0_m = np.asarray(rho0.matrix if isinstance(rho0, DensityMatrix) else rho0)
-    times = sample_idx * dt
-
-    use_purified = (method == "purified"
-                    or (method == "auto" and spec.is_diffusive and spec.eta == 1.0
-                        and statistic == "purity"
-                        and model.dim > _SUPEROP_DIM_LIMIT))
-    if method == "dm":
-        use_purified = False
-    if use_purified and (statistic != "purity" or not spec.is_diffusive
-                         or spec.eta != 1.0):
-        raise ValueError("the purified path handles eta = 1 diffusive purity only")
-
-    if statistic == "mean_state":
-        acc = np.zeros((len(sample_idx), model.dim, model.dim), dtype=complex)
+    rho0_m = _as_matrix(rho0)
+    if statistic == "purity":
+        sink = _PurityCollector(len(sample_idx))
     else:
-        collector = _PurityCollector(len(sample_idx))
+        sink = np.zeros((len(sample_idx), model.dim, model.dim), dtype=complex)
+    if n_steps == 0:
+        _collect_static(statistic, np.broadcast_to(rho0_m, (n_traj, *rho0_m.shape)), sink)
+    else:
+        kernel = _select_kernel(model, spec, rho0_m, dt, statistic)
+        _run_chunks(kernel, spec, rho0_m, config, n_traj,
+                    {int(s): j for j, s in enumerate(sample_idx)},
+                    lambda _rows, j, y: _emit(kernel, y, j, statistic, sink))
 
-    n_channels = noise_width(spec)
-    chunk = _chunk_size(n_steps, n_channels, model.dim)
-    if use_purified:
-        chunk = min(chunk, 2048)
-    kernel = None
-    for start, stop in _iter_chunks(n_traj, chunk):
-        b = stop - start
-        if n_steps == 0:
-            mats = np.broadcast_to(rho0_m, (b, *rho0_m.shape))
-            _collect_static(statistic, mats, collector if statistic == "purity" else None,
-                            acc if statistic == "mean_state" else None)
-            continue
-        noise = np.empty((b, n_steps, n_channels))
-        for i in range(b):
-            noise[i] = _noise_plan(spec, n_steps, trajectory_rng(config.seed, start + i))
-        if use_purified:
-            if kernel is None:
-                kernel = _PurifiedKernel(model, spec, rho0_m, dt)
-            _run_purified_chunk(kernel, b, noise, dt, sample_idx, collector)
-        elif spec.is_diffusive:
-            if kernel is None:
-                kernel = _diffusive_kernel(model, spec, dt)
-            _run_diffusive_chunk(kernel, rho0_m, noise, dt, sample_idx, statistic,
-                                 collector if statistic == "purity" else acc)
-        else:
-            if kernel is None:
-                kernel = _SuperopJumpKernel(model, spec, dt)
-            _run_jump_chunk(kernel, rho0_m, noise, sample_idx, statistic,
-                            collector if statistic == "purity" else acc)
-
+    times = sample_idx * dt
     if statistic == "mean_state":
-        mean_states = acc / n_traj
+        mean_states = sink / n_traj
         mean_states = 0.5 * (mean_states + np.conj(np.swapaxes(mean_states, 1, 2)))
         return MeanStateCurve(times=times, states=mean_states, n=n_traj)
-    return collector.finish(times, n_traj)
-
-
-def noise_width(spec):
-    return len(spec.channel_coefficients()) if spec.is_diffusive else 1
-
-
-def _collect_static(statistic, mats, collector, acc):
-    if statistic == "purity":
-        collector.add(0, _batch_purity(np.asarray(mats)))
-    else:
-        acc[0] += np.asarray(mats).sum(axis=0)
-
-
-def _run_diffusive_chunk(kernel, rho0_m, noise, dt, sample_idx, statistic, sink):
-    b, n_steps, _ = noise.shape
-    y = kernel.initial(np.broadcast_to(rho0_m, (b, *rho0_m.shape)))
-    sample_pos = {int(s): j for j, s in enumerate(sample_idx)}
-    root_dt = math.sqrt(dt)
-    _emit(kernel, y, 0, sample_pos, statistic, sink)
-    for step in range(1, n_steps + 1):
-        y = kernel.step(y, root_dt * noise[:, step - 1, :])
-        if step in sample_pos:
-            _emit(kernel, y, step, sample_pos, statistic, sink)
-
-
-def _run_jump_chunk(kernel, rho0_m, noise, sample_idx, statistic, sink):
-    b, n_steps, _ = noise.shape
-    y = kernel.initial(np.broadcast_to(rho0_m, (b, *rho0_m.shape)))
-    signs = np.ones(b)
-    sample_pos = {int(s): j for j, s in enumerate(sample_idx)}
-    _emit(kernel, y, 0, sample_pos, statistic, sink)
-    for step in range(1, n_steps + 1):
-        y, _ = kernel.step(y, noise[:, step - 1, :], signs)
-        if step in sample_pos:
-            _emit(kernel, y, step, sample_pos, statistic, sink)
-
-
-def _run_purified_chunk(kernel, b, noise, dt, sample_idx, collector):
-    psi = kernel.initial(b)
-    sample_pos = {int(s): j for j, s in enumerate(sample_idx)}
-    root_dt = math.sqrt(dt)
-    collector.add(0, kernel.purity(psi))
-    n_steps = noise.shape[1]
-    for step in range(1, n_steps + 1):
-        psi = kernel.step(psi, root_dt * noise[:, step - 1, :])
-        if step in sample_pos:
-            collector.add(sample_pos[step], kernel.purity(psi))
-
-
-def _emit(kernel, y, step, sample_pos, statistic, sink):
-    j = sample_pos[step]
-    mats = kernel.to_matrices(y)
-    if statistic == "purity":
-        sink.add(j, _batch_purity(mats))
-    else:
-        sink[j] += mats.sum(axis=0)
+    return sink.finish(times, n_traj)
 
 
 def run_final_states(model, spec, rho0, config, n_traj):
@@ -796,42 +790,14 @@ def run_final_states(model, spec, rho0, config, n_traj):
     deterministic propagator.
     """
     n_steps, dt, _ = config.grid()
-    rho0_m = np.asarray(rho0.matrix if isinstance(rho0, DensityMatrix) else rho0)
+    rho0_m = _as_matrix(rho0)
     if n_steps == 0:
         return np.broadcast_to(rho0_m, (n_traj, *rho0_m.shape)).copy()
     out = np.empty((n_traj, model.dim, model.dim), dtype=complex)
-    n_channels = noise_width(spec)
-    use_purified = (spec.is_diffusive and spec.eta == 1.0
-                    and model.dim > _SUPEROP_DIM_LIMIT)
-    chunk = _chunk_size(n_steps, n_channels, model.dim)
-    if use_purified:
-        chunk = min(chunk, 2048)
-    kernel = None
-    for start, stop in _iter_chunks(n_traj, chunk):
-        b = stop - start
-        noise = np.empty((b, n_steps, n_channels))
-        for i in range(b):
-            noise[i] = _noise_plan(spec, n_steps, trajectory_rng(config.seed, start + i))
-        if use_purified:
-            if kernel is None:
-                kernel = _PurifiedKernel(model, spec, rho0_m, dt)
-            y = kernel.initial(b)
-            root_dt = math.sqrt(dt)
-            for step in range(n_steps):
-                y = kernel.step(y, root_dt * noise[:, step, :])
-        elif spec.is_diffusive:
-            if kernel is None:
-                kernel = _diffusive_kernel(model, spec, dt)
-            y = kernel.initial(np.broadcast_to(rho0_m, (b, *rho0_m.shape)))
-            root_dt = math.sqrt(dt)
-            for step in range(n_steps):
-                y = kernel.step(y, root_dt * noise[:, step, :])
-        else:
-            if kernel is None:
-                kernel = _SuperopJumpKernel(model, spec, dt)
-            y = kernel.initial(np.broadcast_to(rho0_m, (b, *rho0_m.shape)))
-            signs = np.ones(b)
-            for step in range(n_steps):
-                y, _ = kernel.step(y, noise[:, step, :], signs)
-        out[start:stop] = kernel.to_matrices(y)
+    kernel = _select_kernel(model, spec, rho0_m, dt, "final_states")
+
+    def keep(rows, _j, y):
+        out[rows] = kernel.to_matrices(y)
+
+    _run_chunks(kernel, spec, rho0_m, config, n_traj, {n_steps: 0}, keep)
     return out

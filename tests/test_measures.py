@@ -183,6 +183,14 @@ class TestOptimizeDisk:
         worse = M.efficiency_threshold_qbm(QbmParams(1.0), DiskPoint(1.0, 1.5))
         assert res.value < worse.value
 
+    def test_efficiency_threshold_optimum_off_grid(self):
+        # the threshold is a smooth function of phi, so the refinement must
+        # leave the coarse grid point phi = 0 for the true optimum
+        u, _ = M.optimize_disk(QbmParams(1.0), "efficiency_threshold",
+                               phi_points=12)
+        gap = abs(u.phi - 6.2208) % (2 * math.pi)
+        assert min(gap, 2 * math.pi - gap) < 0.005
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             M.optimize_disk(QbmParams(1.0), "entropy")
