@@ -312,6 +312,21 @@ def _suite_properties(args):
     checks.append({"check": "survival_starts_at_unity", "value": float(s[0]),
                    "tolerance": 1e-9, "passed": bool(abs(s[0] - 1.0) < 1e-9)})
 
+    # the closed-form curves the QBM measures run on, against the RK4 flows
+    gen = qbm_generators(params, DiskPoint(1.0, 1.07), 1.0)
+    v0 = CovarianceState(2.0, 1.5, 0.3)
+    times, unc = G.lyapunov_flow(gen, v0, 2.0, 1e-3)
+    _, cond = G.riccati_flow(gen, v0, 2.0, 1e-3)
+    idx = range(0, len(times), 100)
+    grid = np.asarray(times)[idx]
+    v_u = G.unconditional_covariance_curve(gen, v0, grid)
+    p = G.conditioned_purity_curve(gen, grid, np.linalg.inv(v0.matrix))
+    diff = max(max(np.abs(v - unc[i].matrix).max() / np.abs(unc[i].matrix).max()
+                   for v, i in zip(v_u, idx)),
+               max(abs(pk - G.gaussian_purity(cond[i])) for pk, i in zip(p, idx)))
+    checks.append({"check": "closed_form_curves_match_rk4", "value": float(diff),
+                   "tolerance": 1e-7, "passed": bool(diff < 1e-7)})
+
     model = build_tla(TlaParams(2.0, 1.0))
     rho0 = DensityMatrix(np.diag([1.0, 0.0]))
     cfg = T.TrajectoryConfig(dt=1e-3, horizon=0.5, seed=args.seed)

@@ -23,8 +23,15 @@ the unconditional purity tends to zero.  Quantities defined "starting
 from the unconditional steady state" are therefore computed in inverse
 covariance (information) coordinates, where that start is the regular
 point Y = diag(0, 1/T).
+
+Every curve the measures read has a closed form and is evaluated on the
+whole time grid at once: the Lyapunov curve through A^2 = -A, the
+information-form Riccati curve through its linear-fractional solution.
+The fixed-step RK4 flows (riccati_flow, lyapunov_flow) are kept as the
+independent reference they are checked against.
 """
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -41,6 +48,10 @@ from .errors import (
 )
 
 HEISENBERG_SLACK = 1e-9
+# largest eigenvector-basis condition number accepted by the closed-form
+# information flow; off pure momentum homodyne the particle's basis sits at
+# 2..140 for T in [0.01, 1000] and reaches ~1e3 at T = 1e5
+_RADON_COND_MAX = 1e8
 
 
 @dataclass(frozen=True)
@@ -127,7 +138,7 @@ class GaussianGenerators:
     The conditioning correction to the covariance flow is
     2*eta*(V F - G) Q (V F - G)^T; the same matrix is the diffusion of the
     conditional means, which is what makes the excess-noise bookkeeping in
-    :func:`survival_curve` exact.
+    :func:`survival_overlap_curve` exact.
     """
 
     drift: np.ndarray
@@ -147,6 +158,22 @@ class GaussianGenerators:
             raise InvariantViolationError("diffusion matrix must be symmetric PSD")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
+        f, g, q = self.meas_gain, self.meas_offset, self.dyne_matrix
+        # eta-independent pieces of care_form, shared by with_eta copies
+        object.__setattr__(self, "_care_pieces", (g @ q @ f.T, g @ q @ g.T, f @ q @ f.T))
+
+    def with_eta(self, eta):
+        """The same model at efficiency eta.
+
+        The matrices were validated when this instance was built; the copy
+        shares them and the eta-independent products of care_form, so a
+        root-find over eta pays for neither again.
+        """
+        if not 0.0 <= eta <= 1.0:
+            raise ValueError(f"eta must lie in [0, 1], got {eta}")
+        other = copy.copy(self)
+        object.__setattr__(other, "eta", float(eta))
+        return other
 
     def correction(self, v):
         """Measurement back-action term of the covariance flow (2x2, symmetric)."""
@@ -161,13 +188,10 @@ class GaussianGenerators:
 
     def care_form(self):
         """Rewrite the flow as Atil V + V Atil^T + Qtil - V Rtil V (exact)."""
-        a, d = self.drift, self.diffusion
-        f, g, q = self.meas_gain, self.meas_offset, self.dyne_matrix
+        gqf, gqg, fqf = self._care_pieces
         two_eta = 2.0 * self.eta
-        atil = a + two_eta * g @ q @ f.T
-        qtil = d - two_eta * g @ q @ g.T
-        rtil = two_eta * f @ q @ f.T
-        return atil, qtil, rtil
+        return (self.drift + two_eta * gqf, self.diffusion - two_eta * gqg,
+                two_eta * fqf)
 
     def rhs(self, v):
         a, d = self.drift, self.diffusion
@@ -299,17 +323,29 @@ def lyapunov_steady(gen):
     return CovarianceState.from_matrix(v)
 
 
-def _riccati_stationary_algebraic(gen):
+def _hamiltonian(gen):
+    """H = [[Atil, Qtil], [Rtil, -Atil^T]]: [M; N]' = H [M; N] carries the
+    information flow as Y = N M^{-1}, and [X; I] spans an invariant subspace
+    of H exactly when X is a stationary covariance."""
     atil, qtil, rtil = gen.care_form()
-    m = np.block([[-atil.T, rtil], [qtil, atil]])
-    eigvals, eigvecs = np.linalg.eig(m)
+    h = np.empty((4, 4))
+    h[:2, :2] = atil
+    h[:2, 2:] = qtil
+    h[2:, :2] = rtil
+    h[2:, 2:] = -atil.T
+    return h
+
+
+def _riccati_stationary_algebraic(gen):
+    atil, _, rtil = gen.care_form()
+    eigvals, eigvecs = np.linalg.eig(_hamiltonian(gen))
     pos = eigvals.real > 1e-9
     if pos.sum() != 2:
         raise ConvergenceError(
             f"Hamiltonian matrix has {pos.sum()} unstable eigenvalues, need 2 "
             "(stationary conditional covariance does not exist)")
     basis = eigvecs[:, pos]
-    x, y = basis[:2, :], basis[2:, :]
+    y, x = basis[:2, :], basis[2:, :]
     if abs(np.linalg.det(x)) < 1e-12:
         raise ConvergenceError("singular invariant-subspace basis")
     v = y @ np.linalg.inv(x)
@@ -392,84 +428,99 @@ def conditioned_purity_curve(gen, t_grid, y0):
 
     The covariance flow is deterministic, so the ensemble average in the
     purification-time definition is the curve itself.  Purity equals
-    sqrt(det Y)/2.
+    sqrt(det Y)/2.  The information flow dY/dt = Rtil - Atil^T Y - Y Atil
+    - Y Qtil Y is linear-fractional (Radon's lemma): Y = N M^{-1} with
+    [M; N](t) = e^{Ht} [I; y0], H from _hamiltonian, so det Y = det N / det M
+    on the whole grid at once.  Where e^{Ht} grows over the grid it is
+    rewritten with decaying exponentials only (_decaying_radon); where it
+    does not (undetectable points such as pure momentum homodyne, whose
+    spectrum collapses onto zero) it is bounded and evaluated directly.
     """
-    atil, qtil, rtil = gen.care_form()
-
-    def rhs(_t, y):
-        ym = np.array([[y[0], y[2]], [y[2], y[1]]])
-        dy = -(ym @ atil + atil.T @ ym) - ym @ qtil @ ym + rtil
-        return [dy[0, 0], dy[1, 1], dy[0, 1]]
-
-    t_grid = np.asarray(t_grid, dtype=float)
+    h = _hamiltonian(gen)
+    t = np.asarray(t_grid, dtype=float)
     y0 = np.asarray(y0, dtype=float)
-    sol = solve_ivp(rhs, (0.0, float(t_grid[-1])),
-                    [y0[0, 0], y0[1, 1], y0[0, 1]],
-                    method="LSODA", t_eval=t_grid, rtol=1e-10, atol=1e-13)
-    if not sol.success:
-        raise ConvergenceError(f"information flow failed: {sol.message}")
-    dets = sol.y[0] * sol.y[1] - sol.y[2] ** 2
-    dets = np.clip(dets, 0.0, None)
-    return 0.5 * np.sqrt(dets)
+    start = np.vstack([np.eye(2), y0])
+    lam, w = np.linalg.eig(h)
+    if np.abs(lam.real).max() * t.max() <= 1.0:
+        mn = np.stack([expm(ti * h) for ti in t]) @ start
+    else:
+        mn = _decaying_radon(lam, w, start, t)
+    dets = np.linalg.det(mn[:, 2:]) / np.linalg.det(mn[:, :2])
+    if (not np.all(np.isfinite(dets))
+            or np.abs(dets.imag).max() > 1e-8 * max(1.0, np.abs(dets).max())):
+        raise ConvergenceError("closed-form information flow is not finite and real")
+    dets = dets.real
+    # at t = 0 the flow is the start itself, not its round trip through the
+    # eigenbasis: det Y0 is often 0, where sqrt turns rounding into 1e-8 purity
+    dets[t == 0.0] = np.linalg.det(y0)
+    return 0.5 * np.sqrt(np.clip(dets, 0.0, None))
+
+
+def _decaying_radon(lam, w, start, t):
+    """[M; N](t) up to a right factor, which leaves N M^{-1} unchanged.
+
+    With H = W diag(lam) W^{-1} and C = W^{-1} [I; y0] split into stable
+    (s) and unstable (u) halves, e^{Ht} [I; y0] C_u^{-1} e^{-lam_u t}
+    = W_s e^{lam_s t} C_s C_u^{-1} e^{-lam_u t} + W_u: every exponential decays.
+    """
+    stable = lam.real < 0.0
+    if stable.sum() != 2:
+        raise ConvergenceError(
+            f"Hamiltonian matrix has {int(stable.sum())} stable eigenvalues, need 2 "
+            "(no stable/unstable split of the information flow)")
+    if np.linalg.cond(w) > _RADON_COND_MAX:
+        raise ConvergenceError("ill-conditioned eigenbasis of the information flow")
+    c = np.linalg.solve(w, start)
+    c_u = c[~stable]
+    if np.linalg.cond(c_u) > _RADON_COND_MAX:
+        raise ConvergenceError("start covariance lies on the stable subspace")
+    k = c[stable] @ np.linalg.inv(c_u)
+    e_s = np.exp(np.outer(t, lam[stable]))
+    e_u = np.exp(-np.outer(t, lam[~stable]))
+    return w[:, stable] @ (e_s[:, :, None] * k * e_u[:, None, :]) + w[:, ~stable]
 
 
 def unconditional_covariance_curve(gen, v0, t_grid):
-    """Lyapunov flow evaluated on an arbitrary time grid (adaptive integrator)."""
-    a, d = gen.drift, gen.diffusion
+    """Lyapunov flow evaluated on an arbitrary time grid, in closed form.
 
-    def rhs(_t, y):
-        v = np.array([[y[0], y[2]], [y[2], y[1]]])
-        dv = a @ v + v @ a.T + d
-        return [dv[0, 0], dv[1, 1], dv[0, 1]]
+    The particle drift satisfies A^2 = -A, so e^{As} = I + g(s) A with
+    g(s) = 1 - e^{-s}, and integrating e^{As} D e^{A^T s} gives
 
-    t_grid = np.asarray(t_grid, dtype=float)
-    v0m = v0.matrix
-    sol = solve_ivp(rhs, (0.0, float(t_grid[-1])), [v0m[0, 0], v0m[1, 1], v0m[0, 1]],
-                    method="LSODA", t_eval=t_grid, rtol=1e-11, atol=1e-13)
-    if not sol.success:
-        raise ConvergenceError(f"Lyapunov flow failed: {sol.message}")
-    return np.stack([np.array([[vq, c], [c, vp]])
-                     for vq, vp, c in zip(sol.y[0], sol.y[1], sol.y[2])])
-
-
-def stationary_mean_noise(gen, v_c, horizon=60.0, tol=1e-11):
-    """Long-time covariance of A mu mu^T A^T for the stationary conditional means.
-
-    The means diffuse with matrix R = mean_noise(V_c) around drift A; their
-    raw covariance M(t) grows without bound along the neutral position
-    direction, but N = A M A^T converges (exponentially, at the momentum
-    damping rate) and is all the survival curve needs.
+        V(t) = e^{At} V0 e^{A^T t} + t D + (t - g)(A D + D A^T)
+               + (t - 2g + (1 - e^{-2t})/2) A D A^T.
     """
-    a = gen.drift
-    r = gen.mean_noise(v_c.matrix if isinstance(v_c, CovarianceState) else v_c)
-    ara = a @ r @ a.T
-
-    def rhs(_t, y):
-        n = np.array([[y[0], y[2]], [y[2], y[1]]])
-        dn = a @ n + n @ a.T + ara
-        return [dn[0, 0], dn[1, 1], dn[0, 1]]
-
-    sol = solve_ivp(rhs, (0.0, horizon), [0.0, 0.0, 0.0], method="LSODA",
-                    rtol=1e-12, atol=1e-14)
-    if not sol.success:
-        raise ConvergenceError(f"mean-noise flow failed: {sol.message}")
-    y = sol.y[:, -1]
-    if np.abs(rhs(0.0, y)).max() > tol * max(1.0, np.abs(y).max()):
-        raise ConvergenceError("projected mean covariance did not converge")
-    n = np.array([[y[0], y[2]], [y[2], y[1]]])
-    if np.linalg.eigvalsh(n).min() < -1e-9 * max(1.0, np.abs(n).max()):
-        raise DecompositionError("projected mean covariance is not PSD")
-    return n
+    a, d = gen.drift, gen.diffusion
+    if not np.allclose(a @ a, -a, rtol=0.0, atol=1e-12):
+        raise ValueError("the closed-form Lyapunov curve needs a drift with A^2 = -A")
+    t = np.asarray(t_grid, dtype=float)[:, None, None]
+    g = -np.expm1(-t)
+    v0m = v0.matrix
+    return (v0m + g * (a @ v0m + v0m @ a.T) + g ** 2 * (a @ v0m @ a.T)
+            + t * d + (t - g) * (a @ d + d @ a.T)
+            + (t - 2.0 * g - 0.5 * np.expm1(-2.0 * t)) * (a @ d @ a.T))
 
 
 def survival_curve(params, u, tau_grid, eta=1.0, v_c=None):
     """Mean overlap between a frozen stationary conditional state and its
     unconditionally evolved copy, as a function of the delay.
 
-    Closed form: the frozen state has covariance V_c and a Gaussian-
-    distributed mean; the evolved copy has covariance V_u(tau) from the
-    Lyapunov flow and mean e^{A tau} mu.  Averaging the Gaussian overlap
-    over the stationary mean distribution collapses to
+    The detection point u and efficiency eta fix the generators; v_c
+    defaults to their stationary conditional covariance.  See
+    survival_overlap_curve for the closed form.
+    """
+    gen = qbm_generators(params, u, eta)
+    if v_c is None:
+        v_c = riccati_steady(gen)
+    return survival_overlap_curve(gen, v_c, tau_grid)
+
+
+def survival_overlap_curve(gen, v_c, tau_grid):
+    """Closed-form survival curve for generators gen and frozen covariance v_c.
+
+    The frozen state has covariance V_c and a Gaussian-distributed mean;
+    the evolved copy has covariance V_u(tau) from the Lyapunov flow and
+    mean e^{A tau} mu.  Averaging the Gaussian overlap over the stationary
+    mean distribution collapses to
 
         S(tau) = 1 / sqrt(det(V_c + V_u(tau) + W(tau)))
 
@@ -481,12 +532,8 @@ def survival_curve(params, u, tau_grid, eta=1.0, v_c=None):
 
     The particle drift is fixed, so the propagator pieces have closed
     forms (e^{A tau} = I + (1 - e^{-tau}) A with A^2 = -A); N likewise
-    reduces to (R_pp / 2) [[1, -1], [-1, 1]], cross-checked against the
-    integrated form of stationary_mean_noise in the tests.
+    reduces to (R_pp / 2) [[1, -1], [-1, 1]], with R = mean_noise(V_c).
     """
-    gen = qbm_generators(params, u, eta)
-    if v_c is None:
-        v_c = riccati_steady(gen)
     r_pp = float(gen.mean_noise(v_c.matrix)[1, 1])
     tau_grid = np.asarray(tau_grid, dtype=float)
     v_u = unconditional_covariance_curve(gen, v_c, tau_grid)

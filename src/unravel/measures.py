@@ -2,9 +2,9 @@
 
 Purification time, efficiency threshold, mixing time and survival time,
 all defined against the shared halfway threshold theta = (1 + Tr[rho_ss^2])/2.
-The Brownian-particle backend is deterministic (Riccati / Lyapunov flows,
-closed-form survival); the two-level-atom backend is Monte Carlo with
-explicit statistical uncertainties.  Also hosts the detection-disk
+The Brownian-particle backend is deterministic (closed-form Riccati and
+Lyapunov curves, closed-form survival); the two-level-atom backend is Monte
+Carlo with explicit statistical uncertainties.  Also hosts the detection-disk
 optimizer and the unravelling ranking harness.
 """
 
@@ -169,7 +169,7 @@ def survival_time_qbm(params, u, horizon=_QBM_HORIZON):
     gen = qbm_generators(params, u, eta=1.0)
     v_c = G.riccati_steady(gen)
     grid = _log_grid(_qbm_rate_scale(params), horizon)
-    s = G.survival_curve(params, u, grid, v_c=v_c)
+    s = G.survival_overlap_curve(gen, v_c, grid)
     tau = first_crossing(CrossingCurve(grid, s, QBM_THETA.theta))
     return MeasureResult("survival", tau,
                          metadata={"temperature": params.temperature,
@@ -178,13 +178,18 @@ def survival_time_qbm(params, u, horizon=_QBM_HORIZON):
 
 def efficiency_threshold_qbm(params, u):
     """Detection efficiency at which the stationary conditional purity sits
-    halfway between no observation (0) and perfect observation."""
+    halfway between no observation (0) and perfect observation.
+
+    The generators are built and validated once; each root-find step only
+    rescales their eta-dependent terms (GaussianGenerators.with_eta).
+    """
     theta = QBM_THETA.theta
+    gen = qbm_generators(params, u, eta=1.0)
 
     def stationary_purity(eta):
         if eta == 0.0:
             return 0.0
-        return G.gaussian_purity(G.riccati_steady(qbm_generators(params, u, eta)))
+        return G.gaussian_purity(G.riccati_steady(gen.with_eta(eta)))
 
     probe = [0.25, 0.5, 0.75, 1.0]
     vals = [stationary_purity(e) for e in probe]

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import unravel.gaussian as G
+import unravel.measures as M
 from unravel.errors import (
     ConvergenceError,
+    DecompositionError,
     InvariantViolationError,
     StabilityError,
     StepSizeError,
@@ -43,6 +46,37 @@ def synthetic_stable_gen(eta=0.5):
     )
 
 
+def stationary_mean_noise(gen, v_c, horizon=60.0, tol=1e-11):
+    """Reference oracle: long-time covariance of A mu mu^T A^T for the
+    stationary conditional means, by integrating its flow (LSODA).
+
+    The means diffuse with matrix R = mean_noise(V_c) around drift A; their
+    raw covariance M(t) grows without bound along the neutral position
+    direction, but N = A M A^T converges (exponentially, at the momentum
+    damping rate).  survival_curve uses the closed form of its limit.
+    """
+    a = gen.drift
+    r = gen.mean_noise(v_c.matrix)
+    ara = a @ r @ a.T
+
+    def rhs(_t, y):
+        n = np.array([[y[0], y[2]], [y[2], y[1]]])
+        dn = a @ n + n @ a.T + ara
+        return [dn[0, 0], dn[1, 1], dn[0, 1]]
+
+    sol = solve_ivp(rhs, (0.0, horizon), [0.0, 0.0, 0.0], method="LSODA",
+                    rtol=1e-12, atol=1e-14)
+    if not sol.success:
+        raise ConvergenceError(f"mean-noise flow failed: {sol.message}")
+    y = sol.y[:, -1]
+    if np.abs(rhs(0.0, y)).max() > tol * max(1.0, np.abs(y).max()):
+        raise ConvergenceError("projected mean covariance did not converge")
+    n = np.array([[y[0], y[2]], [y[2], y[1]]])
+    if np.linalg.eigvalsh(n).min() < -1e-9 * max(1.0, np.abs(n).max()):
+        raise DecompositionError("projected mean covariance is not PSD")
+    return n
+
+
 class TestTypes:
     def test_disk_point_range(self):
         with pytest.raises(ValueError):
@@ -77,6 +111,18 @@ class TestGenerators:
     def test_eta_out_of_range(self):
         with pytest.raises(ValueError):
             qbm_generators(QbmParams(1.0), DiskPoint(1.0, 0.0), 1.5)
+
+    def test_with_eta_matches_fresh_generators(self):
+        params, u = QbmParams(0.5), DiskPoint(0.75, 4.0)
+        base = qbm_generators(params, u, 1.0)
+        for eta in (0.0, 0.3, 1.0):
+            got, want = base.with_eta(eta), qbm_generators(params, u, eta)
+            assert got.eta == eta
+            for a, b in zip(got.care_form(), want.care_form()):
+                assert np.abs(a - b).max() < 1e-14
+        assert base.eta == 1.0
+        with pytest.raises(ValueError):
+            base.with_eta(1.5)
 
     def test_qbm_drift_and_diffusion_values(self):
         t = 0.5
@@ -295,7 +341,7 @@ class TestSurvivalCurve:
         # for the particle drift, N = lim A M A^T = (R_pp/2) [[1,-1],[-1,1]]
         gen = qbm_generators(QbmParams(1.0), DiskPoint(1.0, 0.0), 1.0)
         v_c = riccati_steady(gen)
-        n = G.stationary_mean_noise(gen, v_c)
+        n = stationary_mean_noise(gen, v_c)
         r_pp = gen.mean_noise(v_c.matrix)[1, 1]
         expect = 0.5 * r_pp * np.array([[1.0, -1.0], [-1.0, 1.0]])
         assert np.abs(n - expect).max() < 1e-9
@@ -307,7 +353,7 @@ class TestSurvivalCurve:
         u = DiskPoint(1.0, 0.0)
         gen = qbm_generators(params, u, 1.0)
         v_c = riccati_steady(gen)
-        n_star = G.stationary_mean_noise(gen, v_c)
+        n_star = stationary_mean_noise(gen, v_c)
         taus = np.array([0.1, 0.5, 2.0])
         s_closed = survival_curve(params, u, taus)
         rng = np.random.default_rng(11)
@@ -322,3 +368,74 @@ class TestSurvivalCurve:
             vals /= math.sqrt(np.linalg.det(sigma))
             mc, se = vals.mean(), vals.std() / math.sqrt(len(vals))
             assert abs(s_closed[i] - mc) < 3.0 * se + 1e-9
+
+
+CURVE_TEMPS = (0.5, 100.0)
+CURVE_POINTS = (DiskPoint(1.0, 0.0), DiskPoint(1.0, 1.07), DiskPoint(0.0, 0.0),
+                DiskPoint(0.75, 4.0))
+
+
+@pytest.mark.parametrize("temp", CURVE_TEMPS)
+@pytest.mark.parametrize("u", CURVE_POINTS, ids=lambda u: f"r{u.r}-phi{u.phi}")
+class TestClosedFormCurves:
+    """The closed-form curves against the fixed-step RK4 flows."""
+
+    def test_lyapunov_curve_matches_rk4(self, temp, u):
+        gen = qbm_generators(QbmParams(temp), u, 1.0)
+        v0 = CovarianceState(1.5, 2.0, 0.4)
+        times, states = lyapunov_flow(gen, v0, 2.0, 1e-3)
+        idx = np.arange(0, len(times), 100)
+        got = G.unconditional_covariance_curve(gen, v0, np.asarray(times)[idx])
+        want = np.stack([states[i].matrix for i in idx])
+        scale = np.abs(want).max(axis=(1, 2))[:, None, None]
+        assert (np.abs(got - want) / scale).max() < 1e-9
+
+    def test_purity_curve_matches_rk4_from_finite_start(self, temp, u):
+        gen = qbm_generators(QbmParams(temp), u, 1.0)
+        # twice the stationary covariance: purity 1/2, on the flow's own scale
+        v0 = CovarianceState.from_matrix(2.0 * riccati_steady(gen).matrix)
+        duration, dt = (2.0, 1e-3) if temp < 1.0 else (0.5, 1e-4)
+        times, states = riccati_flow(gen, v0, duration, dt)
+        idx = np.arange(0, len(times), len(times) // 20)
+        got = G.conditioned_purity_curve(gen, np.asarray(times)[idx],
+                                         np.linalg.inv(v0.matrix))
+        want = np.array([gaussian_purity(states[i]) for i in idx])
+        assert np.abs(got - want).max() < 1e-7
+
+    def test_direct_and_decaying_forms_agree(self, temp, u):
+        # e^{Ht} is evaluated directly while it has not grown over the grid,
+        # and through the decaying-exponential form beyond
+        params = QbmParams(temp)
+        gen = qbm_generators(params, u, 1.0)
+        y0 = G.qbm_information_start(params)
+        rate = np.abs(np.linalg.eigvals(G._hamiltonian(gen)).real).max()
+        short = np.linspace(0.0, 0.9 / rate, 12)
+        direct = G.conditioned_purity_curve(gen, short, y0)
+        decaying = G.conditioned_purity_curve(gen, np.append(short, 50.0), y0)[:-1]
+        assert np.abs(direct - decaying).max() < 1e-9
+
+    def test_purity_curve_on_full_log_grid(self, temp, u):
+        params = QbmParams(temp)
+        grid = M._log_grid(M._qbm_rate_scale(params), 200.0)
+        base = qbm_generators(params, u, 1.0)
+        for eta in (1.0, 0.4):
+            gen = base.with_eta(eta)
+            p = G.conditioned_purity_curve(gen, grid, G.qbm_information_start(params))
+            assert np.all(np.isfinite(p))
+            assert p[0] == 0.0
+            assert p[-1] == pytest.approx(gaussian_purity(riccati_steady(gen)), abs=1e-9)
+
+
+class TestClosedFormErrors:
+    def test_lyapunov_curve_needs_particle_drift(self):
+        gen = synthetic_stable_gen(eta=0.0)
+        with pytest.raises(ValueError):
+            G.unconditional_covariance_curve(gen, CovarianceState(1.0, 1.0, 0.0), [0.0, 1.0])
+
+    def test_ill_conditioned_decomposition_raises(self, monkeypatch):
+        params = QbmParams(1.0)
+        gen = qbm_generators(params, DiskPoint(1.0, 0.0), 1.0)
+        grid = M._log_grid(M._qbm_rate_scale(params), 200.0)
+        monkeypatch.setattr(G, "_RADON_COND_MAX", 1.0)
+        with pytest.raises(ConvergenceError):
+            G.conditioned_purity_curve(gen, grid, G.qbm_information_start(params))

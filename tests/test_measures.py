@@ -5,7 +5,8 @@ import pytest
 
 from unravel import measures as M
 from unravel import trajectories as T
-from unravel.errors import AssumptionError, HorizonError
+from unravel import gaussian as G
+from unravel.errors import AssumptionError, ConvergenceError, HorizonError
 from unravel.gaussian import DiskPoint, QbmParams
 from unravel.systems import TlaParams
 
@@ -93,6 +94,21 @@ class TestQbmMeasures:
     def test_momentum_homodyne_never_purifies(self):
         with pytest.raises(HorizonError):
             M.purification_time_qbm(QbmParams(1.0), DiskPoint(1.0, math.pi))
+
+    @pytest.mark.parametrize("temp", (0.5, 100.0))
+    def test_momentum_homodyne_failures_are_typed(self, temp):
+        # the closed-form curves keep the undetectable point's verdicts
+        params, u = QbmParams(temp), DiskPoint(1.0, math.pi)
+        with pytest.raises(HorizonError):
+            M.purification_time_qbm(params, u)
+        for measure in (M.mixing_time_qbm, M.survival_time_qbm):
+            with pytest.raises(ConvergenceError):
+                measure(params, u)
+
+    def test_rejected_decomposition_is_a_grid_failure(self, monkeypatch):
+        monkeypatch.setattr(G, "_RADON_COND_MAX", 1.0)
+        with pytest.raises(ConvergenceError, match="every grid point failed"):
+            M.optimize_disk(QbmParams(1.0), "purification", phi_points=4, refine=False)
 
     def test_mixing_regression(self):
         res = M.mixing_time_qbm(QbmParams(1.0), DiskPoint(1.0, 2.086))
