@@ -6,9 +6,13 @@ whose per-trajectory noise streams are derived from (master seed,
 trajectory index) with a counter-based bit generator, so results depend
 on chunking or thread count only through rounding.
 
-One driver, `_drive`, steps every run over its pre-drawn noise and hands
-sampled states to a sink (purity collector, mean-state sum, final states,
-or one trajectory's states and clicks).  It runs one of four kernels,
+One driver, `_drive`, steps every run and hands sampled states to a sink
+(purity collector, mean-state sum, final states, or one trajectory's
+states and clicks).  A chunk of trajectories keeps one noise stream per
+trajectory and draws it a block of steps at a time (`_noise_blocks`), so
+its noise memory is bounded by _NOISE_BLOCK_BYTES whatever the horizon;
+the block size changes no number, since a stream drawn in pieces gives
+the numbers of one whole draw.  The driver runs one of four kernels,
 Kraus-form steppers after Rouchon & Ralph, PRA 91, 012118 (2015):
 
 * `_KrausDiffusiveKernel`: diffusive schemes at small dimension (the
@@ -41,9 +45,10 @@ from .hilbert import DensityMatrix, dag
 DIFFUSIVE_KINDS = ("homodyne_x", "homodyne_y", "heterodyne", "general_dyne")
 JUMP_KINDS = ("direct", "aid")
 
-# fixed memory budget for pre-drawn noise; chunk sizes derive from it so
-# results are independent of the actual chunking
-_NOISE_BUDGET_BYTES = 2.4e8
+# bytes of one chunk's noise block, which holds as many steps as fit
+_NOISE_BLOCK_BYTES = 16e6
+# trajectories per chunk, at dimension <= _SUPEROP_DIM_LIMIT and above it
+_MAX_SUPEROP_CHUNK = 8192
 _MAX_DM_CHUNK = 512
 
 
@@ -196,12 +201,15 @@ def trajectory_rng(master_seed, index):
         np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))))
 
 
+def noise_width(spec):
+    return len(spec.channel_coefficients()) if spec.is_diffusive else 1
+
+
 def _noise_plan(spec, n_steps, rng):
-    """All randomness one trajectory consumes, drawn in a single call."""
-    if spec.is_diffusive:
-        k = len(spec.channel_coefficients())
-        return rng.standard_normal((n_steps, k))
-    return rng.random((n_steps, 1))
+    """The next n_steps steps of one trajectory's noise from its stream rng:
+    a standard normal per channel (diffusive) or one uniform (counting)."""
+    shape = (n_steps, noise_width(spec))
+    return rng.standard_normal(shape) if spec.is_diffusive else rng.random(shape)
 
 
 def _rv(mat):
@@ -602,43 +610,57 @@ def step_jump(model, spec, rho, uniform, dt, lo_sign=1.0):
 # ---------------------------------------------------------------------------
 # the stepping driver
 
-def noise_width(spec):
-    return len(spec.channel_coefficients()) if spec.is_diffusive else 1
+def _noise_blocks(spec, n_steps, dt, seed, start, stop):
+    """Noise of trajectories start..stop-1, streamed in (b, s, k) blocks of steps.
 
-
-def _noise_block(spec, n_steps, seed, start, stop):
-    """Noise of trajectories start..stop-1 as one (b, n_steps, k) block."""
-    noise = np.empty((stop - start, n_steps, noise_width(spec)))
-    for i in range(stop - start):
-        noise[i] = _noise_plan(spec, n_steps, trajectory_rng(seed, start + i))
-    return noise
-
-
-def _drive(kernel, y, noise, dt, sample_pos, sink, clicks=None):
-    """Step a batch through its pre-drawn noise; the one stepping loop.
-
-    `noise` is (b, n_steps, k): standard normals, scaled to Wiener
-    increments one step at a time, or uniforms for the jump kernel, whose
-    local-oscillator signs start at +1.  sink(j, y) receives the state
-    after every step listed in `sample_pos` (step 0 is the start) with
-    j = sample_pos[step].  For a jump kernel, (step, sign after the click)
-    of every click of trajectory 0 is appended to `clicks` if given.
+    Each trajectory keeps its own stream across blocks, and a Philox stream
+    drawn in pieces gives the numbers of one whole-horizon draw, so every
+    trajectory sees the same noise whatever the block size.  Blocks hold
+    Wiener increments (standard normals times sqrt(dt)) for diffusive
+    schemes and uniforms for counting schemes.  One buffer is refilled for
+    every block, so a yielded block is valid only until the next one.
     """
-    b, n_steps, _ = noise.shape
-    counting = isinstance(kernel, _SuperopJumpKernel)
-    signs = np.ones(b)
+    rngs = [trajectory_rng(seed, i) for i in range(start, stop)]
+    k = noise_width(spec)
+    # as many steps as fit _NOISE_BLOCK_BYTES, at least one
+    steps = max(1, min(n_steps, int(_NOISE_BLOCK_BYTES // (len(rngs) * k * 8))))
+    buf = np.empty((len(rngs), steps, k))
     root_dt = math.sqrt(dt)
+    for first in range(0, n_steps, steps):
+        block = buf[:, :min(steps, n_steps - first)]
+        for row, rng in zip(block, rngs):
+            row[...] = _noise_plan(spec, block.shape[1], rng)
+        if spec.is_diffusive:
+            block *= root_dt
+        yield block
+
+
+def _drive(kernel, y, blocks, sample_pos, sink, clicks=None):
+    """Step a batch through its streamed noise; the one stepping loop.
+
+    `blocks` yields (b, s, k) noise blocks of consecutive steps: Wiener
+    increments for diffusive kernels, or uniforms for the jump kernel,
+    whose local-oscillator signs start at +1.  sink(j, y) receives the
+    state after every step listed in `sample_pos` (step 0 is the start)
+    with j = sample_pos[step].  For a jump kernel, (step, sign after the
+    click) of every click of trajectory 0 is appended to `clicks` if given.
+    """
+    counting = isinstance(kernel, _SuperopJumpKernel)
+    signs = np.ones(len(y))
     if 0 in sample_pos:
         sink(sample_pos[0], y)
-    for step in range(1, n_steps + 1):
-        if counting:
-            y, jumped = kernel.step(y, noise[:, step - 1, :], signs)
-            if clicks is not None and jumped[0]:
-                clicks.append((step, float(signs[0])))
-        else:
-            y = kernel.step(y, root_dt * noise[:, step - 1, :])
-        if step in sample_pos:
-            sink(sample_pos[step], y)
+    step = 0
+    for block in blocks:
+        for row in range(block.shape[1]):
+            step += 1
+            if counting:
+                y, jumped = kernel.step(y, block[:, row, :], signs)
+                if clicks is not None and jumped[0]:
+                    clicks.append((step, float(signs[0])))
+            else:
+                y = kernel.step(y, block[:, row, :])
+            if step in sample_pos:
+                sink(sample_pos[step], y)
 
 
 @dataclass(frozen=True)
@@ -656,17 +678,24 @@ def run_trajectory(model, spec, rho0, config, traj_index=0):
     if n_steps == 0:
         return TrajectoryResult(np.array([0.0]), tuple(states), InnovationRecord())
     kernel = _select_kernel(model, spec, rho0_m, dt, "trajectory")
-    noise = _noise_block(spec, n_steps, config.seed, traj_index, traj_index + 1)
+    increments = []
+
+    def recorded(blocks):
+        for block in blocks:
+            increments.append(block[0].copy())
+            yield block
 
     def sample(_j, y):
         states.append(DensityMatrix(kernel.to_matrices(y)[0],
                                     pos_tol=_sample_pos_tol(dt)))
 
     clicks = []
-    _drive(kernel, kernel.initial(rho0_m[None, :, :]), noise, dt,
+    _drive(kernel, kernel.initial(rho0_m[None, :, :]),
+           recorded(_noise_blocks(spec, n_steps, dt, config.seed,
+                                  traj_index, traj_index + 1)),
            {int(s): j for j, s in enumerate(sample_idx) if s}, sample, clicks)
     if spec.is_diffusive:
-        record = InnovationRecord(wiener=math.sqrt(dt) * noise[0])
+        record = InnovationRecord(wiener=np.concatenate(increments))
     else:
         record = InnovationRecord(jump_times=tuple(step * dt for step, _ in clicks),
                                   lo_signs=tuple(sign for _, sign in clicks))
@@ -676,10 +705,8 @@ def run_trajectory(model, spec, rho0, config, traj_index=0):
 # ---------------------------------------------------------------------------
 # ensemble runner
 
-def _chunk_size(n_steps, n_channels, dim):
-    by_noise = int(_NOISE_BUDGET_BYTES / (max(n_steps, 1) * n_channels * 8))
-    cap = _MAX_DM_CHUNK if dim > _SUPEROP_DIM_LIMIT else 8192
-    return max(16, min(by_noise, cap))
+def _chunk_size(dim):
+    return _MAX_DM_CHUNK if dim > _SUPEROP_DIM_LIMIT else _MAX_SUPEROP_CHUNK
 
 
 def _iter_chunks(n_traj, chunk):
@@ -691,20 +718,18 @@ def _iter_chunks(n_traj, chunk):
 
 
 def _run_chunks(kernel, spec, rho0_m, config, n_traj, sample_pos, sink):
-    """Drive n_traj trajectories from rho0 in chunks sized by the noise budget.
+    """Drive n_traj trajectories from rho0 in chunks sized by the dimension.
 
     sink(rows, j, y) receives every sampled state of the chunk holding
     trajectories `rows` (a slice).
     """
     n_steps, dt, _ = config.grid()
-    for start, stop in _iter_chunks(n_traj, _chunk_size(n_steps, noise_width(spec),
-                                                        rho0_m.shape[0])):
+    for start, stop in _iter_chunks(n_traj, _chunk_size(rho0_m.shape[0])):
         mats = np.broadcast_to(rho0_m, (stop - start, *rho0_m.shape))
-        # passed inline so that no name here keeps the start state alive
-        # through the steps, or this chunk's noise block alive while the
-        # next one is drawn
+        # the start state is passed inline so that no name here keeps it
+        # alive through the steps
         _drive(kernel, kernel.initial(mats),
-               _noise_block(spec, n_steps, config.seed, start, stop), dt,
+               _noise_blocks(spec, n_steps, dt, config.seed, start, stop),
                sample_pos, partial(sink, slice(start, stop)))
 
 

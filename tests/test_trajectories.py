@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,8 +216,24 @@ class TestRunEnsemble:
         refs = [(T.run_ensemble(model, spec, EXCITED, cfg, 64, statistic),
                  T.run_final_states(model, spec, EXCITED, cfg, 64))
                 for spec, statistic in cases]
-        monkeypatch.setattr(T, "_NOISE_BUDGET_BYTES", 2e4)  # force many chunks
-        assert T._chunk_size(250, 2, 2) < 64
+        # force 16-trajectory chunks and noise blocks of 7 (heterodyne) or
+        # 14 steps, none of which divides the 250 steps
+        monkeypatch.setattr(T, "_MAX_SUPEROP_CHUNK", 16)
+        monkeypatch.setattr(T, "_NOISE_BLOCK_BYTES", 16 * 2 * 8 * 7)
+        chunks, draws = [], []
+        iter_chunks, noise_plan = T._iter_chunks, T._noise_plan
+
+        def counted_chunks(n_traj, chunk):
+            spans = list(iter_chunks(n_traj, chunk))
+            chunks.append(len(spans))
+            return spans
+
+        def counted_plan(spec, n_steps, rng):
+            draws.append(n_steps)
+            return noise_plan(spec, n_steps, rng)
+
+        monkeypatch.setattr(T, "_iter_chunks", counted_chunks)
+        monkeypatch.setattr(T, "_noise_plan", counted_plan)
         for (spec, statistic), (ref, ref_finals) in zip(cases, refs):
             split = T.run_ensemble(model, spec, EXCITED, cfg, 64, statistic)
             finals = T.run_final_states(model, spec, EXCITED, cfg, 64)
@@ -232,6 +249,8 @@ class TestRunEnsemble:
                 assert exact(split.mean, ref.mean), case
             else:
                 assert close(split.states, ref.states), case
+        assert chunks == [4] * 2 * len(cases)
+        assert max(draws) == 14 and min(draws) < 7
 
     def test_member_matches_run_trajectory(self):
         model = build_tla(tla())
@@ -246,6 +265,54 @@ class TestRunEnsemble:
         cfg = T.TrajectoryConfig(1e-3, 0.1, seed=1)
         with pytest.raises(ValueError):
             T.run_ensemble(model, T.homodyne_x(1.0), EXCITED, cfg, 1)
+
+
+class TestNoiseStream:
+    def _whole(self, spec, n_steps, dt, seed, rows):
+        draws = np.stack([T._noise_plan(spec, n_steps, T.trajectory_rng(seed, i))
+                          for i in rows])
+        return math.sqrt(dt) * draws if spec.is_diffusive else draws
+
+    def test_blocks_concatenate_to_whole_draw(self, monkeypatch):
+        n_steps, dt, seed, rows = 50, 2e-3, 9, range(4, 7)
+        for spec in (T.direct(1.0), T.heterodyne(1.0)):
+            k = T.noise_width(spec)
+            whole = self._whole(spec, n_steps, dt, seed, rows)
+            for steps in (1, 7, 49, 50):
+                monkeypatch.setattr(T, "_NOISE_BLOCK_BYTES", len(rows) * k * 8 * steps)
+                # the blocks share one buffer, so each is copied as it comes
+                blocks = [b.copy() for b in T._noise_blocks(spec, n_steps, dt, seed,
+                                                          rows.start, rows.stop)]
+                assert [b.shape[1] for b in blocks[:-1]] == [steps] * (len(blocks) - 1)
+                assert np.array_equal(np.concatenate(blocks, axis=1), whole), (
+                    spec.kind, steps)
+
+    def test_wiener_record_is_the_scaled_draw(self, monkeypatch):
+        model = build_tla(tla())
+        cfg = T.TrajectoryConfig(2e-3, 0.5, seed=13, sample_stride=50)
+        n_steps, dt, _ = cfg.grid()
+        spec = T.heterodyne(1.0)
+        whole = self._whole(spec, n_steps, dt, cfg.seed, [2])[0]
+        for block_bytes in (T._NOISE_BLOCK_BYTES, 2 * 8 * 11):
+            monkeypatch.setattr(T, "_NOISE_BLOCK_BYTES", block_bytes)
+            wiener = T.run_trajectory(model, spec, EXCITED, cfg, traj_index=2).record.wiener
+            assert np.array_equal(wiener, whole), block_bytes
+
+    def test_noise_memory_stays_within_block_budget(self, monkeypatch):
+        # heterodyne final states of 256 trajectories over 1000 steps: a
+        # whole-horizon draw would hold 256 * 1000 * 2 * 8 B = 4.1 MB
+        model = build_tla(tla())
+        cfg = T.TrajectoryConfig(2e-3, 2.0, seed=4)
+        budget = 2 ** 18
+        monkeypatch.setattr(T, "_NOISE_BLOCK_BYTES", budget)
+        T.run_final_states(model, T.heterodyne(1.0), EXCITED, cfg, 8)  # warm caches
+        tracemalloc.start()
+        try:
+            T.run_final_states(model, T.heterodyne(1.0), EXCITED, cfg, 256)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * budget, peak
 
 
 class TestJumpStatistics:
