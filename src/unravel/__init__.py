@@ -13,16 +13,12 @@ from .gaussian import (                                  # noqa: F401
     CovarianceState,
     DiskPoint,
     QbmParams,
-    gaussian_overlap,
     gaussian_purity,
-    lyapunov_steady,
     qbm_generators,
-    riccati_flow,
     riccati_steady,
     survival_curve,
 )
 from .hilbert import (                                   # noqa: F401
-    BlochVector,
     DensityMatrix,
     FockWorkspace,
     LindbladModel,

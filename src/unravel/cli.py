@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from . import measures as M
 from . import trajectories as T
-from .errors import SimulationError
+from .errors import ConvergenceError, SimulationError
 from .gaussian import DiskPoint, QbmParams, qbm_generators
 from .hilbert import DensityMatrix, propagate, trace_distance
 from .systems import TLA_SCHEMES, TlaParams, build_tla
@@ -265,18 +265,27 @@ def _suite_gaussian_oracle(args):
                              sample_stride=200)
     curve = T.run_ensemble(model, spec, rho0, cfg, n, "purity")
     gen = qbm_generators(params, DiskPoint(1.0, 0.0), 1.0)
-    _, states = G.riccati_flow(gen, v0, 2.0, 1e-3)
-    checks = []
-    worst = 0.0
-    for t, mc, err in zip(curve.times, curve.mean, curve.stderr):
-        idx = int(round(float(t) / 1e-3))
-        det = G.gaussian_purity(states[idx])
-        excess = abs(mc - det) - max(0.01, 3.0 * err)
-        worst = max(worst, excess)
-    checks.append({"check": "gaussian_oracle[T=0.5,hom-q]",
-                   "value": worst, "tolerance": 0.0,
-                   "passed": bool(worst <= 0.0)})
-    return checks
+    exact = G.conditioned_purity_curve(gen, curve.times, np.linalg.inv(v0.matrix))
+    # largest excess of the Monte Carlo error over its allowance: negative
+    # when every sample time passes, and by how much
+    worst = float(np.max(np.abs(curve.mean - exact)
+                         - np.maximum(0.01, 3.0 * curve.stderr)))
+    return [{"check": "gaussian_oracle[T=0.5,hom-q]", "value": worst,
+             "tolerance": 0.0, "passed": bool(worst <= 0.0)}]
+
+
+def _covariance_ode(gen, v0, times):
+    """Covariances V(t) on `times` from an adaptive DOP853 integration of
+    dV/dt = gen.rhs(V): the reference the closed-form curves are checked
+    against."""
+    from scipy.integrate import solve_ivp
+
+    sol = solve_ivp(lambda _t, y: gen.rhs(y.reshape(2, 2)).ravel(),
+                    (times[0], times[-1]), v0.matrix.ravel(), method="DOP853",
+                    t_eval=times, rtol=1e-12, atol=1e-12)
+    if not sol.success:
+        raise ConvergenceError(f"covariance ODE failed: {sol.message}")
+    return sol.y.T.reshape(-1, 2, 2)
 
 
 def _suite_properties(args):
@@ -285,11 +294,11 @@ def _suite_properties(args):
 
     checks = []
     params = QbmParams(1.0)
+    grid = np.linspace(0.0, 2.0, 21)
     gen0 = qbm_generators(params, DiskPoint(0.5, 1.1), 0.0)
     v0 = CovarianceState(1.5, 2.0, 0.4)
-    _, cond = G.riccati_flow(gen0, v0, 2.0, 1e-3)
-    _, unc = G.lyapunov_flow(gen0, v0, 2.0, 1e-3)
-    diff = max(np.abs(a.matrix - b.matrix).max() for a, b in zip(cond, unc))
+    diff = float(np.abs(_covariance_ode(gen0, v0, grid)
+                        - G.unconditional_covariance_curve(gen0, v0, grid)).max())
     checks.append({"check": "eta0_riccati_equals_lyapunov", "value": diff,
                    "tolerance": 1e-10, "passed": bool(diff < 1e-10)})
 
@@ -301,9 +310,11 @@ def _suite_properties(args):
                    "value": float(min(np.diff(purities))), "tolerance": 0.0,
                    "passed": mono})
 
+    # det V = 1 / (4 p^2) along the closed-form conditional flow
     gen = qbm_generators(params, DiskPoint(1.0, 1.0), 0.8)
-    _, states = G.riccati_flow(gen, CovarianceState(3.0, 3.0, 0.0), 5.0, 1e-3)
-    min_det = min(s.det() for s in states)
+    p = G.conditioned_purity_curve(gen, np.linspace(0.0, 5.0, 5001),
+                                   np.linalg.inv(np.diag([3.0, 3.0])))
+    min_det = float(0.25 / p.max() ** 2)
     checks.append({"check": "heisenberg_bound_along_flow", "value": min_det,
                    "tolerance": 0.25 - 1e-9,
                    "passed": bool(min_det >= 0.25 - 1e-9)})
@@ -312,20 +323,18 @@ def _suite_properties(args):
     checks.append({"check": "survival_starts_at_unity", "value": float(s[0]),
                    "tolerance": 1e-9, "passed": bool(abs(s[0] - 1.0) < 1e-9)})
 
-    # the closed-form curves the QBM measures run on, against the RK4 flows
+    # the closed-form curves the QBM measures run on, against the ODE
     gen = qbm_generators(params, DiskPoint(1.0, 1.07), 1.0)
     v0 = CovarianceState(2.0, 1.5, 0.3)
-    times, unc = G.lyapunov_flow(gen, v0, 2.0, 1e-3)
-    _, cond = G.riccati_flow(gen, v0, 2.0, 1e-3)
-    idx = range(0, len(times), 100)
-    grid = np.asarray(times)[idx]
+    unc = _covariance_ode(gen.with_eta(0.0), v0, grid)
+    cond = _covariance_ode(gen, v0, grid)
     v_u = G.unconditional_covariance_curve(gen, v0, grid)
     p = G.conditioned_purity_curve(gen, grid, np.linalg.inv(v0.matrix))
-    diff = max(max(np.abs(v - unc[i].matrix).max() / np.abs(unc[i].matrix).max()
-                   for v, i in zip(v_u, idx)),
-               max(abs(pk - G.gaussian_purity(cond[i])) for pk, i in zip(p, idx)))
-    checks.append({"check": "closed_form_curves_match_rk4", "value": float(diff),
-                   "tolerance": 1e-7, "passed": bool(diff < 1e-7)})
+    diff = max(float((np.abs(v_u - unc).max(axis=(1, 2))
+                      / np.abs(unc).max(axis=(1, 2))).max()),
+               float(np.abs(p - 0.5 / np.sqrt(np.linalg.det(cond))).max()))
+    checks.append({"check": "closed_form_curves_match_ode", "value": diff,
+                   "tolerance": 1e-9, "passed": bool(diff < 1e-9)})
 
     model = build_tla(TlaParams(2.0, 1.0))
     rho0 = DensityMatrix(np.diag([1.0, 0.0]))

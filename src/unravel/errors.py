@@ -21,10 +21,6 @@ class TruncationError(SimulationError):
     """Fock-space truncation is too small: probability leaked into the top levels."""
 
 
-class StabilityError(SimulationError):
-    """A drift matrix that must be Hurwitz is not."""
-
-
 class ConvergenceError(SimulationError):
     """A flow did not reach stationarity within the allowed horizon."""
 

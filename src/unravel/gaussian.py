@@ -27,8 +27,10 @@ point Y = diag(0, 1/T).
 Every curve the measures read has a closed form and is evaluated on the
 whole time grid at once: the Lyapunov curve through A^2 = -A, the
 information-form Riccati curve through its linear-fractional solution.
-The fixed-step RK4 flows (riccati_flow, lyapunov_flow) are kept as the
-independent reference they are checked against.
+The only numerical integration in this module is the LSODA fallback of
+the stationary Riccati solve; the closed forms are checked against an
+adaptive ODE integration of GaussianGenerators.rhs (`validate properties`
+and the test suite).
 """
 
 import copy
@@ -37,15 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm, solve_continuous_lyapunov
+from scipy.linalg import expm
 
-from .errors import (
-    ConvergenceError,
-    DecompositionError,
-    InvariantViolationError,
-    StabilityError,
-    StepSizeError,
-)
+from .errors import ConvergenceError, DecompositionError, InvariantViolationError
 
 HEISENBERG_SLACK = 1e-9
 # largest eigenvector-basis condition number accepted by the closed-form
@@ -182,10 +178,6 @@ class GaussianGenerators:
         z = v @ self.meas_gain - self.meas_offset
         return 2.0 * self.eta * z @ self.dyne_matrix @ z.T
 
-    def mean_noise(self, v):
-        """Diffusion matrix of the conditional means at covariance v."""
-        return self.correction(v)
-
     def care_form(self):
         """Rewrite the flow as Atil V + V Atil^T + Qtil - V Rtil V (exact)."""
         gqf, gqg, fqf = self._care_pieces
@@ -225,103 +217,8 @@ def gaussian_purity(v):
     return 1.0 / math.sqrt(4.0 * det)
 
 
-def gaussian_overlap(v1, mu1, v2, mu2):
-    """Tr[rho1 rho2] for two single-mode Gaussians.
-
-    exp(-delta^T (V1+V2)^{-1} delta / 2) / sqrt(det(V1+V2)); validated
-    against the Fock-basis overlap in the test suite before anything
-    downstream relies on it.
-    """
-    m1 = v1.matrix if isinstance(v1, CovarianceState) else np.asarray(v1, dtype=float)
-    m2 = v2.matrix if isinstance(v2, CovarianceState) else np.asarray(v2, dtype=float)
-    sigma = m1 + m2
-    det = float(np.linalg.det(sigma))
-    if det <= 0:
-        raise InvariantViolationError(f"singular covariance sum, det = {det}")
-    delta = np.asarray(mu1, dtype=float) - np.asarray(mu2, dtype=float)
-    expo = -0.5 * float(delta @ np.linalg.solve(sigma, delta))
-    return math.exp(expo) / math.sqrt(det)
-
-
 # ---------------------------------------------------------------------------
-# flows
-
-def _flow(gen, v0, duration, dt, conditioned):
-    v = v0.matrix
-    mu = v0.means.copy()
-    a = gen.drift
-    times = [0.0]
-    states = [v0]
-    if duration == 0:
-        return times, states
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    n_steps = int(np.ceil(duration / dt))
-    step = duration / n_steps
-
-    def rhs(mat):
-        out = a @ mat + mat @ a.T + gen.diffusion
-        if conditioned:
-            out = out - gen.correction(mat)
-        return out
-
-    prop = expm(a * step)
-    for i in range(n_steps):
-        k1 = rhs(v)
-        k2 = rhs(v + 0.5 * step * k1)
-        k3 = rhs(v + 0.5 * step * k2)
-        k4 = rhs(v + step * k3)
-        v = v + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        v = 0.5 * (v + v.T)
-        mu = prop @ mu
-        try:
-            states.append(CovarianceState.from_matrix(v, mu))
-        except InvariantViolationError as exc:
-            raise StepSizeError(
-                f"covariance left the physical cone at t={(i + 1) * step:.6g} "
-                f"(reduce dt): {exc}") from exc
-        times.append((i + 1) * step)
-    return np.array(times), states
-
-
-def riccati_flow(gen, v0, duration, dt):
-    """Conditional covariance flow, fixed-step RK4.
-
-    Returns (times, states).  Means are propagated with the deterministic
-    drift only; conditional mean noise is handled by the survival-time
-    machinery, never here.
-    """
-    return _flow(gen, v0, duration, dt, conditioned=True)
-
-
-def lyapunov_flow(gen, v0, duration, dt):
-    """Unconditional covariance flow (measurement correction dropped)."""
-    return _flow(gen, v0, duration, dt, conditioned=False)
-
-
-def solve_lyapunov(a, d):
-    """Stationary solution of a V + V a^T + d = 0 for Hurwitz a (any size)."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    d = np.atleast_2d(np.asarray(d, dtype=float))
-    if np.linalg.eigvals(a).real.max() >= 0:
-        raise StabilityError("drift matrix is not Hurwitz; no stationary covariance")
-    v = solve_continuous_lyapunov(a, -d)
-    resid = np.abs(a @ v + v @ a.T + d).max()
-    if resid > 1e-10:
-        raise ConvergenceError(f"Lyapunov residual {resid:.3e}")
-    return 0.5 * (v + v.T)
-
-
-def lyapunov_steady(gen):
-    """Unconditional stationary covariance; StabilityError if the drift is not Hurwitz.
-
-    The Brownian-motion drift itself is not Hurwitz (free particle), so for
-    that system this raises; it exists for the synthetic stable models used
-    by the solver tests and as the eta = 0 limit of stable problems.
-    """
-    v = solve_lyapunov(gen.drift, gen.diffusion)
-    return CovarianceState.from_matrix(v)
-
+# stationary conditional covariance
 
 def _hamiltonian(gen):
     """H = [[Atil, Qtil], [Rtil, -Atil^T]]: [M; N]' = H [M; N] carries the
@@ -400,7 +297,8 @@ def riccati_steady(gen, v0=None):
     invariant subspace of the 4x4 Hamiltonian matrix (exact, fast, valid at
     the stiff high-temperature corner); integration of the flow to
     stationarity remains as fallback and as the cross-check used in tests.
-    At eta = 0 this coincides with lyapunov_steady when the drift is stable.
+    At eta = 0 this is the unconditional (Lyapunov) fixed point when the
+    drift is stable.
     """
     try:
         v = _riccati_stationary_algebraic(gen)
@@ -532,9 +430,9 @@ def survival_overlap_curve(gen, v_c, tau_grid):
 
     The particle drift is fixed, so the propagator pieces have closed
     forms (e^{A tau} = I + (1 - e^{-tau}) A with A^2 = -A); N likewise
-    reduces to (R_pp / 2) [[1, -1], [-1, 1]], with R = mean_noise(V_c).
+    reduces to (R_pp / 2) [[1, -1], [-1, 1]], with R = correction(V_c).
     """
-    r_pp = float(gen.mean_noise(v_c.matrix)[1, 1])
+    r_pp = float(gen.correction(v_c.matrix)[1, 1])
     tau_grid = np.asarray(tau_grid, dtype=float)
     v_u = unconditional_covariance_curve(gen, v_c, tau_grid)
     # W(tau) = (R_pp/2) (F_tau v)(F_tau v)^T with v = (1,-1),

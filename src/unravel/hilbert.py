@@ -1,9 +1,11 @@
 """Dense finite-dimensional quantum linear algebra.
 
-States, Lindblad generators, deterministic propagation and steady states.
-Everything is plain numpy under the hood; the thin wrapper types enforce the
-physical invariants (Hermiticity, unit trace, positivity) at construction
-time so that downstream code can trust its inputs.
+States, Lindblad generators, steady states and deterministic propagation:
+one fixed-step RK4 loop over stacks of states (propagate_matrices), with
+propagate as its validated single-state entry point.  Everything is plain
+numpy under the hood; the thin wrapper types enforce the physical
+invariants (Hermiticity, unit trace, positivity) at construction time so
+that downstream code can trust its inputs.
 """
 
 from dataclasses import dataclass, field
@@ -103,34 +105,6 @@ class LindbladModel:
         return self.hamiltonian.shape[0]
 
 
-@dataclass(frozen=True)
-class BlochVector:
-    """Convenience (x, y, z) representation of a qubit state."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        r2 = self.x ** 2 + self.y ** 2 + self.z ** 2
-        if r2 > 1.0 + 1e-9:
-            raise InvariantViolationError(f"Bloch vector length^2 = {r2:.12f} > 1")
-
-    def to_density_matrix(self):
-        m = 0.5 * np.array([[1 + self.z, self.x - 1j * self.y],
-                            [self.x + 1j * self.y, 1 - self.z]])
-        return DensityMatrix(m)
-
-    @staticmethod
-    def from_density_matrix(rho):
-        m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-        return BlochVector(
-            x=float(np.real(m[0, 1] + m[1, 0])),
-            y=float(np.real(1j * (m[0, 1] - m[1, 0]))),
-            z=float(np.real(m[0, 0] - m[1, 1])),
-        )
-
-
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -201,16 +175,20 @@ def trace_distance(rho1, rho2):
 
 
 def dissipator(op, m):
-    """D[B]A = B A B^dag - (B^dag B A + A B^dag B)/2 on a raw matrix."""
+    """D[B]A = B A B^dag - (B^dag B A + A B^dag B)/2 on a raw matrix or stack."""
     bdb = dag(op) @ op
     return op @ m @ dag(op) - 0.5 * (bdb @ m + m @ bdb)
 
 
 def lindblad_rhs(model, rho):
-    """Right-hand side -i[H, rho] + sum_k D[L_k] rho.  Returns a raw trace-zero matrix."""
+    """Right-hand side -i[H, rho] + sum_k D[L_k] rho.
+
+    Takes one state or a stack (..., d, d) of raw matrices and returns raw
+    trace-zero matrices of the same shape.
+    """
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    if m.shape[0] != model.dim:
-        raise DimensionMismatchError(f"state dim {m.shape[0]} != model dim {model.dim}")
+    if m.shape[-1] != model.dim:
+        raise DimensionMismatchError(f"state dim {m.shape[-1]} != model dim {model.dim}")
     h = model.hamiltonian
     out = -1j * (h @ m - m @ h)
     for op in model.jump_operators:
@@ -218,65 +196,46 @@ def lindblad_rhs(model, rho):
     return out
 
 
-def _rk4_step(model, m, dt):
-    k1 = lindblad_rhs(model, m)
-    k2 = lindblad_rhs(model, m + 0.5 * dt * k1)
-    k3 = lindblad_rhs(model, m + 0.5 * dt * k2)
-    k4 = lindblad_rhs(model, m + dt * k3)
-    out = m + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    # re-symmetrize to bound Hermiticity drift; the invariant is still asserted
-    return 0.5 * (out + dag(out))
+def propagate_matrices(model, mats, duration, dt):
+    """Integrate the master equation with fixed-step RK4 over a stack (..., d, d).
 
-
-def propagate(model, rho0, duration, dt):
-    """Integrate the unconditional master equation with fixed-step RK4."""
+    The package's one master-equation integrator.  Each step is
+    re-symmetrized to bound Hermiticity drift; the outputs are raw matrices
+    and are not validated (propagate is the validated single-state entry).
+    """
     if duration < 0:
         raise ValueError("duration must be non-negative")
     if dt <= 0:
         raise ValueError("dt must be positive")
+    m = np.array(mats, dtype=complex)
     if duration == 0:
-        return rho0
-    m = np.array(rho0.matrix if isinstance(rho0, DensityMatrix) else rho0, dtype=complex)
+        return m
     n_steps = int(np.ceil(duration / dt))
     step = duration / n_steps
     for _ in range(n_steps):
-        m = _rk4_step(model, m, step)
+        k1 = lindblad_rhs(model, m)
+        k2 = lindblad_rhs(model, m + 0.5 * step * k1)
+        k3 = lindblad_rhs(model, m + 0.5 * step * k2)
+        k4 = lindblad_rhs(model, m + step * k3)
+        m = m + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        m = 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
+    return m
+
+
+def propagate(model, rho0, duration, dt):
+    """Integrate the unconditional master equation for one state; a DensityMatrix.
+
+    A DensityMatrix propagated for zero duration comes back as itself.
+    """
+    m = propagate_matrices(
+        model, rho0.matrix if isinstance(rho0, DensityMatrix) else rho0, duration, dt)
+    if duration == 0 and isinstance(rho0, DensityMatrix):
+        return rho0
     try:
         return DensityMatrix(m)
     except InvariantViolationError as exc:
         raise InvariantViolationError(
             f"propagation left the state manifold (dt too large?): {exc}") from exc
-
-
-def propagate_matrices(model, mats, duration, dt):
-    """RK4-propagate a stack of raw matrices (..., d, d) through the master equation.
-
-    Vectorized companion to :func:`propagate` used by the ensemble machinery;
-    does not validate the outputs.
-    """
-    if duration == 0:
-        return np.array(mats, dtype=complex)
-    h = model.hamiltonian
-    ops = model.jump_operators
-    bdbs = [dag(op) @ op for op in ops]
-
-    def rhs(batch):
-        out = -1j * (h @ batch - batch @ h)
-        for op, bdb in zip(ops, bdbs):
-            out += op @ batch @ dag(op) - 0.5 * (bdb @ batch + batch @ bdb)
-        return out
-
-    m = np.array(mats, dtype=complex)
-    n_steps = int(np.ceil(duration / dt))
-    step = duration / n_steps
-    for _ in range(n_steps):
-        k1 = rhs(m)
-        k2 = rhs(m + 0.5 * step * k1)
-        k3 = rhs(m + 0.5 * step * k2)
-        k4 = rhs(m + step * k3)
-        m += (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        m = 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
-    return m
 
 
 def liouvillian_matrix(model):
@@ -299,8 +258,8 @@ def steady_state(model, rhs_tol=1e-9, degeneracy_tol=1e-10):
     """Unique stationary state of the generator, by null-space solve.
 
     Raises DegenerateSteadyStateError when the null space has dimension > 1
-    (e.g. a Hamiltonian-only model).  Falls back to long-time propagation only
-    to cross-check, never to mask a degenerate generator.
+    (e.g. a Hamiltonian-only model); there is no fallback that could mask a
+    degenerate generator.  The result is checked against lindblad_rhs.
     """
     liou = liouvillian_matrix(model)
     kernel = null_space(liou, rcond=degeneracy_tol * model.dim ** 2)

@@ -256,6 +256,27 @@ def _measured_op(model):
     return model.jump_operators[0]
 
 
+def _no_jump_generator(model):
+    """K = -iH - (1/2) sum_k L_k^dag L_k, the generator of e^{K dt}."""
+    k = -1j * model.hamiltonian
+    for op in model.jump_operators:
+        k -= 0.5 * dag(op) @ op
+    return k
+
+
+def _packed_initial(kernel, mats):
+    """`initial` of the packed-row kernels: each state as one real row."""
+    flat = np.ascontiguousarray(mats.reshape(mats.shape[0], -1).astype(complex))
+    return flat.view(np.float64)
+
+
+def _packed_to_matrices(kernel, y):
+    """`to_matrices` of the packed-row kernels: Hermitian (b, d, d) states."""
+    d = kernel.dim
+    m = np.ascontiguousarray(y).view(np.complex128).reshape(-1, d, d)
+    return 0.5 * (m + np.conj(np.swapaxes(m, 1, 2)))
+
+
 class _KrausDiffusiveKernel:
     """Diffusive stepper for small dimensions via a per-trajectory Kraus map.
 
@@ -273,10 +294,7 @@ class _KrausDiffusiveKernel:
         self.dt = dt
         self.eta = spec.eta
         c = _measured_op(model)
-        k_drift = -1j * model.hamiltonian
-        for op in model.jump_operators:
-            k_drift -= 0.5 * dag(op) @ op
-        prop = expm(k_drift * dt)
+        prop = expm(_no_jump_generator(model) * dt)
         ops = [z * c for z in spec.channel_coefficients()]
         self.n_ch = len(ops)
         # expand M rho M^dag over row-vectorized states into fixed superops
@@ -301,9 +319,7 @@ class _KrausDiffusiveKernel:
         self.weights = [_pack_real_functional(_rv((a + dag(a)).T)) for a in ops]
         self.tr_vec = _pack_real_functional(_rv(np.eye(d)))
 
-    def initial(self, mats):
-        flat = np.ascontiguousarray(mats.reshape(mats.shape[0], -1).astype(complex))
-        return flat.view(np.float64)
+    initial = _packed_initial
 
     def step(self, y, dw_row):
         root_eta = math.sqrt(self.eta)
@@ -317,10 +333,7 @@ class _KrausDiffusiveKernel:
         tr = out @ self.tr_vec
         return out / tr[:, None]
 
-    def to_matrices(self, y):
-        d = self.dim
-        m = np.ascontiguousarray(y).view(np.complex128).reshape(-1, d, d)
-        return 0.5 * (m + np.conj(np.swapaxes(m, 1, 2)))
+    to_matrices = _packed_to_matrices
 
 
 class _MatrixDiffusiveKernel:
@@ -342,10 +355,7 @@ class _MatrixDiffusiveKernel:
         self.eta = spec.eta
         self.c = _measured_op(model)
         self.others = list(model.jump_operators[1:])
-        k_drift = -1j * model.hamiltonian
-        for op in model.jump_operators:
-            k_drift -= 0.5 * dag(op) @ op
-        self.prop = expm(k_drift * dt)
+        self.prop = expm(_no_jump_generator(model) * dt)
         self.zs = np.array(spec.channel_coefficients())
         self.quad_weights = 2.0 * self.zs  # x_k = Re(2 z_k tr(c rho))
 
@@ -422,9 +432,7 @@ class _SuperopJumpKernel:
             self.jump_supers.append(_pack_right(np.kron(j, j.conj())))
         self.tr_vec = _pack_real_functional(_rv(np.eye(d)))
 
-    def initial(self, mats):
-        flat = np.ascontiguousarray(mats.reshape(mats.shape[0], -1).astype(complex))
-        return flat.view(np.float64)
+    initial = _packed_initial
 
     def step(self, y, u_row, signs):
         """One step for the batch; mutates `signs` in place, returns (y, jumped)."""
@@ -456,10 +464,7 @@ class _SuperopJumpKernel:
                 signs[idx] = -signs[idx]
         return out, jumped
 
-    def to_matrices(self, y):
-        d = self.dim
-        m = np.ascontiguousarray(y).view(np.complex128).reshape(-1, d, d)
-        return 0.5 * (m + np.conj(np.swapaxes(m, 1, 2)))
+    to_matrices = _packed_to_matrices
 
 
 class _PurifiedKernel:
@@ -489,8 +494,7 @@ class _PurifiedKernel:
         self.kets = vecs[:, keep].T            # (K, d)
         self.n_comp = len(self.weights)
         self.c = c
-        k_drift = -1j * model.hamiltonian - 0.5 * dag(c) @ c
-        self.prop = expm(k_drift * dt)
+        self.prop = expm(_no_jump_generator(model) * dt)
         self.zs = np.array(spec.channel_coefficients())
 
     def initial(self, mats):

@@ -117,6 +117,16 @@ class TestValidate:
         assert report["passed"] is True
         assert all(c["passed"] for c in report["checks"])
 
+    def test_gaussian_oracle_suite_reports_its_margin(self, tmp_path):
+        out = tmp_path / "oracle.json"
+        code = run_cli(["validate", "gaussian-oracle", "--n-traj", "20",
+                        "--out", str(out)])
+        report = json.loads(out.read_text())
+        assert code == 0, report
+        [check] = report["checks"]
+        # the largest excess over the allowance, not a floor of 0.0
+        assert check["passed"] is True and check["value"] < 0.0
+
     @pytest.mark.slow
     def test_invariance_suite_passes(self, tmp_path):
         out = tmp_path / "inv.json"

@@ -2,31 +2,27 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 import unravel.gaussian as G
 import unravel.measures as M
-from unravel.errors import (
-    ConvergenceError,
-    DecompositionError,
-    InvariantViolationError,
-    StabilityError,
-    StepSizeError,
-)
+from unravel.errors import ConvergenceError, InvariantViolationError
 from unravel.gaussian import (
     CovarianceState,
     DiskPoint,
     GaussianGenerators,
     QbmParams,
-    gaussian_overlap,
     gaussian_purity,
-    lyapunov_flow,
-    lyapunov_steady,
     qbm_generators,
-    riccati_flow,
     riccati_steady,
-    solve_lyapunov,
     survival_curve,
+)
+
+from oracles import (
+    covariance_ode,
+    gaussian_overlap,
+    lyapunov_fixed_point,
+    ode_purities,
+    stationary_mean_noise,
 )
 
 
@@ -44,37 +40,6 @@ def synthetic_stable_gen(eta=0.5):
         dyne_matrix=np.array([[1.4, 0.2], [0.2, 0.6]]),
         eta=eta,
     )
-
-
-def stationary_mean_noise(gen, v_c, horizon=60.0, tol=1e-11):
-    """Reference oracle: long-time covariance of A mu mu^T A^T for the
-    stationary conditional means, by integrating its flow (LSODA).
-
-    The means diffuse with matrix R = mean_noise(V_c) around drift A; their
-    raw covariance M(t) grows without bound along the neutral position
-    direction, but N = A M A^T converges (exponentially, at the momentum
-    damping rate).  survival_curve uses the closed form of its limit.
-    """
-    a = gen.drift
-    r = gen.mean_noise(v_c.matrix)
-    ara = a @ r @ a.T
-
-    def rhs(_t, y):
-        n = np.array([[y[0], y[2]], [y[2], y[1]]])
-        dn = a @ n + n @ a.T + ara
-        return [dn[0, 0], dn[1, 1], dn[0, 1]]
-
-    sol = solve_ivp(rhs, (0.0, horizon), [0.0, 0.0, 0.0], method="LSODA",
-                    rtol=1e-12, atol=1e-14)
-    if not sol.success:
-        raise ConvergenceError(f"mean-noise flow failed: {sol.message}")
-    y = sol.y[:, -1]
-    if np.abs(rhs(0.0, y)).max() > tol * max(1.0, np.abs(y).max()):
-        raise ConvergenceError("projected mean covariance did not converge")
-    n = np.array([[y[0], y[2]], [y[2], y[1]]])
-    if np.linalg.eigvalsh(n).min() < -1e-9 * max(1.0, np.abs(n).max()):
-        raise DecompositionError("projected mean covariance is not PSD")
-    return n
 
 
 class TestTypes:
@@ -132,52 +97,31 @@ class TestGenerators:
 
 
 class TestLyapunov:
-    def test_scalar_kernel(self):
-        # a v + v a + d = 0  ->  v = -d / (2a)
-        v = solve_lyapunov([[-2.0]], [[3.0]])
-        assert v[0, 0] == pytest.approx(0.75)
-
-    def test_zero_diffusion(self):
-        v = solve_lyapunov([[-1.0, 0.2], [0.0, -3.0]], np.zeros((2, 2)))
-        assert np.abs(v).max() < 1e-12
-
-    def test_qbm_drift_not_hurwitz(self):
-        # free damped particle: position variance never settles
-        gen = qbm_generators(QbmParams(0.5), DiskPoint(1.0, 0.0), 0.0)
-        with pytest.raises(StabilityError):
-            lyapunov_steady(gen)
-
     def test_synthetic_fixed_point(self):
         gen = synthetic_stable_gen(eta=0.0)
-        v = lyapunov_steady(gen)
+        v = lyapunov_fixed_point(gen)
         a, d = gen.drift, gen.diffusion
-        resid = a @ v.matrix + v.matrix @ a.T + d
+        resid = a @ v + v @ a.T + d
         assert np.abs(resid).max() < 1e-10
 
 
 class TestRiccatiFlow:
-    def test_zero_duration(self):
-        gen = qbm_generators(QbmParams(1.0), DiskPoint(1.0, 0.0), 1.0)
-        v0 = CovarianceState(1.0, 1.0, 0.0)
-        times, states = riccati_flow(gen, v0, 0.0, 1e-3)
-        assert list(times) == [0.0]
-        assert states == [v0]
+    """The covariance flow dV/dt = gen.rhs(V), integrated as an ODE."""
 
     def test_eta_zero_equals_lyapunov(self):
         params = QbmParams(1.0)
         gen0 = qbm_generators(params, DiskPoint(0.5, 1.1), 0.0)
         v0 = CovarianceState(1.5, 2.0, 0.4)
-        _, cond = riccati_flow(gen0, v0, 3.0, 1e-3)
-        _, unc = lyapunov_flow(gen0, v0, 3.0, 1e-3)
-        diff = max(np.abs(a.matrix - b.matrix).max() for a, b in zip(cond, unc))
+        t = np.linspace(0.0, 3.0, 31)
+        diff = np.abs(covariance_ode(gen0, v0, t)
+                      - G.unconditional_covariance_curve(gen0, v0, t)).max()
         assert diff < 1e-10
 
     def test_stationary_point_is_fixed(self):
         gen = synthetic_stable_gen(eta=0.0)
-        v_ss = lyapunov_steady(gen)
-        _, states = riccati_flow(gen, v_ss, 2.0, 1e-3)
-        drift = max(np.abs(s.matrix - v_ss.matrix).max() for s in states)
-        assert drift < 1e-9
+        v_ss = lyapunov_fixed_point(gen)
+        states = covariance_ode(gen, v_ss, np.linspace(0.0, 2.0, 21))
+        assert np.abs(states - v_ss).max() < 1e-9
 
     @pytest.mark.parametrize("temp,u", [
         (0.5, DiskPoint(1.0, 0.0)),
@@ -188,34 +132,29 @@ class TestRiccatiFlow:
         # eta = 1 keeps pure states pure: strong check of the correction matrices
         gen = qbm_generators(QbmParams(temp), u, 1.0)
         v0 = CovarianceState(0.7, 0.25 / 0.7, 0.0)
-        _, states = riccati_flow(gen, v0, 2.0, 1e-3)
-        worst = max(abs(s.det() - 0.25) for s in states)
-        assert worst < 1e-7
+        states = covariance_ode(gen, v0, np.linspace(0.0, 2.0, 201))
+        assert np.abs(np.linalg.det(states) - 0.25).max() < 1e-7
 
     def test_heisenberg_bound_along_flow(self):
         gen = qbm_generators(QbmParams(1.0), DiskPoint(1.0, 1.0), 0.8)
-        _, states = riccati_flow(gen, CovarianceState(3.0, 3.0, 0.0), 5.0, 1e-3)
-        assert min(s.det() for s in states) >= 0.25 - 1e-9
+        states = covariance_ode(gen, CovarianceState(3.0, 3.0, 0.0),
+                                np.linspace(0.0, 5.0, 5001))
+        assert np.linalg.det(states).min() >= 0.25 - 1e-9
 
     def test_purity_approaches_stationary_value(self):
         gen = qbm_generators(QbmParams(1.0), DiskPoint(1.0, 0.0), 1.0)
         v_ss = riccati_steady(gen)
-        _, states = riccati_flow(gen, CovarianceState(4.0, 4.0, 0.0), 12.0, 1e-3)
-        purities = np.array([gaussian_purity(s) for s in states])
+        purities = ode_purities(gen, CovarianceState(4.0, 4.0, 0.0),
+                                np.linspace(0.0, 12.0, 12001))
         assert purities[-1] == pytest.approx(gaussian_purity(v_ss), abs=1e-6)
         # monotone approach from the mixed side
         assert np.all(np.diff(purities) > -1e-9)
-
-    def test_oversized_step_raises(self):
-        gen = qbm_generators(QbmParams(100.0), DiskPoint(1.0, 0.0), 1.0)
-        with pytest.raises(StepSizeError):
-            riccati_flow(gen, CovarianceState(0.5, 0.5, 0.0), 2.0, 0.5)
 
 
 class TestRiccatiSteady:
     def test_eta_zero_matches_lyapunov_on_stable_model(self):
         gen = synthetic_stable_gen(eta=0.0)
-        assert np.abs(riccati_steady(gen).matrix - lyapunov_steady(gen).matrix).max() < 1e-9
+        assert np.abs(riccati_steady(gen).matrix - lyapunov_fixed_point(gen)).max() < 1e-9
 
     def test_algebraic_agrees_with_flow(self):
         for temp, u, eta in [(0.5, DiskPoint(1.0, 0.0), 1.0),
@@ -264,7 +203,7 @@ class TestRiccatiSteady:
     def test_excess_noise_psd_on_stable_model(self):
         gen = synthetic_stable_gen(eta=1.0)
         gen0 = synthetic_stable_gen(eta=0.0)
-        m = lyapunov_steady(gen0).matrix - riccati_steady(gen).matrix
+        m = lyapunov_fixed_point(gen0) - riccati_steady(gen).matrix
         assert np.linalg.eigvalsh(m).min() > -1e-9
 
 
@@ -320,10 +259,7 @@ class TestInformationFlow:
         v0 = CovarianceState(2.0, 1.5, 0.3)
         t_grid = np.linspace(0.0, 2.0, 21)
         p_info = G.conditioned_purity_curve(gen, t_grid, np.linalg.inv(v0.matrix))
-        _, states = riccati_flow(gen, v0, 2.0, 1e-3)
-        for tg, pi in zip(t_grid, p_info):
-            idx = int(round(tg / 1e-3))
-            assert pi == pytest.approx(gaussian_purity(states[idx]), abs=1e-6)
+        assert np.abs(p_info - ode_purities(gen, v0, t_grid)).max() < 1e-9
 
 
 class TestSurvivalCurve:
@@ -342,7 +278,7 @@ class TestSurvivalCurve:
         gen = qbm_generators(QbmParams(1.0), DiskPoint(1.0, 0.0), 1.0)
         v_c = riccati_steady(gen)
         n = stationary_mean_noise(gen, v_c)
-        r_pp = gen.mean_noise(v_c.matrix)[1, 1]
+        r_pp = gen.correction(v_c.matrix)[1, 1]
         expect = 0.5 * r_pp * np.array([[1.0, -1.0], [-1.0, 1.0]])
         assert np.abs(n - expect).max() < 1e-9
 
@@ -362,10 +298,7 @@ class TestSurvivalCurve:
         for i, tau in enumerate(taus):
             proj = np.eye(2) - expm(gen.drift * tau)
             deltas = np.stack([np.zeros_like(mu_p), mu_p], axis=1) @ proj.T
-            sigma = v_c.matrix + v_u[i]
-            si = np.linalg.inv(sigma)
-            vals = np.exp(-0.5 * np.einsum("ni,ij,nj->n", deltas, si, deltas))
-            vals /= math.sqrt(np.linalg.det(sigma))
+            vals = gaussian_overlap(v_c, deltas, v_u[i], np.zeros(2))
             mc, se = vals.mean(), vals.std() / math.sqrt(len(vals))
             assert abs(s_closed[i] - mc) < 3.0 * se + 1e-9
 
@@ -378,15 +311,14 @@ CURVE_POINTS = (DiskPoint(1.0, 0.0), DiskPoint(1.0, 1.07), DiskPoint(0.0, 0.0),
 @pytest.mark.parametrize("temp", CURVE_TEMPS)
 @pytest.mark.parametrize("u", CURVE_POINTS, ids=lambda u: f"r{u.r}-phi{u.phi}")
 class TestClosedFormCurves:
-    """The closed-form curves against the fixed-step RK4 flows."""
+    """The closed-form curves against an adaptive ODE integration of the flow."""
 
     def test_lyapunov_curve_matches_rk4(self, temp, u):
         gen = qbm_generators(QbmParams(temp), u, 1.0)
         v0 = CovarianceState(1.5, 2.0, 0.4)
-        times, states = lyapunov_flow(gen, v0, 2.0, 1e-3)
-        idx = np.arange(0, len(times), 100)
-        got = G.unconditional_covariance_curve(gen, v0, np.asarray(times)[idx])
-        want = np.stack([states[i].matrix for i in idx])
+        times = np.linspace(0.0, 2.0, 21)
+        got = G.unconditional_covariance_curve(gen, v0, times)
+        want = covariance_ode(gen.with_eta(0.0), v0, times)
         scale = np.abs(want).max(axis=(1, 2))[:, None, None]
         assert (np.abs(got - want) / scale).max() < 1e-9
 
@@ -394,13 +326,9 @@ class TestClosedFormCurves:
         gen = qbm_generators(QbmParams(temp), u, 1.0)
         # twice the stationary covariance: purity 1/2, on the flow's own scale
         v0 = CovarianceState.from_matrix(2.0 * riccati_steady(gen).matrix)
-        duration, dt = (2.0, 1e-3) if temp < 1.0 else (0.5, 1e-4)
-        times, states = riccati_flow(gen, v0, duration, dt)
-        idx = np.arange(0, len(times), len(times) // 20)
-        got = G.conditioned_purity_curve(gen, np.asarray(times)[idx],
-                                         np.linalg.inv(v0.matrix))
-        want = np.array([gaussian_purity(states[i]) for i in idx])
-        assert np.abs(got - want).max() < 1e-7
+        times = np.linspace(0.0, 2.0 if temp < 1.0 else 0.5, 21)
+        got = G.conditioned_purity_curve(gen, times, np.linalg.inv(v0.matrix))
+        assert np.abs(got - ode_purities(gen, v0, times)).max() < 1e-9
 
     def test_direct_and_decaying_forms_agree(self, temp, u):
         # e^{Ht} is evaluated directly while it has not grown over the grid,

@@ -9,7 +9,6 @@ from unravel.errors import (
     TruncationError,
 )
 from unravel.hilbert import (
-    BlochVector,
     DensityMatrix,
     FockWorkspace,
     LindbladModel,
@@ -22,6 +21,8 @@ from unravel.hilbert import (
     steady_state,
     trace_distance,
 )
+
+from oracles import bloch
 
 
 def tla_model(omega=1.0, gamma=1.0):
@@ -69,8 +70,8 @@ class TestPurityOverlap:
         assert overlap(EXCITED, GROUND) == pytest.approx(0.0)
 
     def test_overlap_bloch_perpendicular(self):
-        rho1 = BlochVector(0, 0, 1).to_density_matrix()
-        rho2 = BlochVector(1, 0, 0).to_density_matrix()
+        rho1 = EXCITED                                     # Bloch (0, 0, 1)
+        rho2 = DensityMatrix(0.5 * np.ones((2, 2)))        # Bloch (1, 0, 0)
         assert overlap(rho1, rho2) == pytest.approx(0.5)
 
     def test_overlap_symmetric(self):
@@ -119,13 +120,21 @@ class TestPropagate:
         rho = propagate(tla_model(), EXCITED, 0.0, 1e-3)
         assert rho is EXCITED
 
+    def test_raw_matrix_comes_back_as_density_matrix(self):
+        model = tla_model()
+        for duration in (0.0, 0.1):
+            rho = propagate(model, np.diag([1.0, 0.0]), duration, 1e-3)
+            assert isinstance(rho, DensityMatrix)
+        assert np.array_equal(propagate(model, np.diag([1.0, 0.0]), 0.0, 1e-3).matrix,
+                              EXCITED.matrix)
+
     def test_pure_decay_closed_form(self):
         # Omega = 0: <sigma_z>(t) = 2 exp(-gamma t) - 1
         gamma = 1.0
         model = tla_model(0.0, gamma)
         for t in (0.3, 1.0, 2.5):
             rho = propagate(model, EXCITED, t, 1e-3)
-            z = BlochVector.from_density_matrix(rho).z
+            z = bloch(rho)[2]
             assert z == pytest.approx(2 * np.exp(-gamma * t) - 1, abs=1e-8)
 
     def test_relaxes_to_steady_state(self):
@@ -161,10 +170,7 @@ class TestSteadyState:
 
     def test_bloch_solution(self):
         rho = steady_state(tla_model(1.0, 1.0))
-        bloch = BlochVector.from_density_matrix(rho)
-        assert bloch.x == pytest.approx(0.0, abs=1e-10)
-        assert bloch.y == pytest.approx(2.0 / 3.0, abs=1e-10)
-        assert bloch.z == pytest.approx(-1.0 / 3.0, abs=1e-10)
+        assert bloch(rho) == pytest.approx((0.0, 2.0 / 3.0, -1.0 / 3.0), abs=1e-10)
 
     def test_hamiltonian_only_is_degenerate(self):
         with pytest.raises(DegenerateSteadyStateError):
@@ -189,6 +195,13 @@ class TestFockWorkspace:
 
 
 class TestBatchedPropagation:
+    def test_rhs_of_a_stack_is_the_stack_of_rhs(self):
+        model = tla_model(1.2, 1.0)
+        stack = np.stack([EXCITED.matrix, GROUND.matrix, 0.5 * np.ones((2, 2))])
+        out = lindblad_rhs(model, stack)
+        for m, rho in zip(out, stack):
+            assert np.abs(m - lindblad_rhs(model, rho)).max() < 1e-15
+
     def test_matches_scalar_path(self):
         model = tla_model(1.2, 1.0)
         mats = np.stack([EXCITED.matrix, GROUND.matrix])

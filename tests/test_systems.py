@@ -8,7 +8,6 @@ import unravel.gaussian as G
 from unravel.errors import InvariantViolationError, TruncationError
 from unravel.gaussian import CovarianceState, DiskPoint, QbmParams, qbm_generators
 from unravel.hilbert import (
-    BlochVector,
     DensityMatrix,
     overlap,
     propagate,
@@ -26,17 +25,18 @@ from unravel.systems import (
     tla_steady_bloch,
 )
 
+from oracles import bloch, gaussian_overlap
+
 
 class TestTla:
     def test_no_driving_decays_to_ground(self):
         rho = steady_state(build_tla(TlaParams(rabi=0.0, gamma=1.0)))
-        assert BlochVector.from_density_matrix(rho).z == pytest.approx(-1.0, abs=1e-10)
+        assert bloch(rho)[2] == pytest.approx(-1.0, abs=1e-10)
 
     def test_steady_state_bloch_solution(self):
         params = TlaParams(rabi=1.0, gamma=1.0)
         rho = steady_state(build_tla(params))
-        bloch = BlochVector.from_density_matrix(rho)
-        assert (bloch.x, bloch.y, bloch.z) == pytest.approx((0.0, 2 / 3, -1 / 3), abs=1e-10)
+        assert bloch(rho) == pytest.approx((0.0, 2 / 3, -1 / 3), abs=1e-10)
         assert tla_steady_bloch(params) == pytest.approx((0.0, 2 / 3, -1 / 3))
 
     def test_strong_driving_purity_approaches_half(self):
@@ -103,7 +103,6 @@ class TestGaussianDensityMatrix:
             assert np.abs(back - [vq, vp, c, mq, mp]).max() < 1e-7
 
     def test_overlap_formula_against_fock_basis(self):
-        from unravel.gaussian import gaussian_overlap
         from unravel.hilbert import FockWorkspace
 
         ws = FockWorkspace(60)
