@@ -97,8 +97,9 @@ def _write_rows(path, command, config, columns, rows):
 
 
 def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
+    # numpy scalars print as np.float64(...) under repr; write plain floats
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
 
 

@@ -48,6 +48,14 @@ HEISENBERG_SLACK = 1e-9
 # information flow; off pure momentum homodyne the particle's basis sits at
 # 2..140 for T in [0.01, 1000] and reaches ~1e3 at T = 1e5
 _RADON_COND_MAX = 1e8
+# an accepted stationary covariance's closed loop must relax at least this
+# fast; a Hamiltonian eigenvalue this close to the imaginary axis means no
+# stabilising solution exists
+_ATTRACTING_TOL = 1e-6
+# Newton on (V, eta) in stationary_efficiency: iteration cap and the relative
+# step below which it has converged (the step after it would be ~1e-24)
+_NEWTON_MAX_ITER = 30
+_NEWTON_STEP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -77,6 +85,7 @@ class DiskPoint:
     phi: float
 
     def __post_init__(self):
+        object.__setattr__(self, "r", float(self.r))
         if not 0.0 <= self.r <= 1.0:
             raise ValueError(f"r must lie in [0, 1], got {self.r}")
         object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
@@ -178,10 +187,15 @@ class GaussianGenerators:
         z = v @ self.meas_gain - self.meas_offset
         return 2.0 * self.eta * z @ self.dyne_matrix @ z.T
 
-    def care_form(self):
-        """Rewrite the flow as Atil V + V Atil^T + Qtil - V Rtil V (exact)."""
+    def care_form(self, etas=None):
+        """Rewrite the flow as Atil V + V Atil^T + Qtil - V Rtil V (exact).
+
+        At the instance's own efficiency by default; an array of efficiencies
+        gives (n, 2, 2) stacks of the three matrices, one per entry.
+        """
         gqf, gqg, fqf = self._care_pieces
-        two_eta = 2.0 * self.eta
+        two_eta = 2.0 * (self.eta if etas is None
+                         else np.asarray(etas, dtype=float).reshape(-1, 1, 1))
         return (self.drift + two_eta * gqf, self.diffusion - two_eta * gqg,
                 two_eta * fqf)
 
@@ -220,44 +234,65 @@ def gaussian_purity(v):
 # ---------------------------------------------------------------------------
 # stationary conditional covariance
 
-def _hamiltonian(gen):
+def _hamiltonian(gen, etas=None):
     """H = [[Atil, Qtil], [Rtil, -Atil^T]]: [M; N]' = H [M; N] carries the
     information flow as Y = N M^{-1}, and [X; I] spans an invariant subspace
-    of H exactly when X is a stationary covariance."""
-    atil, qtil, rtil = gen.care_form()
-    h = np.empty((4, 4))
-    h[:2, :2] = atil
-    h[:2, 2:] = qtil
-    h[2:, :2] = rtil
-    h[2:, 2:] = -atil.T
+    of H exactly when X is a stationary covariance.  One (4, 4) matrix at
+    gen's efficiency, or an (n, 4, 4) stack over etas."""
+    atil, qtil, rtil = gen.care_form(etas)
+    h = np.empty(atil.shape[:-2] + (4, 4))
+    h[..., :2, :2] = atil
+    h[..., :2, 2:] = qtil
+    h[..., 2:, :2] = rtil
+    h[..., 2:, 2:] = -np.swapaxes(atil, -1, -2)
     return h
 
 
-def _riccati_stationary_algebraic(gen):
-    atil, _, rtil = gen.care_form()
-    eigvals, eigvecs = np.linalg.eig(_hamiltonian(gen))
+def _riccati_stationary_algebraic(gen, etas=None):
+    """Stationary covariances at each efficiency of etas (default: gen's own)
+    as an (n, 2, 2) stack, through the unstable invariant subspace of each
+    Hamiltonian.  Every check applies to each member; the first member that
+    fails one raises ConvergenceError."""
+    etas = np.atleast_1d(np.asarray(gen.eta if etas is None else etas, dtype=float))
+    h = _hamiltonian(gen, etas)
+    atil, qtil, rtil = h[:, :2, :2], h[:, :2, 2:], h[:, 2:, :2]
+    eigvals, eigvecs = np.linalg.eig(h)
+
+    def check(bad, message):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ConvergenceError(f"{message(i)} (eta = {float(etas[i]):.6g})")
+
     pos = eigvals.real > 1e-9
-    if pos.sum() != 2:
-        raise ConvergenceError(
-            f"Hamiltonian matrix has {pos.sum()} unstable eigenvalues, need 2 "
-            "(stationary conditional covariance does not exist)")
-    basis = eigvecs[:, pos]
-    y, x = basis[:2, :], basis[2:, :]
-    if abs(np.linalg.det(x)) < 1e-12:
-        raise ConvergenceError("singular invariant-subspace basis")
-    v = y @ np.linalg.inv(x)
-    if np.abs(v.imag).max() > 1e-8:
-        raise ConvergenceError("stationary covariance came out complex")
-    v = 0.5 * (v.real + v.real.T)
-    resid = np.abs(gen.rhs(v)).max()
-    scale = max(1.0, np.abs(v).max())
-    if resid > 1e-8 * scale:
-        raise ConvergenceError(f"stationary residual {resid:.3e}")
+    n_pos = pos.sum(axis=-1)
+    check(n_pos != 2, lambda i: (
+        f"Hamiltonian matrix has {int(n_pos[i])} unstable eigenvalues, need 2 "
+        "(stationary conditional covariance does not exist)"))
+    # the two unstable eigenvectors of each member, in their original order
+    basis = np.swapaxes(np.swapaxes(eigvecs, -1, -2)[pos].reshape(len(etas), 2, 4), -1, -2)
+    check(np.abs(np.linalg.det(basis[:, 2:, :])) < 1e-12,
+          lambda i: "singular invariant-subspace basis")
+    v = basis[:, :2, :] @ np.linalg.inv(basis[:, 2:, :])
+    if len(etas) > 1 and np.iscomplexobj(v):
+        # eig returns a complex basis for the whole stack if any member has
+        # a complex spectrum; members with a real one are solved again in
+        # real arithmetic, as in a stack of one, so that a member's result
+        # does not depend on the others
+        real = (eigvals.imag == 0.0).all(axis=-1)
+        if real.any():
+            b = basis[real].real
+            v[real] = b[:, :2, :] @ np.linalg.inv(b[:, 2:, :])
+    check(np.abs(v.imag).max(axis=(-1, -2)) > 1e-8,
+          lambda i: "stationary covariance came out complex")
+    v = 0.5 * (v.real + np.swapaxes(v.real, -1, -2))
+    resid = np.abs(atil @ v + v @ np.swapaxes(atil, -1, -2) + qtil
+                   - v @ rtil @ v).max(axis=(-1, -2))
+    scale = np.maximum(1.0, np.abs(v).max(axis=(-1, -2)))
+    check(resid > 1e-8 * scale, lambda i: f"stationary residual {resid[i]:.3e}")
     # reject pseudo-solutions at undetectable points (e.g. pure-momentum
     # homodyne): the filter must actually relax towards the fixed point
-    closed_loop = atil - v @ rtil
-    if np.linalg.eigvals(closed_loop).real.max() > -1e-6:
-        raise ConvergenceError("stationary covariance is not attracting")
+    check(np.linalg.eigvals(atil - v @ rtil).real.max(axis=-1) > -_ATTRACTING_TOL,
+          lambda i: "stationary covariance is not attracting")
     return v
 
 
@@ -295,16 +330,77 @@ def riccati_steady(gen, v0=None):
 
     Primary route is the algebraic Riccati solve through the unstable
     invariant subspace of the 4x4 Hamiltonian matrix (exact, fast, valid at
-    the stiff high-temperature corner); integration of the flow to
-    stationarity remains as fallback and as the cross-check used in tests.
-    At eta = 0 this is the unconditional (Lyapunov) fixed point when the
-    drift is stable.
+    the stiff high-temperature corner), as a stack of one.  If it fails and
+    H has an eigenvalue within _ATTRACTING_TOL of the imaginary axis, no
+    stabilising solution exists (undetectable points such as pure momentum
+    homodyne) and the flow relaxes at that rate at best, so ConvergenceError
+    is raised at once.  Otherwise integration of the flow to stationarity
+    is the fallback; it is also the cross-check used in tests.  At eta = 0
+    this is the unconditional (Lyapunov) fixed point when the drift is stable.
     """
     try:
-        v = _riccati_stationary_algebraic(gen)
-    except ConvergenceError:
+        v = _riccati_stationary_algebraic(gen)[0]
+    except ConvergenceError as exc:
+        gap = float(np.abs(np.linalg.eigvals(_hamiltonian(gen)).real).min())
+        if gap <= _ATTRACTING_TOL:
+            raise ConvergenceError(
+                f"{exc}; the Hamiltonian has an eigenvalue with |Re| = {gap:.1e}, "
+                "so the flow cannot settle either (undetectable point)") from exc
         v = _riccati_stationary_flow(gen, v0)
     return CovarianceState.from_matrix(v)
+
+
+def stationary_efficiency(gen, det_target, v_start, eta_start, eta_range):
+    """Efficiency eta at which gen's stationary covariance V has determinant
+    det_target: (eta, V).
+
+    Newton on x = (v_q, v_p, c_qp, eta) for the three entries of gen.rhs(V)
+    = 0 at efficiency eta plus det V = det_target, started from (v_start,
+    eta_start).  The stationarity block of the Jacobian is dV -> K dV + dV K^T
+    with the closed loop K = A - 2 eta (V F - G) Q F^T, the eta column is
+    -2 (V F - G) Q (V F - G)^T and the det row is (v_p, v_q, -2 c_qp).  The
+    root is accepted only if Newton converged, eta lies in eta_range, V is
+    positive, the residual is at most 1e-10 max(1, |V|) and K is attracting
+    (so V is the stabilising solution riccati_steady finds at that eta);
+    otherwise ConvergenceError.
+    """
+    a, d = gen.drift, gen.diffusion
+    f, g, q = gen.meas_gain, gen.meas_offset, gen.dyne_matrix
+    x = np.array([v_start[0, 0], v_start[1, 1], v_start[0, 1], eta_start])
+    step = None
+    for _ in range(_NEWTON_MAX_ITER + 1):
+        vq, vp, c, eta = x
+        v = np.array([[vq, c], [c, vp]])
+        z = v @ f - g
+        zq = z @ q
+        zqz = zq @ z.T
+        rhs = a @ v + v @ a.T + d - 2.0 * eta * zqz
+        res = np.array([rhs[0, 0], rhs[1, 1], rhs[0, 1], vq * vp - c * c - det_target])
+        k = a - 2.0 * eta * zq @ f.T
+        if (step is not None
+                and np.abs(step).max() <= _NEWTON_STEP_TOL * max(1.0, np.abs(x).max())):
+            break
+        jac = np.array([[2.0 * k[0, 0], 0.0, 2.0 * k[0, 1], -2.0 * zqz[0, 0]],
+                        [0.0, 2.0 * k[1, 1], 2.0 * k[1, 0], -2.0 * zqz[1, 1]],
+                        [k[1, 0], k[0, 1], k[0, 0] + k[1, 1], -2.0 * zqz[0, 1]],
+                        [vp, vq, -2.0 * c, 0.0]])
+        try:
+            step = np.linalg.solve(jac, -res)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError("singular Jacobian in Newton on (V, eta)") from exc
+        x = x + step
+    else:
+        raise ConvergenceError("Newton on (V, eta) did not converge")
+    lo, hi = eta_range
+    if not lo <= eta <= hi:
+        raise ConvergenceError(f"Newton root eta = {eta:.6g} outside [{lo}, {hi}]")
+    if vq <= 0.0 or vp <= 0.0 or vq * vp - c * c <= 0.0:
+        raise ConvergenceError("Newton root covariance is not positive")
+    if np.abs(res).max() > 1e-10 * max(1.0, np.abs(v).max()):
+        raise ConvergenceError(f"Newton root residual {np.abs(res).max():.3e}")
+    if np.linalg.eigvals(k).real.max() > -_ATTRACTING_TOL:
+        raise ConvergenceError("Newton root covariance is not attracting")
+    return float(eta), v
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +436,7 @@ def conditioned_purity_curve(gen, t_grid, y0):
     start = np.vstack([np.eye(2), y0])
     lam, w = np.linalg.eig(h)
     if np.abs(lam.real).max() * t.max() <= 1.0:
-        mn = np.stack([expm(ti * h) for ti in t]) @ start
+        mn = expm(t[:, None, None] * h) @ start
     else:
         mn = _decaying_radon(lam, w, start, t)
     dets = np.linalg.det(mn[:, 2:]) / np.linalg.det(mn[:, :2])

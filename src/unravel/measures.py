@@ -8,6 +8,7 @@ Carlo with explicit statistical uncertainties.  Also hosts the detection-disk
 optimizer and the unravelling ranking harness.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -123,16 +124,22 @@ def crossing_with_uncertainty(times, values, stderr, theta):
 
 _QBM_HORIZON = 200.0
 _QBM_ETA_XTOL = 1e-12
-# Reported error of the QBM efficiency threshold.  The root is solved to
-# _QBM_ETA_XTOL, but riccati_steady's flow fallback stops at a right-hand side
-# below 1e-10; forcing that route at r = 1, T in {0.5, 1, 10, 100} moved the
-# threshold by at most 1.1e-11 against the algebraic solve.
+# Reported error of the QBM efficiency threshold.  Newton solves the root to
+# rounding (within 2.4e-13 of brentq over T in [0.01, 1000] x the default
+# disk grid) and its brentq fallback to _QBM_ETA_XTOL, but riccati_steady's
+# flow fallback stops at a right-hand side below 1e-10; forcing that route at
+# r = 1, T in {0.5, 1, 10, 100} moved the threshold by at most 1.1e-11
+# against the algebraic solve.
 _QBM_ETA_UNCERTAINTY = 1e-9
 
 
+@functools.lru_cache(maxsize=128)
 def _log_grid(t_fast, horizon, n=400):
+    """Time grid of the QBM curves, shared read-only between calls."""
     lo = min(1e-6 / max(t_fast, 1e-12), horizon * 1e-3)
-    return np.concatenate([[0.0], np.geomspace(lo, horizon, n)])
+    grid = np.concatenate([[0.0], np.geomspace(lo, horizon, n)])
+    grid.setflags(write=False)
+    return grid
 
 
 def _qbm_rate_scale(params):
@@ -180,31 +187,53 @@ def efficiency_threshold_qbm(params, u):
     """Detection efficiency at which the stationary conditional purity sits
     halfway between no observation (0) and perfect observation.
 
-    The generators are built and validated once; each root-find step only
-    rescales their eta-dependent terms (GaussianGenerators.with_eta).
+    The four probes, which check monotonicity and bracket the root, come
+    from one stacked stationary solve.  The root itself is solved exactly
+    by Newton on (V, eta) (G.stationary_efficiency, purity theta being
+    det V = 1 / (4 theta^2)), started from the stationary covariance at the
+    bracket's upper probe.  If Newton's root is not accepted, brentq on the
+    stationary purity finds it instead (_efficiency_threshold_brentq).
     """
     theta = QBM_THETA.theta
     gen = qbm_generators(params, u, eta=1.0)
+    probe = [0.25, 0.5, 0.75, 1.0]
+    try:
+        covs = [G.CovarianceState.from_matrix(v)
+                for v in G._riccati_stationary_algebraic(gen, probe)]
+    except ConvergenceError:
+        covs = [G.riccati_steady(gen.with_eta(e)) for e in probe]
+    vals = [float(G.gaussian_purity(v)) for v in covs]
+    if any(b < a for a, b in zip(vals, vals[1:])):
+        raise AssumptionError(f"stationary purity not monotone in eta: {vals}")
+    if vals[-1] < theta:
+        raise BracketError("even perfect efficiency stays below theta")
+    lo = max([0.0] + [e for e, v in zip(probe, vals) if v < theta])
+    i_hi = min(i for i, v in enumerate(vals) if v >= theta)
+    hi = probe[i_hi]
+    try:
+        eta_thr, _ = G.stationary_efficiency(gen, 0.25 / theta ** 2, covs[i_hi].matrix,
+                                             hi, (lo, hi))
+    except ConvergenceError:
+        eta_thr = _efficiency_threshold_brentq(gen, lo, hi)
+    return MeasureResult("efficiency_threshold", eta_thr, uncertainty=_QBM_ETA_UNCERTAINTY,
+                         metadata={"temperature": params.temperature,
+                                   "r": u.r, "phi": u.phi})
+
+
+def _efficiency_threshold_brentq(gen, lo, hi):
+    """Root of the stationary purity at theta in [lo, hi] by brentq: the
+    fallback of efficiency_threshold_qbm's Newton solve and its test
+    reference.  Each step only rescales gen's eta-dependent terms
+    (GaussianGenerators.with_eta)."""
+    theta = QBM_THETA.theta
 
     def stationary_purity(eta):
         if eta == 0.0:
             return 0.0
         return G.gaussian_purity(G.riccati_steady(gen.with_eta(eta)))
 
-    probe = [0.25, 0.5, 0.75, 1.0]
-    vals = [stationary_purity(e) for e in probe]
-    if any(b < a for a, b in zip(vals, vals[1:])):
-        raise AssumptionError(f"stationary purity not monotone in eta: {vals}")
-    if vals[-1] < theta:
-        raise BracketError("even perfect efficiency stays below theta")
-    lo = max([0.0] + [e for e, v in zip(probe, vals) if v < theta])
-    hi = min(e for e, v in zip(probe, vals) if v >= theta)
     # a root to machine precision keeps the disk objective smooth in phi
-    eta_thr = brentq(lambda e: stationary_purity(e) - theta, lo, hi,
-                     xtol=_QBM_ETA_XTOL)
-    return MeasureResult("efficiency_threshold", eta_thr, uncertainty=_QBM_ETA_UNCERTAINTY,
-                         metadata={"temperature": params.temperature,
-                                   "r": u.r, "phi": u.phi})
+    return brentq(lambda e: stationary_purity(e) - theta, lo, hi, xtol=_QBM_ETA_XTOL)
 
 
 _QBM_MEASURES = {
@@ -388,7 +417,7 @@ def efficiency_threshold_tla(params, spec, opts=McOptions()):
     for (va, sa), (vb, sb) in zip(vals, vals[1:]):
         if vb < va - 3.0 * math.hypot(sa, sb):
             raise AssumptionError(
-                f"long-run purity not monotone in eta: {[v for v, _ in vals]}")
+                f"long-run purity not monotone in eta: {[float(v) for v, _ in vals]}")
     grid = [(0.0, theta.rho_ss_purity, 0.0)] + [
         (e, v, s) for e, (v, s) in zip(probe, vals)]
     lo = max((e for e, v, _ in grid if v < theta.theta), default=None)
@@ -459,11 +488,12 @@ def optimize_disk(params, kind, r_grid=None, phi_points=24, refine=True,
     """Most robust general-dyne point for one robustness measure.
 
     Coarse grid over the disk followed by Nelder-Mead refinement from the
-    best grid points.  Robust means fast information gain (purification
-    time and efficiency threshold minimized) but slow degradation while
-    unobserved (mixing and survival times maximized).  Points where the
-    flow does not converge (e.g. pure momentum homodyne) are recorded and
-    skipped.
+    two best grid points, bounded to r in [0, 1]: scipy clips every simplex
+    vertex onto the disk, so no evaluation is spent outside it.  Robust
+    means fast information gain (purification time and efficiency threshold
+    minimized) but slow degradation while unobserved (mixing and survival
+    times maximized).  Points where the measure fails (e.g. pure momentum
+    homodyne) are recorded and skipped.
     """
     if kind not in MEASURE_KINDS:
         raise ValueError(f"unknown measure kind {kind!r}")
@@ -474,11 +504,11 @@ def optimize_disk(params, kind, r_grid=None, phi_points=24, refine=True,
     failures = []
 
     def objective(x):
-        r = min(max(x[0], 0.0), 1.0)
+        u = DiskPoint(x[0], x[1])
         try:
-            res = measure(params, DiskPoint(r, x[1] % (2.0 * math.pi)), **kw)
+            res = measure(params, u, **kw)
         except SimulationError as exc:
-            failures.append((r, x[1] % (2.0 * math.pi), str(exc)))
+            failures.append((u.r, u.phi, str(exc)))
             return np.inf
         return sign * res.value
 
@@ -500,13 +530,12 @@ def optimize_disk(params, kind, r_grid=None, phi_points=24, refine=True,
         starts = {(round(r, 6), round(p, 6)) for _, r, p in evals[:2]}
         for r0, p0 in starts:
             res = minimize(objective, x0=[r0, p0], method="Nelder-Mead",
+                           bounds=[(0.0, 1.0), (None, None)],
                            options={"xatol": 1e-6, "fatol": 1e-12,
                                     "initial_simplex": _simplex(r0, p0),
                                     "maxfev": 400})
             if res.fun < best_val:
-                best_val = res.fun
-                best_r = min(max(res.x[0], 0.0), 1.0)
-                best_phi = res.x[1] % (2.0 * math.pi)
+                best_val, best_r, best_phi = res.fun, res.x[0], res.x[1]
 
     u = DiskPoint(best_r, best_phi)
     result = measure(params, u, **kw)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from unravel import cli
@@ -23,6 +24,22 @@ class TestQbmOptimal:
         assert len(data) == 2
         fields = data[1].split(",")
         assert float(fields[2]) >= 0.98  # boundary optimum
+
+    def test_numeric_fields_are_plain_floats(self, tmp_path):
+        # the refinement returns numpy scalars; no field may read np.float64(...)
+        out = tmp_path / "opt.csv"
+        assert run_cli(["qbm-optimal", "--temps", "1.0", "--measure",
+                        "efficiency_threshold", "--out", str(out)]) == 0
+        row = [l for l in out.read_text().splitlines() if not l.startswith("#")][1]
+        t, _, r, phi, value, error = row.split(",")
+        for field in (t, r, phi, value):
+            float(field)
+        assert r == "1.0" and error == ""
+
+    def test_fmt_writes_numpy_scalars_as_plain_floats(self):
+        assert cli._fmt(np.float64(1.0)) == "1.0"
+        assert cli._fmt(np.float32(0.5)) == "0.5"
+        assert cli._fmt(0.1) == "0.1" and cli._fmt(3) == "3" and cli._fmt("x") == "x"
 
     def test_unknown_measure_is_usage_error(self, tmp_path):
         code = run_cli(["qbm-optimal", "--temps", "1.0", "--measure", "entropy",

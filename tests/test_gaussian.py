@@ -48,6 +48,12 @@ class TestTypes:
             DiskPoint(1.2, 0.0)
         assert DiskPoint(1.0, 2 * math.pi + 0.5).phi == pytest.approx(0.5)
 
+    def test_disk_point_coerces_numpy_scalars(self):
+        # optimizers hand back numpy scalars; the point must store plain floats
+        u = DiskPoint(np.float64(1.0), np.float64(0.5))
+        assert type(u.r) is float and type(u.phi) is float
+        assert repr(u.r) == "1.0"
+
     def test_covariance_invariants(self):
         with pytest.raises(InvariantViolationError):
             CovarianceState(1.0, 1.0, 1.0)  # det = 0 < 1/4
@@ -187,6 +193,49 @@ class TestRiccatiSteady:
         gen = qbm_generators(QbmParams(1.0), DiskPoint(1.0, math.pi), 1.0)
         with pytest.raises(ConvergenceError):
             riccati_steady(gen)
+
+    @pytest.mark.parametrize("temp", (0.5, 100.0))
+    @pytest.mark.parametrize("eta", (0.25, 1.0))
+    def test_undetectable_point_raises_before_the_flow(self, temp, eta, monkeypatch):
+        # at phi = pi the Hamiltonian spectrum touches the imaginary axis, so
+        # the flow fallback could not settle either and is not started
+        def no_flow(*args, **kwargs):
+            pytest.fail("the LSODA fallback ran at an undetectable point")
+        monkeypatch.setattr(G, "solve_ivp", no_flow)
+        gen = qbm_generators(QbmParams(temp), DiskPoint(1.0, math.pi), eta)
+        with pytest.raises(ConvergenceError, match="undetectable"):
+            riccati_steady(gen)
+
+    def test_flow_fallback_still_runs_off_the_axis(self, monkeypatch):
+        # a failed algebraic solve with no eigenvalue near the axis still
+        # integrates the flow to its fixed point
+        gen = qbm_generators(QbmParams(1.0), DiskPoint(0.7, 2.5), 0.8)
+        want = riccati_steady(gen).matrix
+
+        def fail(*args, **kwargs):
+            raise ConvergenceError("forced")
+        monkeypatch.setattr(G, "_riccati_stationary_algebraic", fail)
+        got = riccati_steady(gen).matrix
+        assert np.abs(got - want).max() < 1e-8 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("temp", (0.01, 0.5, 100.0))
+    def test_stacked_solve_equals_scalar_bitwise(self, temp):
+        # the efficiency-threshold probes come from one stacked solve; each
+        # member must be the scalar riccati_steady result, including stacks
+        # that mix real and complex Hamiltonian spectra (T = 0.01)
+        probe = [0.25, 0.5, 0.75, 1.0]
+        solved = 0
+        for r in (0.0, 0.25, 0.5, 0.75, 1.0):
+            for phi in np.linspace(0.0, 2.0 * math.pi, 24 if r > 0 else 1, endpoint=False):
+                gen = qbm_generators(QbmParams(temp), DiskPoint(r, phi), 1.0)
+                try:
+                    stack = G._riccati_stationary_algebraic(gen, probe)
+                except ConvergenceError:
+                    continue
+                solved += 1
+                for v, eta in zip(stack, probe):
+                    assert np.array_equal(v, riccati_steady(gen.with_eta(eta)).matrix)
+        assert solved >= 96
 
     def test_unconditional_qbm_has_no_stationary_state(self):
         gen = qbm_generators(QbmParams(1.0), DiskPoint(1.0, 0.0), 0.0)

@@ -128,6 +128,88 @@ class TestQbmMeasures:
         assert res.value == pytest.approx(0.0913, abs=2e-3)
 
 
+def _disk_grid():
+    """The default coarse grid of optimize_disk: 97 points."""
+    yield DiskPoint(0.0, 0.0)
+    for r in (0.25, 0.5, 0.75, 1.0):
+        for phi in np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False):
+            yield DiskPoint(r, phi)
+
+
+def _threshold_by_brentq(params, u):
+    """The efficiency threshold through scalar stationary solves and brentq."""
+    gen = G.qbm_generators(params, u, 1.0)
+    probe = [0.25, 0.5, 0.75, 1.0]
+    vals = [G.gaussian_purity(G.riccati_steady(gen.with_eta(e))) for e in probe]
+    lo = max([0.0] + [e for e, v in zip(probe, vals) if v < 0.5])
+    hi = min(e for e, v in zip(probe, vals) if v >= 0.5)
+    return M._efficiency_threshold_brentq(gen, lo, hi)
+
+
+class TestQbmThresholdNewton:
+    @pytest.mark.parametrize("temp", (0.01, 0.5, 1.0, 10.0, 100.0, 1000.0))
+    def test_matches_brentq_reference_on_the_disk_grid(self, temp):
+        params = QbmParams(temp)
+        compared = 0
+        for u in _disk_grid():
+            try:
+                got = M.efficiency_threshold_qbm(params, u).value
+            except ConvergenceError:
+                # only pure momentum homodyne has no stationary state
+                assert u.r == 1.0 and u.phi == pytest.approx(math.pi)
+                with pytest.raises(ConvergenceError):
+                    _threshold_by_brentq(params, u)
+                continue
+            assert abs(got - _threshold_by_brentq(params, u)) <= 1e-11
+            compared += 1
+        assert compared == 96
+
+    def _counting_brentq(self, monkeypatch):
+        calls = []
+        reference = M._efficiency_threshold_brentq
+
+        def counted(*args):
+            calls.append(args)
+            return reference(*args)
+        monkeypatch.setattr(M, "_efficiency_threshold_brentq", counted)
+        return calls
+
+    def test_forced_fallback_is_the_brentq_root(self, monkeypatch):
+        params, u = QbmParams(1.0), DiskPoint(1.0, 1.07)
+        want = _threshold_by_brentq(params, u)
+        calls = self._counting_brentq(monkeypatch)
+        assert M.efficiency_threshold_qbm(params, u).value == pytest.approx(want, abs=1e-11)
+        assert calls == []
+        monkeypatch.setattr(G, "_NEWTON_MAX_ITER", 0)
+        assert M.efficiency_threshold_qbm(params, u).value == want
+        assert len(calls) == 1
+
+    def test_root_outside_the_bracket_falls_back(self, monkeypatch):
+        # at this point Newton from the upper probe converges to eta = 0.668,
+        # outside the bracket [0, 0.25]; the root is rejected, brentq finds it
+        params, u = QbmParams(0.01), DiskPoint(0.75, 2.0 * math.pi * 7 / 24)
+        calls = self._counting_brentq(monkeypatch)
+        got = M.efficiency_threshold_qbm(params, u).value
+        assert len(calls) == 1
+        assert 0.0 < got <= 0.25
+        assert got == _threshold_by_brentq(params, u)
+
+    def test_monotonicity_message_lists_plain_floats(self, monkeypatch):
+        falling = iter(np.float64(v) for v in (0.9, 0.8, 0.7, 0.6))
+        monkeypatch.setattr(G, "gaussian_purity", lambda _v: next(falling))
+        with pytest.raises(AssumptionError) as info:
+            M.efficiency_threshold_qbm(QbmParams(1.0), DiskPoint(1.0, 0.0))
+        assert "[0.9, 0.8, 0.7, 0.6]" in str(info.value)
+
+
+class TestLogGrid:
+    def test_cached_and_read_only(self):
+        grid = M._log_grid(2.0, 200.0)
+        assert M._log_grid(2.0, 200.0) is grid
+        assert not grid.flags.writeable
+        assert grid[0] == 0.0 and grid[-1] == 200.0 and len(grid) == 401
+
+
 class TestSyntheticBisection:
     def test_midpoint_threshold(self, monkeypatch):
         # p(eta) = p0 + (1 - p0) eta with theta halfway gives eta_thr = 1/2
@@ -210,6 +292,36 @@ class TestOptimizeDisk:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             M.optimize_disk(QbmParams(1.0), "entropy")
+
+    @pytest.mark.parametrize("kind", M.MEASURE_KINDS)
+    def test_refinement_stays_on_the_disk(self, kind, monkeypatch):
+        # bounded Nelder-Mead: every point it proposes already lies on the
+        # disk, so none is clamped back and none is wasted outside it
+        proposed = []
+        minimize = M.minimize
+
+        def recording(fun, *args, **kwargs):
+            def objective(x):
+                proposed.append(float(x[0]))
+                return fun(x)
+            return minimize(objective, *args, **kwargs)
+        monkeypatch.setattr(M, "minimize", recording)
+        M.optimize_disk(QbmParams(1.0), kind)
+        assert len(proposed) > 20
+        assert all(0.0 <= r <= 1.0 for r in proposed)
+
+    def test_optimum_matches_frozen_fixture(self):
+        # qbm-optimal at T = 1 before the refinement was bounded (with the
+        # clamped objective); the bounded search lands within 1e-5 in phi
+        frozen = {"purification": (6.256945796402095, 0.14359838907037265),
+                  "efficiency_threshold": (6.220756483194276, 0.09107604800001352),
+                  "mixing": (2.085797490354265, 1.164135207483991),
+                  "survival": (1.0700955383170698, 1.3655343912134967)}
+        for kind, (phi, value) in frozen.items():
+            u, res = M.optimize_disk(QbmParams(1.0), kind)
+            assert type(u.r) is float and u.r == 1.0
+            assert abs(u.phi - phi) < 1e-5
+            assert res.value == pytest.approx(value, rel=1e-10)
 
     def test_failures_recorded_not_fatal(self):
         u, res = M.optimize_disk(QbmParams(1.0), "purification",
