@@ -259,7 +259,6 @@ class McOptions:
     relax_time: float = 8.0
     tau_horizon: float = 12.0
     eta_time: float = 20.0
-    eta_tol: float = 5e-3
     sample_stride: int = 20
 
 
@@ -385,64 +384,81 @@ def survival_time_tla(params, spec, opts=McOptions()):
     return mixing_and_survival_tla(params, spec, opts)[1]
 
 
-def _long_run_purity(params, spec, eta, opts):
-    """lim_{t->inf} E[purity] estimated as the average over the final quarter
-    of a 20/gamma run, with a conservative (correlation-ignoring) error bar."""
+def _long_run_purity(params, spec, etas, opts):
+    """Each trajectory's mean purity over the final quarter of a 20/gamma run,
+    at every efficiency in `etas` from one pass on shared noise: (E, n_traj)."""
     model = build_tla(params)
     _, rho_ss = tla_theta(params)
     cfg = TrajectoryConfig(dt=_scaled(params, opts.dt),
                            horizon=_scaled(params, opts.eta_time),
                            seed=opts.seed, sample_stride=opts.sample_stride)
-    curve = T.run_ensemble(model, _with_eta(spec, eta), rho_ss, cfg, opts.n_traj,
-                           "purity")
-    k = max(1, len(curve.times) // 4)
-    return float(curve.mean[-k:].mean()), float(curve.stderr[-k:].mean())
+    return T.run_purity_averages(model, spec, rho_ss, cfg, opts.n_traj, etas)
+
+
+_JACKKNIFE_BLOCKS = 20
+
+
+def _eta_crossing(etas, values, theta):
+    """Where a rising curve of long-run purities meets theta: the root of a
+    quadratic through the three points nearest theta if exactly one lies
+    between them, else the line through the two nearest, kept in range."""
+    order = np.argsort(np.abs(values - theta))
+    x, v = etas[np.sort(order[:3])], values[np.sort(order[:3])]
+    roots = np.roots(np.polyfit(x, v - theta, 2))
+    inside = [r.real for r in roots if r.imag == 0 and x[0] <= r.real <= x[-1]]
+    if len(inside) == 1:
+        return float(inside[0])
+    (e0, e1), (v0, v1) = etas[order[:2]], values[order[:2]]
+    return float(np.clip(e0 + (theta - v0) * (e1 - e0) / (v1 - v0), etas[0], etas[-1]))
 
 
 def efficiency_threshold_tla(params, spec, opts=McOptions()):
-    """Bisection on eta for the long-run purity to hit theta.
+    """Efficiency at which the long-run purity reaches theta, from two
+    stacked passes over common random numbers.
 
-    Common random numbers across iterates (fixed master seed); the probe
-    grid doubles as the monotonicity check and the initial bracket.  The
-    search stops when the bracket is narrower than eta_tol or the
-    statistical half-width at the candidate covers theta.
+    Pass 1 runs the probes 0.25, 0.5, 0.75 and 1: the monotonicity check and
+    the bracket [lo, hi] of adjacent grid points (eta = 0 is the steady state).
+    Pass 2 runs lo + (hi - lo) * {1/4, 1/2, 3/4} on the same seed and
+    trajectories.  The error is a jackknife over _JACKKNIFE_BLOCKS blocks of
+    trajectories (Efron & Stein, Ann. Stat. 9, 586, 1981).
     """
     theta, _ = tla_theta(params)
     if theta.rho_ss_purity >= 1.0 - 1e-9:
         raise AssumptionError(
             "steady state is already pure (theta = 1): the efficiency "
             "threshold is degenerate for an undriven atom")
-    probe = [0.25, 0.5, 0.75, 1.0]
-    vals = [_long_run_purity(params, spec, e, opts) for e in probe]
-    for (va, sa), (vb, sb) in zip(vals, vals[1:]):
+    probe = np.array([0.25, 0.5, 0.75, 1.0])
+    first = _long_run_purity(params, spec, probe, opts)
+    n = first.shape[1]
+    vals, errs = first.mean(axis=1), first.std(axis=1, ddof=1) / math.sqrt(n)
+    for va, vb, sa, sb in zip(vals, vals[1:], errs, errs[1:]):
         if vb < va - 3.0 * math.hypot(sa, sb):
             raise AssumptionError(
-                f"long-run purity not monotone in eta: {[float(v) for v, _ in vals]}")
-    grid = [(0.0, theta.rho_ss_purity, 0.0)] + [
-        (e, v, s) for e, (v, s) in zip(probe, vals)]
-    lo = max((e for e, v, _ in grid if v < theta.theta), default=None)
-    hi = min((e for e, v, _ in grid if v >= theta.theta), default=None)
-    if lo is None or hi is None:
+                f"long-run purity not monotone in eta: {[float(v) for v in vals]}")
+    if vals[-1] < theta.theta:
         raise BracketError(
-            f"no bracket in (0, 1]: purity spans "
-            f"{grid[0][1]:.4f} .. {grid[-1][1]:.4f} vs theta = {theta.theta:.4f}")
-    stat_err = None
-    while hi - lo > opts.eta_tol:
-        mid = 0.5 * (lo + hi)
-        val, err = _long_run_purity(params, spec, mid, opts)
-        if abs(val - theta.theta) <= err:
-            stat_err = err
-            break
-        if val >= theta.theta:
-            hi = mid
-        else:
-            lo = mid
-    eta_thr = 0.5 * (lo + hi)
-    uncertainty = 0.5 * (hi - lo)
-    if stat_err is not None:
-        uncertainty = max(uncertainty, opts.eta_tol)
-    return MeasureResult("efficiency_threshold", eta_thr, uncertainty,
-                         metadata=_mc_meta(params, spec, opts, opts.n_traj))
+            f"no bracket in (0, 1]: purity spans {theta.rho_ss_purity:.4f} .. "
+            f"{vals[-1]:.4f} vs theta = {theta.theta:.4f}")
+    # eta = 0 is the steady state itself, a row of constants
+    grid = np.vstack([np.full(n, theta.rho_ss_purity), first])
+    hi = int(np.argmax(vals >= theta.theta)) + 1
+    lo_eta, hi_eta = ([0.0] + probe.tolist())[hi - 1:hi + 1]
+    inner = lo_eta + (hi_eta - lo_eta) * np.array([0.25, 0.5, 0.75])
+    second = _long_run_purity(params, spec, inner, opts)
+    bracket = np.vstack([grid[hi - 1], second, grid[hi]])
+    etas = np.concatenate([[lo_eta], inner, [hi_eta]])
+    eta_thr = _eta_crossing(etas, bracket.mean(axis=1), theta.theta)
+    blocks = np.array_split(np.arange(n), min(_JACKKNIFE_BLOCKS, n))
+    total = bracket.sum(axis=1)
+    reps = np.array([_eta_crossing(etas, (total - bracket[:, b].sum(axis=1)) / (n - len(b)),
+                                   theta.theta) for b in blocks])
+    uncertainty = math.sqrt((len(blocks) - 1) * np.mean((reps - reps.mean()) ** 2))
+    meta = dict(_mc_meta(params, spec, opts, n), passes=2, jackknife_blocks=len(blocks),
+                eta_grid=[probe.tolist(), inner.tolist()],
+                long_run_purity=[vals.tolist(), second.mean(axis=1).tolist()],
+                long_run_stderr=[errs.tolist(),
+                                 (second.std(axis=1, ddof=1) / math.sqrt(n)).tolist()])
+    return MeasureResult("efficiency_threshold", eta_thr, uncertainty, metadata=meta)
 
 
 _TLA_MEASURES = {

@@ -29,7 +29,8 @@ Kraus-form steppers after Rouchon & Ralph, PRA 91, 012118 (2015):
   at eta = 1, so the bundle stays rank-one per component).
 
 `_select_kernel` alone chooses among them, from the scheme, the
-dimension, eta and what the run records.
+dimension, eta and what the run records.  The first two also step stacks
+of efficiencies on shared noise (`run_purity_averages`).
 """
 
 import math
@@ -285,14 +286,19 @@ class _KrausDiffusiveKernel:
     u_k = sqrt(eta) dW_k + eta <A_k + A_k^dag> dt.  Weak order 1, exactly
     positivity-preserving, keeps pure states exactly pure at eta = 1, and
     the exact drift exponential keeps strong driving accurate without tiny
-    steps.
+    steps.  It steps E efficiencies `etas` (default (spec.eta,)) at once,
+    in eta-major rows: row e*b + i is trajectory i at etas[e] and reads
+    noise row i.  Only s0 (the (1 - eta) dt leak) depends on eta; it is
+    stacked (E, n, n) for one batched GEMM.
     """
 
-    def __init__(self, model, spec, dt):
+    def __init__(self, model, spec, dt, etas=None):
         d = model.dim
         self.dim = d
         self.dt = dt
-        self.eta = spec.eta
+        etas = (spec.eta,) if etas is None else etas
+        self.root_eta = np.sqrt(etas)[:, None]
+        self.eta_dt = (np.array(etas) * dt)[:, None]
         c = _measured_op(model)
         prop = expm(_no_jump_generator(model) * dt)
         ops = [z * c for z in spec.channel_coefficients()]
@@ -301,13 +307,16 @@ class _KrausDiffusiveKernel:
         # with per-trajectory scalar coefficients (u_k are real):
         #   S0 + sum_k u_k S_k + sum_{k<=l} u_k u_l S_kl
         sandwich = lambda x, y: np.kron(x, y.conj())
-        s0 = sandwich(prop, prop)
-        leak = (1.0 - self.eta) * dt
-        for a in ops:
-            s0 = s0 + leak * sandwich(a, a)
-        for op in model.jump_operators[1:]:
-            s0 = s0 + dt * sandwich(op, op)
-        self.s0 = _pack_right(s0)
+
+        def leaky(eta):
+            s0 = sandwich(prop, prop)
+            for a in ops:
+                s0 = s0 + (1.0 - eta) * dt * sandwich(a, a)
+            for op in model.jump_operators[1:]:
+                s0 = s0 + dt * sandwich(op, op)
+            return _pack_right(s0)
+
+        self.s0 = np.stack([leaky(eta) for eta in etas])
         self.s_lin = [_pack_right(sandwich(a, prop) + sandwich(prop, a)) for a in ops]
         self.s_quad = {}
         for k in range(self.n_ch):
@@ -322,16 +331,19 @@ class _KrausDiffusiveKernel:
     initial = _packed_initial
 
     def step(self, y, dw_row):
-        root_eta = math.sqrt(self.eta)
-        us = [root_eta * dw_row[:, k] + self.eta * self.dt * (y @ self.weights[k])
+        rows = y.reshape(len(self.s0), -1, y.shape[1])
+        us = [(self.root_eta * dw_row[:, k] + self.eta_dt * (rows @ self.weights[k])).ravel()
               for k in range(self.n_ch)]
-        out = y @ self.s0
-        for k, u in enumerate(us):
-            out += u[:, None] * (y @ self.s_lin[k])
-        for (k, l), s in self.s_quad.items():
-            out += (us[k] * us[l])[:, None] * (y @ s)
-        tr = out @ self.tr_vec
-        return out / tr[:, None]
+        out = (rows @ self.s0).reshape(y.shape)
+        # one reused term buffer: batch-sized temporaries cost page faults
+        term = np.empty_like(y)
+        coefs = us + [us[k] * us[l] for k, l in self.s_quad]
+        for s, c in zip(self.s_lin + list(self.s_quad.values()), coefs):
+            np.matmul(y, s, out=term)
+            term *= c[:, None]
+            out += term
+        out /= (out @ self.tr_vec)[:, None]
+        return out
 
     to_matrices = _packed_to_matrices
 
@@ -386,23 +398,34 @@ class _MatrixDiffusiveKernel:
         return 0.5 * (rho + np.conj(np.swapaxes(rho, 1, 2)))
 
 
+def _rows_by_block(mask, n_blocks):
+    """(block, indices) of the rows where `mask` holds, per eta block with any:
+    one GEMM per block is shaped as in a run at that eta alone, keeping bits."""
+    idx = np.flatnonzero(mask)
+    bounds = np.searchsorted(idx, np.arange(n_blocks + 1) * (len(mask) // n_blocks))
+    return [(e, idx[lo:hi]) for e, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+            if hi > lo]
+
+
 class _SuperopJumpKernel:
     """Jump stepper (direct detection and AID) with exact no-jump propagator.
 
     The no-jump propagator is trace-decreasing; the detected-jump
     probability per step is read off the trace decay.  For AID the
     local-oscillator sign is per-trajectory state: both signed variants of
-    every operator are precomputed and selected by mask.
+    every operator are precomputed and selected by mask.  Efficiencies
+    stack in eta-major rows as in _KrausDiffusiveKernel; only the no-click
+    propagators depend on eta, stacked (E, n, n) per sign in `props`.
     """
 
-    def __init__(self, model, spec, dt):
+    def __init__(self, model, spec, dt, etas=None):
         d = model.dim
         if d > _SUPEROP_DIM_LIMIT:
             raise ValueError(
                 f"jump unravellings are only implemented for dim <= {_SUPEROP_DIM_LIMIT}")
         self.dim = d
         self.dt = dt
-        self.eta = spec.eta
+        etas = (spec.eta,) if etas is None else etas
         self.adaptive = spec.kind == "aid"
         c = _measured_op(model)
         beta = _resolve_lo(spec, c) if self.adaptive else 0.0
@@ -420,15 +443,19 @@ class _SuperopJumpKernel:
             j = c + s * beta * ident
             h = model.hamiltonian + 0.5j * (s * beta * dag(c) - np.conj(s * beta) * c)
             jj = dag(j) @ j
-            q = -1j * (np.kron(h, ident) - np.kron(ident, h.T))
-            q += (1.0 - self.eta) * (np.kron(j, j.conj())
-                                     - 0.5 * (np.kron(jj, ident) + np.kron(ident, jj.T)))
-            for op in model.jump_operators[1:]:
-                oo = dag(op) @ op
-                q += np.kron(op, op.conj()) - 0.5 * (np.kron(oo, ident)
-                                                     + np.kron(ident, oo.T))
-            q -= 0.5 * self.eta * (np.kron(jj, ident) + np.kron(ident, jj.T))
-            self.props.append(_pack_right(expm(q * dt)))
+
+            def no_click(eta):
+                q = -1j * (np.kron(h, ident) - np.kron(ident, h.T))
+                q += (1.0 - eta) * (np.kron(j, j.conj())
+                                    - 0.5 * (np.kron(jj, ident) + np.kron(ident, jj.T)))
+                for op in model.jump_operators[1:]:
+                    oo = dag(op) @ op
+                    q += np.kron(op, op.conj()) - 0.5 * (np.kron(oo, ident)
+                                                         + np.kron(ident, oo.T))
+                q -= 0.5 * eta * (np.kron(jj, ident) + np.kron(ident, jj.T))
+                return _pack_right(expm(q * dt))
+
+            self.props.append(np.stack([no_click(eta) for eta in etas]))
             self.jump_supers.append(_pack_right(np.kron(j, j.conj())))
         self.tr_vec = _pack_real_functional(_rv(np.eye(d)))
 
@@ -436,33 +463,30 @@ class _SuperopJumpKernel:
 
     def step(self, y, u_row, signs):
         """One step for the batch; mutates `signs` in place, returns (y, jumped)."""
-        y_prop = y @ self.props[0]
+        n_eta = len(self.props[0])
+        y_prop = (y.reshape(n_eta, -1, y.shape[1]) @ self.props[0]).reshape(y.shape)
         if self.adaptive:
-            minus = signs < 0
-            if minus.any():
-                y_prop[minus] = y[minus] @ self.props[1]
+            for e, idx in _rows_by_block(signs < 0, n_eta):
+                y_prop[idx] = y.take(idx, axis=0) @ self.props[1][e]
         tr = y_prop @ self.tr_vec
         # click probability = trace decay of the no-click propagator; the
         # floor keeps roundoff from ever clicking a state with no emission
         p_jump = 1.0 - tr
-        jumped = (u_row[:, 0] < p_jump) & (p_jump > 1e-12)
-        out = y_prop / tr[:, None]
-        if jumped.any():
-            # the click acts on the no-click-evolved state, so a trajectory
-            # sitting exactly in the ground state re-excites within the step
-            # before it can emit (and the renormalization stays regular)
-            idx = np.nonzero(jumped)[0]
-            sub = y_prop[idx]
+        jumped = (u_row[:, 0] < p_jump.reshape(n_eta, -1)).ravel() & (p_jump > 1e-12)
+        # the click acts on the no-click-evolved state, so a trajectory
+        # sitting exactly in the ground state re-excites within the step
+        # before it can emit (and the renormalization stays regular)
+        clicked = [(idx, y_prop.take(idx, axis=0)) for _, idx in _rows_by_block(jumped, n_eta)]
+        y_prop /= tr[:, None]
+        for idx, sub in clicked:
             zsub = sub @ self.jump_supers[0]
             if self.adaptive:
                 m = signs[idx] < 0
                 if m.any():
                     zsub[m] = sub[m] @ self.jump_supers[1]
-            ztr = zsub @ self.tr_vec
-            out[idx] = zsub / ztr[:, None]
-            if self.adaptive:
                 signs[idx] = -signs[idx]
-        return out, jumped
+            y_prop[idx] = zsub / (zsub @ self.tr_vec)[:, None]
+        return y_prop, jumped
 
     to_matrices = _packed_to_matrices
 
@@ -534,19 +558,21 @@ class _PurifiedKernel:
 _SUPEROP_DIM_LIMIT = 8
 
 
-def _select_kernel(model, spec, rho0, dt, statistic):
+def _select_kernel(model, spec, rho0, dt, statistic, etas=None):
     """The stepping kernel for one run; no other code chooses a kernel.
 
     Counting schemes step through the jump kernel.  Diffusive schemes use
     the Kraus superoperators up to dimension _SUPEROP_DIM_LIMIT.  Above it,
     eta = 1 runs that need only purities or final states ("purity",
     "final_states") use the purified bundle, and the rest ("mean_state",
-    "trajectory") the matrix kernel.
+    "trajectory") the matrix kernel.  Only the first two step `etas` stacks.
     """
     if not spec.is_diffusive:
-        return _SuperopJumpKernel(model, spec, dt)
+        return _SuperopJumpKernel(model, spec, dt, etas)
     if model.dim <= _SUPEROP_DIM_LIMIT:
-        return _KrausDiffusiveKernel(model, spec, dt)
+        return _KrausDiffusiveKernel(model, spec, dt, etas)
+    if etas is not None and tuple(etas) != (spec.eta,):
+        raise ValueError(f"efficiency stacks need dimension <= {_SUPEROP_DIM_LIMIT}")
     if spec.eta == 1.0 and statistic in ("purity", "final_states"):
         return _PurifiedKernel(model, spec, rho0, dt)
     return _MatrixDiffusiveKernel(model, spec, dt)
@@ -709,10 +735,6 @@ def run_trajectory(model, spec, rho0, config, traj_index=0):
 # ---------------------------------------------------------------------------
 # ensemble runner
 
-def _chunk_size(dim):
-    return _MAX_DM_CHUNK if dim > _SUPEROP_DIM_LIMIT else _MAX_SUPEROP_CHUNK
-
-
 def _iter_chunks(n_traj, chunk):
     start = 0
     while start < n_traj:
@@ -721,15 +743,16 @@ def _iter_chunks(n_traj, chunk):
         start = stop
 
 
-def _run_chunks(kernel, spec, rho0_m, config, n_traj, sample_pos, sink):
+def _run_chunks(kernel, spec, rho0_m, config, n_traj, sample_pos, sink, n_eta=1):
     """Drive n_traj trajectories from rho0 in chunks sized by the dimension.
 
     sink(rows, j, y) receives every sampled state of the chunk holding
-    trajectories `rows` (a slice).
+    trajectories `rows` (a slice); a trajectory takes one row per efficiency.
     """
     n_steps, dt, _ = config.grid()
-    for start, stop in _iter_chunks(n_traj, _chunk_size(rho0_m.shape[0])):
-        mats = np.broadcast_to(rho0_m, (stop - start, *rho0_m.shape))
+    rows = _MAX_DM_CHUNK if rho0_m.shape[0] > _SUPEROP_DIM_LIMIT else _MAX_SUPEROP_CHUNK
+    for start, stop in _iter_chunks(n_traj, max(1, rows // n_eta)):
+        mats = np.broadcast_to(rho0_m, (n_eta * (stop - start), *rho0_m.shape))
         # the start state is passed inline so that no name here keeps it
         # alive through the steps
         _drive(kernel, kernel.initial(mats),
@@ -809,6 +832,27 @@ def run_ensemble(model, spec, rho0, config, n_traj, statistic="purity"):
         mean_states = 0.5 * (mean_states + np.conj(np.swapaxes(mean_states, 1, 2)))
         return MeanStateCurve(times=times, states=mean_states, n=n_traj)
     return sink.finish(times, n_traj)
+
+
+def run_purity_averages(model, spec, rho0, config, n_traj, etas):
+    """Each trajectory's mean purity over the final quarter of its samples at
+    every efficiency in `etas`, (E, n_traj), from one pass over each
+    trajectory's one noise draw (common random numbers).  Each row equals,
+    bit for bit, the row of a run at that efficiency alone."""
+    if n_traj < 2:
+        raise ValueError("n_traj must be at least 2")
+    _, dt, sample_idx = config.grid()
+    window = sample_idx[-max(1, len(sample_idx) // 4):]
+    rho0_m = _as_matrix(rho0)
+    kernel = _select_kernel(model, spec, rho0_m, dt, "purity", etas)
+    acc = np.zeros((len(etas), n_traj))
+
+    def add(rows, _j, y):
+        acc[:, rows] += _batch_purity(kernel.to_matrices(y)).reshape(len(etas), -1)
+
+    _run_chunks(kernel, spec, rho0_m, config, n_traj,
+                {int(s): j for j, s in enumerate(window)}, add, len(etas))
+    return acc / len(window)
 
 
 def run_final_states(model, spec, rho0, config, n_traj):

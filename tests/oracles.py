@@ -9,8 +9,9 @@ need to read states.
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import solve_continuous_lyapunov
+from scipy.integrate import cumulative_simpson, solve_ivp
+from scipy.linalg import expm, null_space, solve_continuous_lyapunov
+from scipy.optimize import brentq
 
 from unravel.errors import ConvergenceError, DecompositionError
 from unravel.gaussian import CovarianceState
@@ -93,3 +94,58 @@ def stationary_mean_noise(gen, v_c, horizon=60.0, tol=1e-11):
     if np.linalg.eigvalsh(n).min() < -1e-9 * max(1.0, np.abs(n).max()):
         raise DecompositionError("projected mean covariance is not PSD")
     return n
+
+
+def _purity_times_trace(vecs):
+    """Tr sigma^2 / Tr sigma of row-stacked 2x2 matrices: the purity of the
+    normalised state, weighted by its trace."""
+    sig = vecs.reshape(-1, 2, 2)
+    return np.einsum("tij,tji->t", sig, sig).real / np.einsum("tii->t", sig).real
+
+
+def direct_detection_threshold(omega, gamma=1.0, horizon=20.0, stride=0.08, h=0.0025):
+    """Exact efficiency threshold of the driven atom under direct detection,
+    for the package's estimator: the long-run purity is the mean over the
+    last quarter of the samples, taken every `stride` up to `horizon`, of
+    trajectories started in the steady state.
+
+    Every detected click resets the atom to |g> (Cohen-Tannoudji &
+    Dalibard, Europhys. Lett. 1, 441, 1986), so a conditioned state is
+    fixed by its age s since the last click: sigma(s) = e^{N s} |g><g|
+    normalised, with N = L - eta J the no-click generator.  Clicks arrive at
+    the constant rate u = eta gamma <e|rho_ss|e>, so E[purity](t) is
+    int_0^t u Tr sigma(s)^2 / Tr sigma(s) ds plus the same term for the
+    trajectories still unclicked since t = 0, which is e^{N t} rho_ss.  The
+    threshold is the root of the windowed mean against theta.
+    """
+    eye = np.eye(2)
+    ham = 0.5 * omega * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    c = math.sqrt(gamma) * np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+    cdc = c.conj().T @ c
+    # row-stacked vec(A X B) = kron(A, B^T) vec(X)
+    jump = np.kron(c, c.conj())
+    lind = (-1j * (np.kron(ham, eye) - np.kron(eye, ham.T)) + jump
+            - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T)))
+    rho_ss = null_space(lind)[:, 0].reshape(2, 2)
+    rho_ss = 0.5 * (rho_ss + rho_ss.conj().T)
+    rho_ss /= np.trace(rho_ss).real
+    theta = 0.5 * (1.0 + np.trace(rho_ss @ rho_ss).real)
+    ground = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
+    n_samples = int(round(horizon / stride)) + 1
+    window = stride * np.arange(n_samples - n_samples // 4, n_samples)
+    ages = h * np.arange(int(round(horizon / h)) + 1)
+
+    def long_run_purity(eta):
+        no_click = lind - eta * jump
+        step = expm(no_click * h)
+        sig = np.empty((len(ages), 4), dtype=complex)
+        sig[0] = ground
+        for k in range(1, len(ages)):
+            sig[k] = step @ sig[k - 1]
+        rest = np.stack([expm(no_click * t) @ rho_ss.reshape(-1) for t in window])
+        rate = eta * gamma * rho_ss[0, 0].real
+        clicked = cumulative_simpson(rate * _purity_times_trace(sig), x=ages, initial=0.0)
+        return float(np.mean(clicked[np.rint(window / h).astype(int)]
+                             + _purity_times_trace(rest)))
+
+    return brentq(lambda eta: long_run_purity(eta) - theta, 0.3, 1.0, xtol=1e-10)

@@ -115,6 +115,32 @@ class TestTlaRank:
         assert report["verdict"] == "resolved"
         assert report["entries"][0]["scheme"] == "aid"
 
+    @pytest.mark.slow
+    def test_threshold_ranking_resolves_aid_against_heterodyne(self, tmp_path):
+        # the bisection's early stop once left AID (0.531 +- 0.031)
+        # unresolved against heterodyne here, and exited 1
+        out = tmp_path / "rank.json"
+        code = run_cli(["tla-rank", "--omega", "5", "--measure", "efficiency_threshold",
+                        "--schemes", "aid,heterodyne,direct", "--n-traj", "500",
+                        "--seed", "3", "--out", str(out)])
+        report = json.loads(out.read_text())
+        assert code == 0, report
+        assert report["verdict"] == "resolved"
+        assert [e["scheme"] for e in report["entries"]] == ["aid", "heterodyne", "direct"]
+
+    @pytest.mark.slow
+    def test_threshold_error_falls_with_more_trajectories(self, tmp_path):
+        errors = {}
+        for n in (500, 2000):
+            out = tmp_path / f"rank{n}.json"
+            run_cli(["tla-rank", "--omega", "5", "--measure", "efficiency_threshold",
+                     "--schemes", "heterodyne,direct", "--n-traj", str(n), "--dt", "4e-3",
+                     "--seed", "3", "--out", str(out)])
+            errors[n] = {e["scheme"]: e["uncertainty"]
+                         for e in json.loads(out.read_text())["entries"]}
+        for scheme in ("heterodyne", "direct"):
+            assert errors[2000][scheme] < errors[500][scheme], errors
+
     def test_unknown_scheme(self, tmp_path):
         code = run_cli(["tla-rank", "--schemes", "telepathy",
                         "--out", str(tmp_path / "r.json")])

@@ -6,9 +6,11 @@ import pytest
 from unravel import measures as M
 from unravel import trajectories as T
 from unravel import gaussian as G
-from unravel.errors import AssumptionError, ConvergenceError, HorizonError
+from unravel.errors import AssumptionError, BracketError, ConvergenceError, HorizonError
 from unravel.gaussian import DiskPoint, QbmParams
 from unravel.systems import TlaParams
+
+from oracles import direct_detection_threshold
 
 FAST_MC = M.McOptions(n_traj=1500, dt=2e-3, seed=11)
 
@@ -211,33 +213,70 @@ class TestLogGrid:
 
 
 class TestSyntheticBisection:
-    def test_midpoint_threshold(self, monkeypatch):
-        # p(eta) = p0 + (1 - p0) eta with theta halfway gives eta_thr = 1/2
-        p0 = 0.4
-        theta = 0.5 * (1.0 + p0)
+    """efficiency_threshold_tla against a fake _long_run_purity: (E, n)
+    per-trajectory long-run purities at the requested efficiencies."""
 
-        def fake_long_run(params, spec, eta, opts):
-            return p0 + (1.0 - p0) * eta, 1e-9
+    P0 = 0.4
 
-        def fake_theta(params):
-            return M.ThetaThreshold.from_purity(p0), None
+    def _fake(self, monkeypatch, curve, calls=None):
+        # per-trajectory offsets shared by every efficiency, as common
+        # random numbers give
+        offsets = 1e-6 * np.random.default_rng(0).standard_normal(40)
+        offsets -= offsets.mean()
+
+        def fake_long_run(params, spec, etas, opts):
+            if calls is not None:
+                calls.append(list(etas))
+            return curve(np.asarray(etas, dtype=float))[:, None] + offsets
 
         monkeypatch.setattr(M, "_long_run_purity", fake_long_run)
-        monkeypatch.setattr(M, "tla_theta", fake_theta)
+        monkeypatch.setattr(M, "tla_theta",
+                            lambda params: (M.ThetaThreshold.from_purity(self.P0), None))
+
+    def test_midpoint_threshold(self, monkeypatch):
+        # p(eta) = p0 + (1 - p0) eta with theta = (1 + p0)/2 gives eta_thr = 1/2
+        calls = []
+        self._fake(monkeypatch, lambda eta: self.P0 + (1.0 - self.P0) * eta, calls)
         res = M.efficiency_threshold_tla(TlaParams(1.0, 1.0), T.homodyne_x(),
-                                         M.McOptions(eta_tol=1e-4))
-        # theta halfway: p0 + (1-p0) eta = (1+p0)/2  ->  eta = 1/2
-        assert res.value == pytest.approx(0.5, abs=2e-4)
-        assert theta == pytest.approx(p0 + (1 - p0) * 0.5)
+                                         M.McOptions())
+        assert res.value == pytest.approx(0.5, abs=1e-9)
+        # two passes: the probes, then the interior of the bracket [0.25, 0.5]
+        assert calls == [[0.25, 0.5, 0.75, 1.0], [0.3125, 0.375, 0.4375]]
+        meta = res.metadata
+        assert meta["passes"] == 2
+        assert meta["eta_grid"] == calls
+        assert meta["jackknife_blocks"] == 20
+        assert meta["long_run_purity"][0] == pytest.approx(
+            [self.P0 + (1.0 - self.P0) * e for e in calls[0]], abs=1e-6)
+        assert all(0.0 <= s < 1e-6 for row in meta["long_run_stderr"] for s in row)
+        assert 0.0 < res.uncertainty < 1e-5
 
     def test_monotonicity_violation_detected(self, monkeypatch):
-        def fake_long_run(params, spec, eta, opts):
-            return 1.0 - 0.5 * eta, 1e-9  # decreasing: unphysical
-
-        monkeypatch.setattr(M, "_long_run_purity", fake_long_run)
+        self._fake(monkeypatch, lambda eta: 1.0 - 0.5 * eta)   # decreasing: unphysical
         with pytest.raises(AssumptionError):
             M.efficiency_threshold_tla(TlaParams(1.0, 1.0), T.homodyne_x(),
                                        M.McOptions())
+
+    def test_unit_efficiency_below_theta_has_no_bracket(self, monkeypatch):
+        self._fake(monkeypatch, lambda eta: self.P0 + 0.2 * eta)   # p(1) < theta = 0.7
+        with pytest.raises(BracketError):
+            M.efficiency_threshold_tla(TlaParams(1.0, 1.0), T.homodyne_x(),
+                                       M.McOptions())
+
+
+@pytest.mark.slow
+class TestThresholdCoverage:
+    def test_direct_detection_covers_the_renewal_threshold(self):
+        # exact at Omega = 5: every click resets the atom to |g>; seeds fixed
+        # before the run, 8 of 10 within 2 reported sigma (nominal 95 %)
+        exact = direct_detection_threshold(5.0)
+        assert exact == pytest.approx(0.7551, abs=1e-4)
+        z = []
+        for seed in range(1, 11):
+            res = M.efficiency_threshold_tla(TlaParams(5.0, 1.0), T.direct(),
+                                             M.McOptions(n_traj=1000, dt=4e-3, seed=seed))
+            z.append((res.value - exact) / res.uncertainty)
+        assert sum(abs(v) <= 2.0 for v in z) >= 8, z
 
 
 class TestTlaMeasures:

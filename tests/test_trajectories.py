@@ -113,7 +113,7 @@ class TestStepJump:
         dt = 1e-3
         kernel = T._SuperopJumpKernel(model, T.direct(1.0), dt)
         y = kernel.initial(EXCITED.matrix[None, :, :])
-        y_prop = y @ kernel.props[0]
+        y_prop = y @ kernel.props[0][0]   # sign +1, first (only) efficiency
         p = 1.0 - float((y_prop @ kernel.tr_vec)[0])
         assert p == pytest.approx(gamma * dt, rel=2e-3)
 
@@ -265,6 +265,79 @@ class TestRunEnsemble:
         cfg = T.TrajectoryConfig(1e-3, 0.1, seed=1)
         with pytest.raises(ValueError):
             T.run_ensemble(model, T.homodyne_x(1.0), EXCITED, cfg, 1)
+
+
+class TestEfficiencyStack:
+    """One pass at several efficiencies, rows eta-major over shared noise."""
+
+    ETAS = (0.25, 0.5, 0.75, 1.0)
+
+    def test_each_block_matches_a_run_at_that_efficiency(self, monkeypatch):
+        # at Omega = 5 over 3/gamma, AID clicks often enough that every eta
+        # block carries both local-oscillator signs at once
+        model = build_tla(tla(5.0))
+        cfg = T.TrajectoryConfig(4e-3, 3.0, seed=21, sample_stride=20)
+        mixed = []
+        step = T._SuperopJumpKernel.step
+
+        def recording(kernel, y, u_row, signs):
+            out = step(kernel, y, u_row, signs)
+            blocks = signs.reshape(len(kernel.props[0]), -1)
+            mixed.append(bool(((blocks < 0).any(axis=1) & (blocks > 0).any(axis=1)).all()))
+            return out
+
+        monkeypatch.setattr(T._SuperopJumpKernel, "step", recording)
+        for spec in (T.direct(), T.aid(), T.heterodyne()):
+            mixed.clear()
+            stacked = T.run_purity_averages(model, spec, EXCITED, cfg, 48, self.ETAS)
+            assert stacked.shape == (len(self.ETAS), 48)
+            if spec.kind == "aid":
+                assert any(mixed)
+            for e, eta in enumerate(self.ETAS):
+                alone = T.run_purity_averages(model, spec, EXCITED, cfg, 48, (eta,))
+                assert np.array_equal(stacked[e], alone[0]), (spec.kind, eta)
+
+    def test_chunking_does_not_change_averages(self, monkeypatch):
+        model = build_tla(tla())
+        cfg = T.TrajectoryConfig(2e-3, 0.5, seed=8, sample_stride=50)
+        specs = (T.heterodyne(), T.aid(), T.direct())
+        refs = [T.run_purity_averages(model, spec, EXCITED, cfg, 64, self.ETAS)
+                for spec in specs]
+        # 16 rows hold 4 trajectories at 4 efficiencies
+        monkeypatch.setattr(T, "_MAX_SUPEROP_CHUNK", 16)
+        chunks = []
+        iter_chunks = T._iter_chunks
+
+        def counted_chunks(n_traj, chunk):
+            spans = list(iter_chunks(n_traj, chunk))
+            chunks.append(len(spans))
+            return spans
+
+        monkeypatch.setattr(T, "_iter_chunks", counted_chunks)
+        for spec, ref in zip(specs, refs):
+            split = T.run_purity_averages(model, spec, EXCITED, cfg, 64, self.ETAS)
+            # the rules of test_chunking_does_not_change_result: heterodyne
+            # to the bit, the counting schemes to rounding
+            if spec.kind == "heterodyne":
+                assert np.array_equal(split, ref)
+            else:
+                assert np.abs(split - ref).max() < 1e-12, spec.kind
+        assert chunks == [16] * len(specs)
+
+    def test_window_is_the_last_quarter_of_the_purity_curve(self):
+        model = build_tla(tla())
+        cfg = T.TrajectoryConfig(2e-3, 1.0, seed=4, sample_stride=25)
+        spec = T.homodyne_x(0.6)
+        curve = T.run_ensemble(model, spec, EXCITED, cfg, 40)
+        averages = T.run_purity_averages(model, spec, EXCITED, cfg, 40, (0.6,))
+        k = len(curve.times) // 4
+        assert averages.mean() == pytest.approx(curve.mean[-k:].mean(), abs=1e-14)
+
+    def test_stacks_need_small_dimension(self):
+        model, _ = build_qbm_oracle(QbmParams(1.0), 12)
+        rho0 = np.diag([1.0] + [0.0] * 11)
+        with pytest.raises(ValueError):
+            T._select_kernel(model, T.heterodyne(), rho0, 1e-3, "purity", (0.5, 1.0))
 
 
 class TestNoiseStream:
