@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from . import measures as M
 from . import trajectories as T
-from .errors import ConvergenceError, SimulationError
+from .errors import SimulationError
 from .gaussian import DiskPoint, QbmParams, qbm_generators
 from .hilbert import DensityMatrix, propagate, trace_distance
 from .systems import TLA_SCHEMES, TlaParams, build_tla
@@ -275,20 +275,6 @@ def _suite_gaussian_oracle(args):
              "tolerance": 0.0, "passed": bool(worst <= 0.0)}]
 
 
-def _covariance_ode(gen, v0, times):
-    """Covariances V(t) on `times` from an adaptive DOP853 integration of
-    dV/dt = gen.rhs(V): the reference the closed-form curves are checked
-    against."""
-    from scipy.integrate import solve_ivp
-
-    sol = solve_ivp(lambda _t, y: gen.rhs(y.reshape(2, 2)).ravel(),
-                    (times[0], times[-1]), v0.matrix.ravel(), method="DOP853",
-                    t_eval=times, rtol=1e-12, atol=1e-12)
-    if not sol.success:
-        raise ConvergenceError(f"covariance ODE failed: {sol.message}")
-    return sol.y.T.reshape(-1, 2, 2)
-
-
 def _suite_properties(args):
     import unravel.gaussian as G
     from unravel.gaussian import CovarianceState
@@ -298,7 +284,7 @@ def _suite_properties(args):
     grid = np.linspace(0.0, 2.0, 21)
     gen0 = qbm_generators(params, DiskPoint(0.5, 1.1), 0.0)
     v0 = CovarianceState(1.5, 2.0, 0.4)
-    diff = float(np.abs(_covariance_ode(gen0, v0, grid)
+    diff = float(np.abs(G.covariance_ode(gen0, v0, grid)
                         - G.unconditional_covariance_curve(gen0, v0, grid)).max())
     checks.append({"check": "eta0_riccati_equals_lyapunov", "value": diff,
                    "tolerance": 1e-10, "passed": bool(diff < 1e-10)})
@@ -327,8 +313,8 @@ def _suite_properties(args):
     # the closed-form curves the QBM measures run on, against the ODE
     gen = qbm_generators(params, DiskPoint(1.0, 1.07), 1.0)
     v0 = CovarianceState(2.0, 1.5, 0.3)
-    unc = _covariance_ode(gen.with_eta(0.0), v0, grid)
-    cond = _covariance_ode(gen, v0, grid)
+    unc = G.covariance_ode(gen.with_eta(0.0), v0, grid)
+    cond = G.covariance_ode(gen, v0, grid)
     v_u = G.unconditional_covariance_curve(gen, v0, grid)
     p = G.conditioned_purity_curve(gen, grid, np.linalg.inv(v0.matrix))
     diff = max(float((np.abs(v_u - unc).max(axis=(1, 2))

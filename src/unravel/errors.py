@@ -22,7 +22,7 @@ class TruncationError(SimulationError):
 
 
 class ConvergenceError(SimulationError):
-    """A flow did not reach stationarity within the allowed horizon."""
+    """A solve or search found no valid solution (e.g. no stationary state)."""
 
 
 class HorizonError(SimulationError):

@@ -27,10 +27,11 @@ point Y = diag(0, 1/T).
 Every curve the measures read has a closed form and is evaluated on the
 whole time grid at once: the Lyapunov curve through A^2 = -A, the
 information-form Riccati curve through its linear-fractional solution.
-The only numerical integration in this module is the LSODA fallback of
-the stationary Riccati solve; the closed forms are checked against an
-adaptive ODE integration of GaussianGenerators.rhs (`validate properties`
-and the test suite).
+The stationary covariance is likewise algebraic (the invariant subspace
+of the same Hamiltonian).  The only numerical integration in this module
+is covariance_ode, an adaptive ODE integration of GaussianGenerators.rhs
+that no measure calls: `validate properties` checks the closed forms
+against it.
 """
 
 import copy
@@ -296,57 +297,27 @@ def _riccati_stationary_algebraic(gen, etas=None):
     return v
 
 
-def _riccati_stationary_flow(gen, v0=None, horizon=200.0, tol=1e-10):
-    if v0 is None:
-        span = 1.0 + float(np.abs(gen.diffusion).max())
-        v0 = np.diag([span, span])
-    else:
-        v0 = v0.matrix
-
-    def rhs(_t, y):
-        v = np.array([[y[0], y[2]], [y[2], y[1]]])
-        dv = gen.rhs(v)
-        return [dv[0, 0], dv[1, 1], dv[0, 1]]
-
-    y = np.array([v0[0, 0], v0[1, 1], v0[0, 1]])
-    t = 0.0
-    chunk = 10.0
-    while t < horizon:
-        sol = solve_ivp(rhs, (t, t + chunk), y, method="LSODA",
-                        rtol=1e-12, atol=1e-14)
-        if not sol.success:
-            raise ConvergenceError(f"stationary flow integration failed: {sol.message}")
-        y = sol.y[:, -1]
-        t += chunk
-        if np.abs(rhs(t, y)).max() < tol:
-            v = np.array([[y[0], y[2]], [y[2], y[1]]])
-            return 0.5 * (v + v.T)
-    raise ConvergenceError(
-        f"conditional covariance did not reach stationarity within t={horizon}")
-
-
-def riccati_steady(gen, v0=None):
+def riccati_steady(gen):
     """Stationary conditional covariance for the given unravelling and efficiency.
 
-    Primary route is the algebraic Riccati solve through the unstable
-    invariant subspace of the 4x4 Hamiltonian matrix (exact, fast, valid at
-    the stiff high-temperature corner), as a stack of one.  If it fails and
-    H has an eigenvalue within _ATTRACTING_TOL of the imaginary axis, no
-    stabilising solution exists (undetectable points such as pure momentum
-    homodyne) and the flow relaxes at that rate at best, so ConvergenceError
-    is raised at once.  Otherwise integration of the flow to stationarity
-    is the fallback; it is also the cross-check used in tests.  At eta = 0
-    this is the unconditional (Lyapunov) fixed point when the drift is stable.
+    The algebraic Riccati solve through the unstable invariant subspace of
+    the 4x4 Hamiltonian matrix (exact, fast, valid at the stiff
+    high-temperature corner), as a stack of one.  If it fails,
+    ConvergenceError carries the failing efficiency and the smallest |Re|
+    of the Hamiltonian spectrum; a gap within _ATTRACTING_TOL of the
+    imaginary axis means no stabilising solution exists (undetectable
+    points such as pure momentum homodyne).  At eta = 0 this is the
+    unconditional (Lyapunov) fixed point when the drift is stable.
     """
     try:
         v = _riccati_stationary_algebraic(gen)[0]
     except ConvergenceError as exc:
         gap = float(np.abs(np.linalg.eigvals(_hamiltonian(gen)).real).min())
-        if gap <= _ATTRACTING_TOL:
-            raise ConvergenceError(
-                f"{exc}; the Hamiltonian has an eigenvalue with |Re| = {gap:.1e}, "
-                "so the flow cannot settle either (undetectable point)") from exc
-        v = _riccati_stationary_flow(gen, v0)
+        why = (", so no stabilising solution exists (undetectable point)"
+               if gap <= _ATTRACTING_TOL else "")
+        raise ConvergenceError(
+            f"{exc}; the Hamiltonian's eigenvalue nearest the imaginary axis has "
+            f"|Re| = {gap:.1e}{why}") from exc
     return CovarianceState.from_matrix(v)
 
 
@@ -492,6 +463,18 @@ def unconditional_covariance_curve(gen, v0, t_grid):
     return (v0m + g * (a @ v0m + v0m @ a.T) + g ** 2 * (a @ v0m @ a.T)
             + t * d + (t - g) * (a @ d + d @ a.T)
             + (t - 2.0 * g - 0.5 * np.expm1(-2.0 * t)) * (a @ d @ a.T))
+
+
+def covariance_ode(gen, v0, times):
+    """Covariances V(t) on `times` from an adaptive DOP853 integration of
+    dV/dt = gen.rhs(V), starting from covariance state v0 at times[0]: the
+    reference the closed-form curves are checked against."""
+    sol = solve_ivp(lambda _t, y: gen.rhs(y.reshape(2, 2)).ravel(),
+                    (times[0], times[-1]), v0.matrix.ravel(), method="DOP853",
+                    t_eval=times, rtol=1e-12, atol=1e-12)
+    if not sol.success:
+        raise ConvergenceError(f"covariance ODE failed: {sol.message}")
+    return sol.y.T.reshape(-1, 2, 2)
 
 
 def survival_curve(params, u, tau_grid, eta=1.0, v_c=None):

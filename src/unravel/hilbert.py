@@ -263,9 +263,6 @@ def steady_state(model, rhs_tol=1e-9, degeneracy_tol=1e-10):
     """
     liou = liouvillian_matrix(model)
     kernel = null_space(liou, rcond=degeneracy_tol * model.dim ** 2)
-    if kernel.shape[1] == 0:
-        # rcond pruned everything; retry with scipy's default
-        kernel = null_space(liou)
     if kernel.shape[1] != 1:
         raise DegenerateSteadyStateError(
             f"stationary subspace has dimension {kernel.shape[1]}")

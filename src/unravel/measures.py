@@ -122,14 +122,13 @@ def crossing_with_uncertainty(times, values, stderr, theta):
 # ---------------------------------------------------------------------------
 # Brownian-particle backend (deterministic)
 
+# every QBM curve runs from 0 to this time (units of the inverse damping rate)
 _QBM_HORIZON = 200.0
 _QBM_ETA_XTOL = 1e-12
 # Reported error of the QBM efficiency threshold.  Newton solves the root to
-# rounding (within 2.4e-13 of brentq over T in [0.01, 1000] x the default
-# disk grid) and its brentq fallback to _QBM_ETA_XTOL, but riccati_steady's
-# flow fallback stops at a right-hand side below 1e-10; forcing that route at
-# r = 1, T in {0.5, 1, 10, 100} moved the threshold by at most 1.1e-11
-# against the algebraic solve.
+# rounding: it agrees with brentq to 2.4e-13 over T in [0.01, 1000] x the
+# default disk grid, and its brentq fallback stops at _QBM_ETA_XTOL.  Both
+# rest on the algebraic stationary solve, so 1e-9 is a conservative bound.
 _QBM_ETA_UNCERTAINTY = 1e-9
 
 
@@ -146,11 +145,11 @@ def _qbm_rate_scale(params):
     return max(1.0, 2.0 * params.temperature, 1.0 / (4.0 * params.temperature))
 
 
-def purification_time_qbm(params, u, horizon=_QBM_HORIZON):
+def purification_time_qbm(params, u):
     """Time for the conditional purity to climb to 1/2, conditioning from the
     unconditional long-time state (information-form flow from Y = diag(0, 1/T))."""
     gen = qbm_generators(params, u, eta=1.0)
-    grid = _log_grid(_qbm_rate_scale(params), horizon)
+    grid = _log_grid(_qbm_rate_scale(params), _QBM_HORIZON)
     p = G.conditioned_purity_curve(gen, grid, G.qbm_information_start(params))
     tau = first_crossing(CrossingCurve(grid, p, QBM_THETA.theta))
     return MeasureResult("purification", tau,
@@ -158,11 +157,11 @@ def purification_time_qbm(params, u, horizon=_QBM_HORIZON):
                                    "r": u.r, "phi": u.phi})
 
 
-def mixing_time_qbm(params, u, horizon=_QBM_HORIZON):
+def mixing_time_qbm(params, u):
     """Time for an unobserved, conditionally-pure state to mix down to theta."""
     gen = qbm_generators(params, u, eta=1.0)
     v_c = G.riccati_steady(gen)
-    grid = _log_grid(_qbm_rate_scale(params), horizon)
+    grid = _log_grid(_qbm_rate_scale(params), _QBM_HORIZON)
     v_u = G.unconditional_covariance_curve(gen, v_c, grid)
     dets = v_u[:, 0, 0] * v_u[:, 1, 1] - v_u[:, 0, 1] ** 2
     p = 1.0 / np.sqrt(4.0 * dets)
@@ -172,10 +171,10 @@ def mixing_time_qbm(params, u, horizon=_QBM_HORIZON):
                                    "r": u.r, "phi": u.phi})
 
 
-def survival_time_qbm(params, u, horizon=_QBM_HORIZON):
+def survival_time_qbm(params, u):
     gen = qbm_generators(params, u, eta=1.0)
     v_c = G.riccati_steady(gen)
-    grid = _log_grid(_qbm_rate_scale(params), horizon)
+    grid = _log_grid(_qbm_rate_scale(params), _QBM_HORIZON)
     s = G.survival_overlap_curve(gen, v_c, grid)
     tau = first_crossing(CrossingCurve(grid, s, QBM_THETA.theta))
     return MeasureResult("survival", tau,
@@ -197,11 +196,8 @@ def efficiency_threshold_qbm(params, u):
     theta = QBM_THETA.theta
     gen = qbm_generators(params, u, eta=1.0)
     probe = [0.25, 0.5, 0.75, 1.0]
-    try:
-        covs = [G.CovarianceState.from_matrix(v)
-                for v in G._riccati_stationary_algebraic(gen, probe)]
-    except ConvergenceError:
-        covs = [G.riccati_steady(gen.with_eta(e)) for e in probe]
+    covs = [G.CovarianceState.from_matrix(v)
+            for v in G._riccati_stationary_algebraic(gen, probe)]
     vals = [float(G.gaussian_purity(v)) for v in covs]
     if any(b < a for a, b in zip(vals, vals[1:])):
         raise AssumptionError(f"stationary purity not monotone in eta: {vals}")
@@ -250,16 +246,22 @@ _QBM_MEASURES = {
 
 @dataclass(frozen=True)
 class McOptions:
-    """Ensemble sizing for the Monte Carlo measures; times in units of 1/gamma."""
+    """Ensemble sizing for the Monte Carlo measures; dt in units of 1/gamma."""
 
     n_traj: int = 10_000
     dt: float = 1e-3
     seed: int = 2024
-    pur_horizon: float = 10.0
-    relax_time: float = 8.0
-    tau_horizon: float = 12.0
-    eta_time: float = 20.0
-    sample_stride: int = 20
+
+
+# run lengths of the Monte Carlo measures, in units of 1/gamma: the
+# purification curve, the conditioning run before freezing states, the
+# mixing/survival delay grid and the long-run purity of the efficiency
+# threshold; curves are sampled every _TLA_SAMPLE_STRIDE steps
+_TLA_PUR_HORIZON = 10.0
+_TLA_RELAX_TIME = 8.0
+_TLA_TAU_HORIZON = 12.0
+_TLA_ETA_TIME = 20.0
+_TLA_SAMPLE_STRIDE = 20
 
 
 def tla_theta(params):
@@ -283,8 +285,8 @@ def purification_time_tla(params, spec, opts=McOptions()):
     spec1 = _with_eta(spec, 1.0)
     model = build_tla(params)
     cfg = TrajectoryConfig(dt=_scaled(params, opts.dt),
-                           horizon=_scaled(params, opts.pur_horizon),
-                           seed=opts.seed, sample_stride=opts.sample_stride)
+                           horizon=_scaled(params, _TLA_PUR_HORIZON),
+                           seed=opts.seed, sample_stride=_TLA_SAMPLE_STRIDE)
     curve = T.run_ensemble(model, spec1, rho_ss, cfg, opts.n_traj, "purity")
     tau, err = crossing_with_uncertainty(curve.times, curve.mean, curve.stderr,
                                          theta.theta)
@@ -331,7 +333,7 @@ def conditioned_stationary_states(params, spec, opts):
     model = build_tla(params)
     _, rho_ss = tla_theta(params)
     cfg = TrajectoryConfig(dt=_scaled(params, opts.dt),
-                           horizon=_scaled(params, opts.relax_time),
+                           horizon=_scaled(params, _TLA_RELAX_TIME),
                            seed=opts.seed)
     return T.run_final_states(model, _with_eta(spec, 1.0), rho_ss, cfg, opts.n_traj)
 
@@ -348,7 +350,7 @@ def mixing_and_survival_tla(params, spec, opts=McOptions()):
     frozen = conditioned_stationary_states(params, spec, opts)
     n = frozen.shape[0]
     n_tau = 240
-    tau_grid = np.linspace(0.0, _scaled(params, opts.tau_horizon), n_tau + 1)[1:]
+    tau_grid = np.linspace(0.0, _scaled(params, _TLA_TAU_HORIZON), n_tau + 1)[1:]
     pur0 = np.einsum("bij,bji->b", frozen, frozen).real
     err0 = pur0.std(ddof=1) / math.sqrt(n)
     taus = [0.0]
@@ -390,8 +392,8 @@ def _long_run_purity(params, spec, etas, opts):
     model = build_tla(params)
     _, rho_ss = tla_theta(params)
     cfg = TrajectoryConfig(dt=_scaled(params, opts.dt),
-                           horizon=_scaled(params, opts.eta_time),
-                           seed=opts.seed, sample_stride=opts.sample_stride)
+                           horizon=_scaled(params, _TLA_ETA_TIME),
+                           seed=opts.seed, sample_stride=_TLA_SAMPLE_STRIDE)
     return T.run_purity_averages(model, spec, rho_ss, cfg, opts.n_traj, etas)
 
 
@@ -499,8 +501,7 @@ def _dispatch(kind, system, spec, **kw):
 # ---------------------------------------------------------------------------
 # detection-disk optimizer (deterministic backend only)
 
-def optimize_disk(params, kind, r_grid=None, phi_points=24, refine=True,
-                  horizon=_QBM_HORIZON):
+def optimize_disk(params, kind, r_grid=None, phi_points=24, refine=True):
     """Most robust general-dyne point for one robustness measure.
 
     Coarse grid over the disk followed by Nelder-Mead refinement from the
@@ -515,14 +516,13 @@ def optimize_disk(params, kind, r_grid=None, phi_points=24, refine=True,
         raise ValueError(f"unknown measure kind {kind!r}")
     measure = _QBM_MEASURES[kind]
     sign = -1.0 if kind in ("mixing", "survival") else 1.0
-    kw = {} if kind == "efficiency_threshold" else {"horizon": horizon}
 
     failures = []
 
     def objective(x):
         u = DiskPoint(x[0], x[1])
         try:
-            res = measure(params, u, **kw)
+            res = measure(params, u)
         except SimulationError as exc:
             failures.append((u.r, u.phi, str(exc)))
             return np.inf
@@ -554,7 +554,7 @@ def optimize_disk(params, kind, r_grid=None, phi_points=24, refine=True,
                 best_val, best_r, best_phi = res.fun, res.x[0], res.x[1]
 
     u = DiskPoint(best_r, best_phi)
-    result = measure(params, u, **kw)
+    result = measure(params, u)
     meta = dict(result.metadata)
     meta["grid_failures"] = len(failures)
     return u, MeasureResult(result.kind, result.value, result.uncertainty, meta)
@@ -589,11 +589,7 @@ def rank_unravellings(params, kind, schemes, opts=McOptions(), z=1.96):
     results = {}
     for name in schemes:
         spec = T.named_scheme(name)
-        if kind in ("mixing", "survival"):
-            mix, sur = mixing_and_survival_tla(params, spec, opts)
-            results[name] = mix if kind == "mixing" else sur
-        else:
-            results[name] = _TLA_MEASURES[kind](params, spec, opts=opts)
+        results[name] = _TLA_MEASURES[kind](params, spec, opts=opts)
     reverse = kind in ("mixing", "survival")
     ordered = sorted(results.items(), key=lambda kv: kv[1].value, reverse=reverse)
     entries = []

@@ -93,9 +93,7 @@ class UnravellingSpec:
         if self.kind == "general_dyne":
             r, phi = self.disk.r, self.disk.phi
             lo = np.exp(0.5j * phi)
-            out = []
-            if (1.0 + r) > 0:
-                out.append(math.sqrt((1.0 + r) / 2.0) * lo)
+            out = [math.sqrt((1.0 + r) / 2.0) * lo]
             if (1.0 - r) > 1e-15:
                 out.append(1.0j * math.sqrt((1.0 - r) / 2.0) * lo)
             return out
@@ -491,6 +489,11 @@ class _SuperopJumpKernel:
     to_matrices = _packed_to_matrices
 
 
+# eigenvalues of rho0 below this fraction of the largest are dropped from
+# the purified bundle
+_PURIFIED_WEIGHT_CUT = 1e-7
+
+
 class _PurifiedKernel:
     """Efficient-measurement diffusive ensembles as pure-state bundles.
 
@@ -503,7 +506,7 @@ class _PurifiedKernel:
     at Fock dimensions.
     """
 
-    def __init__(self, model, spec, rho0, dt, weight_cut=1e-7):
+    def __init__(self, model, spec, rho0, dt):
         if spec.eta != 1.0:
             raise ValueError("purified path requires eta = 1")
         d = model.dim
@@ -513,7 +516,7 @@ class _PurifiedKernel:
         if len(model.jump_operators) != 1:
             raise ValueError("purified path supports a single jump operator")
         vals, vecs = np.linalg.eigh(rho0)
-        keep = vals > weight_cut * vals.max()
+        keep = vals > _PURIFIED_WEIGHT_CUT * vals.max()
         self.weights = vals[keep] / vals[keep].sum()
         self.kets = vecs[:, keep].T            # (K, d)
         self.n_comp = len(self.weights)

@@ -39,6 +39,31 @@ def ode_purities(gen, v0, times):
     return 0.5 / np.sqrt(np.linalg.det(covariance_ode(gen, v0, times)))
 
 
+def riccati_stationary_flow(gen):
+    """Stationary conditional covariance by integrating dV/dt = gen.rhs(V)
+    (LSODA, in chunks of 10 up to t = 200) from diag(s, s), s = 1 + max |D|,
+    until the right-hand side falls below 1e-10."""
+    span = 1.0 + float(np.abs(gen.diffusion).max())
+
+    def rhs(_t, y):
+        v = np.array([[y[0], y[2]], [y[2], y[1]]])
+        dv = gen.rhs(v)
+        return [dv[0, 0], dv[1, 1], dv[0, 1]]
+
+    y = np.array([span, span, 0.0])
+    t = 0.0
+    while t < 200.0:
+        sol = solve_ivp(rhs, (t, t + 10.0), y, method="LSODA", rtol=1e-12, atol=1e-14)
+        if not sol.success:
+            raise ConvergenceError(f"stationary flow integration failed: {sol.message}")
+        y = sol.y[:, -1]
+        t += 10.0
+        if np.abs(rhs(t, y)).max() < 1e-10:
+            v = np.array([[y[0], y[2]], [y[2], y[1]]])
+            return 0.5 * (v + v.T)
+    raise ConvergenceError("conditional covariance did not reach stationarity by t = 200")
+
+
 def lyapunov_fixed_point(gen):
     """Unconditional stationary covariance A V + V A^T + D = 0 of a Hurwitz drift."""
     a, d = gen.drift, gen.diffusion

@@ -22,6 +22,7 @@ from oracles import (
     gaussian_overlap,
     lyapunov_fixed_point,
     ode_purities,
+    riccati_stationary_flow,
     stationary_mean_noise,
 )
 
@@ -168,7 +169,7 @@ class TestRiccatiSteady:
                              (100.0, DiskPoint(1.0, 1.0), 0.4)]:
             gen = qbm_generators(QbmParams(temp), u, eta)
             va = G._riccati_stationary_algebraic(gen)
-            vf = G._riccati_stationary_flow(gen)
+            vf = riccati_stationary_flow(gen)
             assert np.abs(va - vf).max() < 1e-8 * max(1.0, np.abs(va).max())
 
     def test_efficient_stationary_state_is_pure(self):
@@ -196,27 +197,12 @@ class TestRiccatiSteady:
 
     @pytest.mark.parametrize("temp", (0.5, 100.0))
     @pytest.mark.parametrize("eta", (0.25, 1.0))
-    def test_undetectable_point_raises_before_the_flow(self, temp, eta, monkeypatch):
-        # at phi = pi the Hamiltonian spectrum touches the imaginary axis, so
-        # the flow fallback could not settle either and is not started
-        def no_flow(*args, **kwargs):
-            pytest.fail("the LSODA fallback ran at an undetectable point")
-        monkeypatch.setattr(G, "solve_ivp", no_flow)
+    def test_undetectable_point_raises_before_the_flow(self, temp, eta):
+        # at phi = pi the Hamiltonian spectrum touches the imaginary axis:
+        # no stabilising solution exists, and the error says so
         gen = qbm_generators(QbmParams(temp), DiskPoint(1.0, math.pi), eta)
         with pytest.raises(ConvergenceError, match="undetectable"):
             riccati_steady(gen)
-
-    def test_flow_fallback_still_runs_off_the_axis(self, monkeypatch):
-        # a failed algebraic solve with no eigenvalue near the axis still
-        # integrates the flow to its fixed point
-        gen = qbm_generators(QbmParams(1.0), DiskPoint(0.7, 2.5), 0.8)
-        want = riccati_steady(gen).matrix
-
-        def fail(*args, **kwargs):
-            raise ConvergenceError("forced")
-        monkeypatch.setattr(G, "_riccati_stationary_algebraic", fail)
-        got = riccati_steady(gen).matrix
-        assert np.abs(got - want).max() < 1e-8 * max(1.0, np.abs(want).max())
 
     @pytest.mark.parametrize("temp", (0.01, 0.5, 100.0))
     def test_stacked_solve_equals_scalar_bitwise(self, temp):

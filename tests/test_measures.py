@@ -362,6 +362,17 @@ class TestOptimizeDisk:
             assert abs(u.phi - phi) < 1e-5
             assert res.value == pytest.approx(value, rel=1e-10)
 
+    @pytest.mark.parametrize("temp", (0.5, 100.0))
+    def test_measure_path_starts_no_ode_solver(self, temp, monkeypatch):
+        # every curve and stationary covariance the QBM measures read is
+        # algebraic, on the default grid's undetectable phi = pi point too
+        def no_ode(*args, **kwargs):
+            pytest.fail("an ODE solver ran on the QBM measure path")
+        monkeypatch.setattr(G, "solve_ivp", no_ode)
+        for kind in M.MEASURE_KINDS:
+            _, res = M.optimize_disk(QbmParams(temp), kind, refine=False)
+            assert res.metadata["grid_failures"] >= 1
+
     def test_failures_recorded_not_fatal(self):
         u, res = M.optimize_disk(QbmParams(1.0), "purification",
                                  r_grid=(1.0,), phi_points=8, refine=False)
