@@ -50,9 +50,11 @@ HEISENBERG_SLACK = 1e-9
 # 2..140 for T in [0.01, 1000] and reaches ~1e3 at T = 1e5
 _RADON_COND_MAX = 1e8
 # an accepted stationary covariance's closed loop must relax at least this
-# fast; a Hamiltonian eigenvalue this close to the imaginary axis means no
-# stabilising solution exists
-_ATTRACTING_TOL = 1e-6
+# fast, relative to the Hamiltonian's largest entry; a Hamiltonian eigenvalue
+# this close to the imaginary axis means no stabilising solution exists.
+# Just off pure momentum homodyne at T >= 100 the solve lost up to 9e-6 of
+# det V where the gap was below 6e-6 of that scale
+_ATTRACTING_TOL = 1e-5
 # Newton on (V, eta) in stationary_efficiency: iteration cap and the relative
 # step below which it has converged (the step after it would be ~1e-24)
 _NEWTON_MAX_ITER = 30
@@ -249,6 +251,11 @@ def _hamiltonian(gen, etas=None):
     return h
 
 
+def _attracting_floor(h):
+    """Slowest closed-loop relaxation accepted for Hamiltonian(s) h."""
+    return _ATTRACTING_TOL * np.abs(h).max(axis=(-1, -2))
+
+
 def _riccati_stationary_algebraic(gen, etas=None):
     """Stationary covariances at each efficiency of etas (default: gen's own)
     as an (n, 2, 2) stack, through the unstable invariant subspace of each
@@ -292,7 +299,7 @@ def _riccati_stationary_algebraic(gen, etas=None):
     check(resid > 1e-8 * scale, lambda i: f"stationary residual {resid[i]:.3e}")
     # reject pseudo-solutions at undetectable points (e.g. pure-momentum
     # homodyne): the filter must actually relax towards the fixed point
-    check(np.linalg.eigvals(atil - v @ rtil).real.max(axis=-1) > -_ATTRACTING_TOL,
+    check(np.linalg.eigvals(atil - v @ rtil).real.max(axis=-1) > -_attracting_floor(h),
           lambda i: "stationary covariance is not attracting")
     return v
 
@@ -304,17 +311,18 @@ def riccati_steady(gen):
     the 4x4 Hamiltonian matrix (exact, fast, valid at the stiff
     high-temperature corner), as a stack of one.  If it fails,
     ConvergenceError carries the failing efficiency and the smallest |Re|
-    of the Hamiltonian spectrum; a gap within _ATTRACTING_TOL of the
-    imaginary axis means no stabilising solution exists (undetectable
-    points such as pure momentum homodyne).  At eta = 0 this is the
+    of the Hamiltonian spectrum; a gap within _ATTRACTING_TOL times the
+    Hamiltonian's largest entry means no stabilising solution exists
+    (undetectable points such as pure momentum homodyne).  At eta = 0 this is the
     unconditional (Lyapunov) fixed point when the drift is stable.
     """
     try:
         v = _riccati_stationary_algebraic(gen)[0]
     except ConvergenceError as exc:
-        gap = float(np.abs(np.linalg.eigvals(_hamiltonian(gen)).real).min())
+        h = _hamiltonian(gen)
+        gap = float(np.abs(np.linalg.eigvals(h).real).min())
         why = (", so no stabilising solution exists (undetectable point)"
-               if gap <= _ATTRACTING_TOL else "")
+               if gap <= _attracting_floor(h) else "")
         raise ConvergenceError(
             f"{exc}; the Hamiltonian's eigenvalue nearest the imaginary axis has "
             f"|Re| = {gap:.1e}{why}") from exc
@@ -369,7 +377,7 @@ def stationary_efficiency(gen, det_target, v_start, eta_start, eta_range):
         raise ConvergenceError("Newton root covariance is not positive")
     if np.abs(res).max() > 1e-10 * max(1.0, np.abs(v).max()):
         raise ConvergenceError(f"Newton root residual {np.abs(res).max():.3e}")
-    if np.linalg.eigvals(k).real.max() > -_ATTRACTING_TOL:
+    if np.linalg.eigvals(k).real.max() > -_attracting_floor(_hamiltonian(gen, [eta])[0]):
         raise ConvergenceError("Newton root covariance is not attracting")
     return float(eta), v
 

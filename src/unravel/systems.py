@@ -46,13 +46,6 @@ def build_tla(params):
     return LindbladModel(h, [math.sqrt(params.gamma) * SIGMA_MINUS])
 
 
-def tla_steady_bloch(params):
-    """Closed-form stationary Bloch vector of the resonance-fluorescence equation."""
-    omega, gamma = params.rabi, params.gamma
-    denom = 2.0 * omega ** 2 + gamma ** 2
-    return 0.0, 2.0 * omega * gamma / denom, -gamma ** 2 / denom
-
-
 def qbm_coupling_operator(params, workspace):
     """c = sqrt(2T) q + i p / sqrt(8T) on the truncated Fock space."""
     return params.alpha * workspace.position + 1j * params.beta * workspace.momentum
@@ -128,19 +121,6 @@ def gaussian_density_matrix(workspace, cov, means=(0.0, 0.0), tail_tol=1e-6):
     return DensityMatrix(rho)
 
 
-def fock_covariance(workspace, rho):
-    """(V_q, V_p, C_qp, <q>, <p>) of a Fock-space state; oracle-side moments."""
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    q, p = workspace.position, workspace.momentum
-    mean_q = float(np.real(np.einsum("ij,ji->", q, m)))
-    mean_p = float(np.real(np.einsum("ij,ji->", p, m)))
-    qq = float(np.real(np.einsum("ij,ji->", q @ q, m)))
-    pp = float(np.real(np.einsum("ij,ji->", p @ p, m)))
-    qp_sym = 0.5 * (q @ p + p @ q)
-    qp = float(np.real(np.einsum("ij,ji->", qp_sym, m)))
-    return (qq - mean_q ** 2, pp - mean_p ** 2, qp - mean_q * mean_p, mean_q, mean_p)
-
-
 def measured_quadrature(params, u):
     """Coefficients (c_q, c_p) of the homodyne observable x = c_q q + c_p p.
 
@@ -164,10 +144,8 @@ __all__ = [
     "QbmParams",
     "TLA_SCHEMES",
     "build_tla",
-    "tla_steady_bloch",
     "build_qbm_oracle",
     "qbm_coupling_operator",
     "gaussian_density_matrix",
-    "fock_covariance",
     "measured_quadrature",
 ]

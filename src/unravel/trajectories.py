@@ -6,14 +6,16 @@ whose per-trajectory noise streams are derived from (master seed,
 trajectory index) with a counter-based bit generator, so results depend
 on chunking or thread count only through rounding.
 
-One driver, `_drive`, steps every run and hands sampled states to a sink
-(purity collector, mean-state sum, final states, or one trajectory's
-states and clicks).  A chunk of trajectories keeps one noise stream per
-trajectory and draws it a block of steps at a time (`_noise_blocks`), so
-its noise memory is bounded by _NOISE_BLOCK_BYTES whatever the horizon;
-the block size changes no number, since a stream drawn in pieces gives
-the numbers of one whole draw.  The driver runs one of four kernels,
-Kraus-form steppers after Rouchon & Ralph, PRA 91, 012118 (2015):
+One driver, `_drive`, steps every diffusive run and the counting runs
+that keep per-step detail (single trajectories, final states), and hands
+sampled states to a sink (purity collector, mean-state sum, final states,
+or one trajectory's states and clicks).  A chunk of trajectories keeps one
+noise stream per trajectory and draws it a block of steps at a time
+(`_noise_blocks`), so its noise memory is bounded by _NOISE_BLOCK_BYTES
+whatever the horizon; the block size changes no number, since a stream
+drawn in pieces gives the numbers of one whole draw.  The driver runs one
+of four kernels, Kraus-form steppers after Rouchon & Ralph, PRA 91, 012118
+(2015):
 
 * `_KrausDiffusiveKernel`: diffusive schemes at small dimension (the
   two-level atom), the one-step Kraus map expanded over precomputed
@@ -28,9 +30,17 @@ Kraus-form steppers after Rouchon & Ralph, PRA 91, 012118 (2015):
   by a common measurement record (the conditional map is a pure Kraus map
   at eta = 1, so the bundle stays rank-one per component).
 
+Purity curves and mean states of direct detection and AID, and so the
+efficiency threshold's long-run purities, go through `_EventJumpSampler`
+instead: the same no-click propagator, but one uniform per click rather
+than per step, with the waiting time to each click drawn from the no-click
+survival S(m) = Tr[y P^m], which is the stepped kernel's law exactly.  It
+hands its states to the same sinks.
+
 `_select_kernel` alone chooses among them, from the scheme, the
-dimension, eta and what the run records.  The first two also step stacks
-of efficiencies on shared noise (`run_purity_averages`).
+dimension, eta and what the run records.  The Kraus kernel, the jump
+kernel and the sampler also run stacks of efficiencies on shared noise
+(`run_purity_averages`).
 """
 
 import math
@@ -489,6 +499,166 @@ class _SuperopJumpKernel:
     to_matrices = _packed_to_matrices
 
 
+# each trajectory's click uniforms are drawn this many at a time
+_CLICK_DRAW = 32
+# tolerance on the no-click survival's step-to-step rise, relative to S(0) = 1
+_SURVIVAL_RISE_TOL = 1e-12
+
+
+def _click_uniforms(seed, start, stop):
+    """draw(traj, k): the k-th click uniform of each trajectory start + traj.
+
+    A trajectory's uniforms are the numbers of its own stream in order,
+    drawn _CLICK_DRAW at a time, so they do not depend on chunking."""
+    rngs = [trajectory_rng(seed, i) for i in range(start, stop)]
+    drawn = np.empty((len(rngs), 0))
+
+    def draw(traj, k):
+        nonlocal drawn
+        while k.max() >= drawn.shape[1]:
+            drawn = np.hstack([drawn, np.stack([rng.random(_CLICK_DRAW) for rng in rngs])])
+        return drawn[traj, k]
+
+    return draw
+
+
+class _EventJumpSampler(_SuperopJumpKernel):
+    """Event-driven direct detection and AID: one uniform per click, not per step.
+
+    Between clicks a state follows the stepped kernel's no-click map P, so
+    from a normalized state y no click comes in the next m steps with
+    probability S(m) = Tr[y P^m], and the stepped kernel's next click step
+    has the law of the smallest m with S(m) < r for one uniform r: the
+    waiting-time form of the quantum-jump method (Dalibard, Castin & Molmer,
+    PRL 68, 580 (1992)).  Per table, one per (LO sign, eta) with index
+    sign * E + eta, `prepare` keeps the trace rows t_m = P^m tr for m up to
+    the horizon (S(m) = y . t_m, found by binary search) and the powers
+    P^0 .. P^hop that carry a state from a click or sample point to the
+    next.  An AID click flips the row's sign, so its table.  The k-th click
+    of a trajectory, in each of its eta rows, takes the k-th uniform of the
+    trajectory's own stream, so the rows share common random numbers.
+    """
+
+    _shape = None       # (n_steps, hop) of the tables built last
+
+    def prepare(self, n_steps, hop):
+        """Build the trace rows up to n_steps and the powers up to hop."""
+        if self._shape == (n_steps, hop):
+            return
+        p = np.concatenate(self.props)                 # (tables, n, n)
+        n = p.shape[-1]
+        traces = np.empty((len(p), n_steps + 1, n))
+        traces[:, 0] = self.tr_vec
+        done, power = 1, p
+        while done <= n_steps:
+            # t_{done + m} = P^done t_m, doubling the rows known
+            take = min(done, n_steps + 1 - done)
+            traces[:, done:done + take] = traces[:, :take] @ np.swapaxes(power, 1, 2)
+            done += take
+            power = power @ power
+        self._check_survival_falls(traces)
+        powers = np.empty((len(p), hop + 1, n, n))
+        powers[:, 0] = np.eye(n)
+        for m in range(hop):
+            powers[:, m + 1] = powers[:, m] @ p
+        self.traces = traces.reshape(-1, n)
+        self.powers = powers
+        self._shape = (n_steps, hop)
+
+    def _check_survival_falls(self, traces):
+        """S(m) - S(m + 1) = Tr[y D_m] must be non-negative for every state
+        y, that is each D_m, read off t_m - t_{m+1}, positive semi-definite."""
+        d = self.dim
+        steps = traces[:, :-1] - traces[:, 1:]
+        if not steps.size:
+            return
+        ops = np.swapaxes((steps[..., 0::2] - 1j * steps[..., 1::2])
+                          .reshape(*steps.shape[:2], d, d), -1, -2)
+        low = np.linalg.eigvalsh(0.5 * (ops + np.conj(np.swapaxes(ops, -1, -2)))).min(axis=-1)
+        if low.min() < -_SURVIVAL_RISE_TOL:
+            table, m = np.unravel_index(np.argmin(low), low.shape)
+            raise InvariantViolationError(
+                f"no-click survival rises by up to {-low.min():.3e} from step {m} to "
+                f"{m + 1} (table {table}): the no-click map is not trace-decreasing")
+
+    def _normalized(self, y, what):
+        tr = y @ self.tr_vec
+        if not np.all(tr > 0.0):
+            bad = int(np.argmin(np.where(tr > 0.0, np.inf, -1.0)))
+            raise InvariantViolationError(f"{what} trace {tr[bad]:.3e} is not positive")
+        return y / tr[:, None]
+
+    def _wait(self, y, table, held, n_steps, r):
+        """Click step of each row held at step `held`: held + the smallest m
+        with S(m) < r, or n_steps + 1 if none comes by the horizon."""
+        base = table * (n_steps + 1)
+        room = n_steps - held
+        # binary lifting to the largest m <= room with S(m) >= r (S(0) = 1)
+        m = np.zeros(len(y), dtype=int)
+        for half in 2 ** np.arange(n_steps.bit_length())[::-1]:
+            probe = np.minimum(m + half, room)
+            m = np.where(np.einsum("ij,ij->i", self.traces[base + probe], y) >= r, probe, m)
+        return held + m + 1
+
+    def _carry(self, y, table, gap):
+        """Unnormalized rows y P^gap, row by row."""
+        return (y[:, None, :] @ self.powers[table, gap])[:, 0]
+
+    def _click(self, y, table, gap):
+        """Post-click states of rows y clicking `gap` steps after being held,
+        and their tables after the click."""
+        n_eta = len(self.props[0])
+        sign = table // n_eta
+        z = (self._carry(y, table, gap)[:, None, :] @ np.stack(self.jump_supers)[sign])[:, 0]
+        return self._normalized(z, "post-click"), (table + n_eta) % (len(self.props) * n_eta)
+
+    def _advance(self, y, table, held, last, step):
+        """Rows y, held since step `held` (at or after the grid point `last`)
+        and clicking no more before `step`, carried to `step` and normalized."""
+        n_eta, n = len(self.props[0]), y.shape[1]
+        # rows held since `last`: one GEMM per table over each efficiency's
+        # rows, shaped as in a run at that efficiency alone, and each row
+        # keeps the product with its own sign's table
+        out = y.reshape(n_eta, -1, n) @ self.powers[:, step - last].reshape(-1, n_eta, n, n)
+        out = out.reshape(len(self.props), -1, n)[table // n_eta, np.arange(len(y))]
+        moved = np.flatnonzero(held != last)
+        out[moved] = self._carry(y[moved], table[moved], step - held[moved])
+        return self._normalized(out, "no-click")
+
+    def run(self, y, grid, sample_pos, sink, draw):
+        """Drive rows y to grid[-1] steps and hand them to sink(j, y) after
+        every step of sample_pos, whose steps lie on `grid` (the sample grid),
+        as _drive does.  Row e * b + i is trajectory i at the e-th efficiency
+        and takes its uniforms from draw(i, k)."""
+        n_steps = int(grid[-1])
+        self.prepare(n_steps, int(np.diff(grid).max(initial=0)))
+        n_eta = len(self.props[0])
+        b = len(y) // n_eta
+        traj = np.arange(len(y)) % b
+        table = np.repeat(np.arange(n_eta), b)
+        clicks = np.zeros(len(y), dtype=int)
+        held = np.zeros(len(y), dtype=int)       # step at which each row's y holds
+        due = self._wait(y, table, held, n_steps, draw(traj, clicks))
+        if 0 in sample_pos:
+            sink(sample_pos[0], y)
+        last = 0
+        for step in grid[1:]:
+            while True:
+                hit = np.flatnonzero(due <= step)
+                if not hit.size:
+                    break
+                y[hit], table[hit] = self._click(y[hit], table[hit], due[hit] - held[hit])
+                held[hit] = due[hit]
+                clicks[hit] += 1
+                due[hit] = self._wait(y[hit], table[hit], held[hit], n_steps,
+                                      draw(traj[hit], clicks[hit]))
+            y = self._advance(y, table, held, last, step)
+            held[:] = step
+            last = step
+            if step in sample_pos:
+                sink(sample_pos[step], y)
+
+
 # eigenvalues of rho0 below this fraction of the largest are dropped from
 # the purified bundle
 _PURIFIED_WEIGHT_CUT = 1e-7
@@ -562,15 +732,20 @@ _SUPEROP_DIM_LIMIT = 8
 
 
 def _select_kernel(model, spec, rho0, dt, statistic, etas=None):
-    """The stepping kernel for one run; no other code chooses a kernel.
+    """The stepping kernel or sampler for one run; no other code chooses one.
 
-    Counting schemes step through the jump kernel.  Diffusive schemes use
+    Counting schemes run event-driven for purities and mean states
+    ("purity", "mean_state") and step through the jump kernel for final
+    states and single trajectories.  Diffusive schemes use
     the Kraus superoperators up to dimension _SUPEROP_DIM_LIMIT.  Above it,
     eta = 1 runs that need only purities or final states ("purity",
     "final_states") use the purified bundle, and the rest ("mean_state",
-    "trajectory") the matrix kernel.  Only the first two step `etas` stacks.
+    "trajectory") the matrix kernel.  Only the matrix kernel and the purified
+    bundle take no `etas` stack.
     """
     if not spec.is_diffusive:
+        if statistic in ("purity", "mean_state"):
+            return _EventJumpSampler(model, spec, dt, etas)
         return _SuperopJumpKernel(model, spec, dt, etas)
     if model.dim <= _SUPEROP_DIM_LIMIT:
         return _KrausDiffusiveKernel(model, spec, dt, etas)
@@ -752,15 +927,20 @@ def _run_chunks(kernel, spec, rho0_m, config, n_traj, sample_pos, sink, n_eta=1)
     sink(rows, j, y) receives every sampled state of the chunk holding
     trajectories `rows` (a slice); a trajectory takes one row per efficiency.
     """
-    n_steps, dt, _ = config.grid()
+    n_steps, dt, grid = config.grid()
     rows = _MAX_DM_CHUNK if rho0_m.shape[0] > _SUPEROP_DIM_LIMIT else _MAX_SUPEROP_CHUNK
     for start, stop in _iter_chunks(n_traj, max(1, rows // n_eta)):
         mats = np.broadcast_to(rho0_m, (n_eta * (stop - start), *rho0_m.shape))
+        chunk_sink = partial(sink, slice(start, stop))
         # the start state is passed inline so that no name here keeps it
         # alive through the steps
-        _drive(kernel, kernel.initial(mats),
-               _noise_blocks(spec, n_steps, dt, config.seed, start, stop),
-               sample_pos, partial(sink, slice(start, stop)))
+        if isinstance(kernel, _EventJumpSampler):
+            kernel.run(kernel.initial(mats), grid, sample_pos, chunk_sink,
+                       _click_uniforms(config.seed, start, stop))
+        else:
+            _drive(kernel, kernel.initial(mats),
+                   _noise_blocks(spec, n_steps, dt, config.seed, start, stop),
+                   sample_pos, chunk_sink)
 
 
 class _PurityCollector:
@@ -809,7 +989,9 @@ def run_ensemble(model, spec, rho0, config, n_traj, statistic="purity"):
     state (whose contract is to match unconditional propagation).  Per-
     trajectory noise streams depend only on (config.seed, trajectory
     index), so the result depends on chunking and thread count only
-    through rounding (chunked sums, batch-shaped GEMMs).
+    through rounding (chunked sums, batch-shaped GEMMs).  Direct detection
+    and AID run event-driven (`_EventJumpSampler`): one uniform per click,
+    drawn from the trajectory's stream, in place of one per step.
     """
     if statistic not in ("purity", "mean_state"):
         raise ValueError(f"unknown statistic {statistic!r}")
@@ -841,7 +1023,10 @@ def run_purity_averages(model, spec, rho0, config, n_traj, etas):
     """Each trajectory's mean purity over the final quarter of its samples at
     every efficiency in `etas`, (E, n_traj), from one pass over each
     trajectory's one noise draw (common random numbers).  Each row equals,
-    bit for bit, the row of a run at that efficiency alone."""
+    bit for bit, the row of a run at that efficiency alone.  Direct
+    detection and AID run event-driven (`_EventJumpSampler`): a
+    trajectory's k-th click at every efficiency takes the k-th uniform of
+    its stream."""
     if n_traj < 2:
         raise ValueError("n_traj must be at least 2")
     _, dt, sample_idx = config.grid()

@@ -18,6 +18,26 @@ from unravel.gaussian import CovarianceState
 from unravel.hilbert import DensityMatrix
 
 
+def tla_steady_bloch(params):
+    """Closed-form stationary Bloch vector of the resonance-fluorescence equation."""
+    omega, gamma = params.rabi, params.gamma
+    denom = 2.0 * omega ** 2 + gamma ** 2
+    return 0.0, 2.0 * omega * gamma / denom, -gamma ** 2 / denom
+
+
+def fock_covariance(workspace, rho):
+    """(V_q, V_p, C_qp, <q>, <p>) of a Fock-space state."""
+    m = _matrix(rho)
+    q, p = workspace.position, workspace.momentum
+    mean_q = float(np.real(np.einsum("ij,ji->", q, m)))
+    mean_p = float(np.real(np.einsum("ij,ji->", p, m)))
+    qq = float(np.real(np.einsum("ij,ji->", q @ q, m)))
+    pp = float(np.real(np.einsum("ij,ji->", p @ p, m)))
+    qp_sym = 0.5 * (q @ p + p @ q)
+    qp = float(np.real(np.einsum("ij,ji->", qp_sym, m)))
+    return (qq - mean_q ** 2, pp - mean_p ** 2, qp - mean_q * mean_p, mean_q, mean_p)
+
+
 def _matrix(v):
     return v.matrix if isinstance(v, (CovarianceState, DensityMatrix)) else np.asarray(v)
 

@@ -204,6 +204,14 @@ class TestRiccatiSteady:
         with pytest.raises(ConvergenceError, match="undetectable"):
             riccati_steady(gen)
 
+    def test_near_axis_pseudo_solution_is_undetectable(self):
+        # at T = 1e4 the closed loop a hair off phi = pi relaxes at 1.8e-6,
+        # above an absolute 1e-6 but far inside the Hamiltonian's scale; the
+        # solve there came out with det V = 0.2499982 < 1/4
+        gen = qbm_generators(QbmParams(1e4), DiskPoint(1.0, math.pi - 1e-6), 1.0)
+        with pytest.raises(ConvergenceError, match="undetectable"):
+            riccati_steady(gen)
+
     @pytest.mark.parametrize("temp", (0.01, 0.5, 100.0))
     def test_stacked_solve_equals_scalar_bitwise(self, temp):
         # the efficiency-threshold probes come from one stacked solve; each

@@ -264,7 +264,6 @@ class TestSyntheticBisection:
                                        M.McOptions())
 
 
-@pytest.mark.slow
 class TestThresholdCoverage:
     def test_direct_detection_covers_the_renewal_threshold(self):
         # exact at Omega = 5: every click resets the atom to |g>; seeds fixed

@@ -19,13 +19,11 @@ from unravel.systems import (
     TlaParams,
     build_qbm_oracle,
     build_tla,
-    fock_covariance,
     gaussian_density_matrix,
     measured_quadrature,
-    tla_steady_bloch,
 )
 
-from oracles import bloch, gaussian_overlap
+from oracles import bloch, fock_covariance, gaussian_overlap, tla_steady_bloch
 
 
 class TestTla:

@@ -6,13 +6,14 @@ import pytest
 from scipy import stats
 
 from unravel import trajectories as T
-from unravel.errors import InvariantViolationError, StepSizeError
+from unravel.errors import InvariantViolationError, SimulationError, StepSizeError
 from unravel.gaussian import CovarianceState, DiskPoint, QbmParams
 from unravel.hilbert import (
     DensityMatrix,
     lindblad_rhs,
     propagate,
     purity,
+    steady_state,
     trace_distance,
 )
 from unravel.systems import TlaParams, build_qbm_oracle, build_tla, gaussian_density_matrix
@@ -278,15 +279,16 @@ class TestEfficiencyStack:
         model = build_tla(tla(5.0))
         cfg = T.TrajectoryConfig(4e-3, 3.0, seed=21, sample_stride=20)
         mixed = []
-        step = T._SuperopJumpKernel.step
+        advance = T._EventJumpSampler._advance
 
-        def recording(kernel, y, u_row, signs):
-            out = step(kernel, y, u_row, signs)
-            blocks = signs.reshape(len(kernel.props[0]), -1)
-            mixed.append(bool(((blocks < 0).any(axis=1) & (blocks > 0).any(axis=1)).all()))
-            return out
+        def recording(sampler, y, table, *args):
+            # a row's table is sign * E + eta; rows are eta-major
+            n_eta = len(sampler.props[0])
+            minus = (table // n_eta).reshape(n_eta, -1) == 1
+            mixed.append(bool((minus.any(axis=1) & (~minus).any(axis=1)).all()))
+            return advance(sampler, y, table, *args)
 
-        monkeypatch.setattr(T._SuperopJumpKernel, "step", recording)
+        monkeypatch.setattr(T._EventJumpSampler, "_advance", recording)
         for spec in (T.direct(), T.aid(), T.heterodyne()):
             mixed.clear()
             stacked = T.run_purity_averages(model, spec, EXCITED, cfg, 48, self.ETAS)
@@ -338,6 +340,108 @@ class TestEfficiencyStack:
         rho0 = np.diag([1.0] + [0.0] * 11)
         with pytest.raises(ValueError):
             T._select_kernel(model, T.heterodyne(), rho0, 1e-3, "purity", (0.5, 1.0))
+
+
+class TestEventSampler:
+    """The event-driven counting sampler against the stepped jump kernel."""
+
+    RHO = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
+
+    @pytest.mark.parametrize("kind", ["direct", "aid"])
+    def test_survival_is_the_product_of_stepped_traces(self, kind):
+        # S(m) = y . t_m against the product of the stepped kernel's
+        # per-step no-click traces, for every table: (sign, eta) for
+        # eta in {0.25, 1}, both LO signs for AID
+        model = build_tla(tla(5.0))
+        etas, n_steps = (0.25, 1.0), 1000
+        sampler = T._EventJumpSampler(model, T.named_scheme(kind), 4e-3, etas)
+        sampler.prepare(n_steps, 1)
+        n = sampler.tr_vec.size
+        traces = sampler.traces.reshape(-1, n_steps + 1, n)
+        y0 = sampler.initial(self.RHO[None, :, :])[0]
+        for sign in range(len(sampler.props)):
+            y = sampler.initial(np.broadcast_to(self.RHO, (len(etas), 2, 2)))
+            signs = np.full(len(etas), -1.0 if sign else 1.0)
+            survival = np.ones((n_steps + 1, len(etas)))
+            for m in range(1, n_steps + 1):
+                no_click = np.stack([y[e] @ sampler.props[sign][e] for e in range(len(etas))])
+                survival[m] = survival[m - 1] * (no_click @ sampler.tr_vec)
+                # u = 1 never clicks, so the signs stay put
+                y, jumped = sampler.step(y, np.ones((1, 1)), signs)
+                assert not jumped.any()
+            assert survival[-1].min() < 0.5
+            for e in range(len(etas)):
+                event = traces[sign * len(etas) + e] @ y0
+                np.testing.assert_allclose(event, survival[:, e], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind, eta, lo_sign",
+                             [("direct", 0.25, 1.0), ("direct", 1.0, 1.0),
+                              ("aid", 1.0, 1.0), ("aid", 0.25, -1.0)])
+    def test_forced_click_is_the_post_click_state_of_step_jump(self, kind, eta, lo_sign):
+        model = build_tla(tla(5.0))
+        spec, dt = T.named_scheme(kind, eta), 4e-3
+        ref, jumped = T.step_jump(model, spec, DensityMatrix(self.RHO), 0.0, dt, lo_sign)
+        assert jumped
+        sampler = T._EventJumpSampler(model, spec, dt)
+        sampler.prepare(1, 1)
+        table = np.array([0 if lo_sign > 0 else 1])
+        y, after = sampler._click(sampler.initial(self.RHO[None, :, :]), table, np.array([1]))
+        assert np.abs(sampler.to_matrices(y)[0] - ref.matrix).max() < 1e-12
+        assert after[0] == (1 - table[0] if kind == "aid" else 0)
+
+    def test_click_without_emission_raises(self):
+        # an undriven atom in its ground state has nothing to emit
+        model = build_tla(TlaParams(rabi=0.0, gamma=1.0))
+        sampler = T._EventJumpSampler(model, T.direct(), 1e-3)
+        sampler.prepare(1, 1)
+        with pytest.raises(SimulationError, match="post-click trace"):
+            sampler._click(sampler.initial(GROUND.matrix[None, :, :]), np.array([0]),
+                           np.array([1]))
+
+    def test_rising_survival_raises(self):
+        # a no-click map that gains trace makes S(m) rise: no waiting-time law
+        model = build_tla(tla(5.0))
+        sampler = T._EventJumpSampler(model, T.aid(), 4e-3)
+        sampler.props = [1.01 * p for p in sampler.props]
+        with pytest.raises(SimulationError, match="survival rises"):
+            sampler.prepare(100, 1)
+
+    def test_counting_ensembles_use_the_sampler(self):
+        model = build_tla(tla())
+        for statistic in ("purity", "mean_state"):
+            assert isinstance(T._select_kernel(model, T.aid(), EXCITED.matrix, 1e-3, statistic),
+                              T._EventJumpSampler)
+        kernel = T._select_kernel(model, T.aid(), EXCITED.matrix, 1e-3, "final_states")
+        assert not isinstance(kernel, T._EventJumpSampler)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("kind", ["direct", "aid"])
+    def test_agrees_with_the_stepped_kernel(self, kind, monkeypatch):
+        # independent seeds, n = 20,000: long-run purities at four
+        # efficiencies (the threshold setting) and a purity curve
+        params = TlaParams(5.0, 1.0)
+        model = build_tla(params)
+        rho_ss = steady_state(model).matrix
+        spec, n = T.named_scheme(kind), 20_000
+        long_cfg = lambda seed: T.TrajectoryConfig(4e-3, 20.0, seed=seed, sample_stride=20)
+        curve_cfg = lambda seed: T.TrajectoryConfig(4e-3, 4.0, seed=seed, sample_stride=100)
+        etas = (0.25, 0.5, 0.75, 1.0)
+
+        def summary(seed):
+            averages = T.run_purity_averages(model, spec, rho_ss, long_cfg(seed), n, etas)
+            curve = T.run_ensemble(model, spec, rho_ss, curve_cfg(seed), n)
+            return (np.concatenate([averages.mean(axis=1), curve.mean[1:]]),
+                    np.concatenate([averages.std(axis=1, ddof=1) / math.sqrt(n),
+                                    curve.stderr[1:]]))
+
+        event, event_err = summary(31)
+        # the same runs through the stepped jump kernel
+        monkeypatch.setattr(T, "_select_kernel",
+                            lambda model, spec, rho0, dt, statistic, etas=None:
+                            T._SuperopJumpKernel(model, spec, dt, etas))
+        stepped, stepped_err = summary(32)
+        z = (event - stepped) / np.hypot(event_err, stepped_err)
+        assert np.abs(z).max() < 3.0, z
 
 
 class TestNoiseStream:
