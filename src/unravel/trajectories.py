@@ -18,9 +18,9 @@ of four kernels, Kraus-form steppers after Rouchon & Ralph, PRA 91, 012118
 (2015):
 
 * `_KrausDiffusiveKernel`: diffusive schemes at small dimension (the
-  two-level atom), the one-step Kraus map expanded over precomputed
-  real-packed superoperators, with the deterministic part applied through
-  an exact propagator so strong driving does not force tiny steps;
+  two-level atom), the one-step Kraus map expanded over precomputed real
+  superoperators, with the deterministic part applied through an exact
+  propagator so strong driving does not force tiny steps;
 * `_SuperopJumpKernel`: direct detection and AID, with an exact no-click
   propagator and the local-oscillator sign as per-trajectory state;
 * `_MatrixDiffusiveKernel`: diffusive schemes on raw matrices at large
@@ -35,7 +35,16 @@ efficiency threshold's long-run purities, go through `_EventJumpSampler`
 instead: the same no-click propagator, but one uniform per click rather
 than per step, with the waiting time to each click drawn from the no-click
 survival S(m) = Tr[y P^m], which is the stepped kernel's law exactly.  It
-hands its states to the same sinks.
+moves a state only at its clicks, at the steps a sink reads and at the
+horizon, and hands its states to the same sinks.
+
+Up to dimension 8 these kernels and the sampler hold each state as its d^2
+real coordinates in an orthonormal Hermitian basis (`_coords`), so every
+superoperator is a real d^2 x d^2 matrix (4 x 4 for the atom) and states
+come back exactly Hermitian.  The stepping kernels store a batch
+column-major, (b, d^2) with y.T contiguous, so each GEMM and each
+per-trajectory scaling runs along the contiguous batch axis, and the noise
+blocks are laid out step-major to match.
 
 `_select_kernel` alone chooses among them, from the scheme, the
 dimension, eta and what the run records.  The Kraus kernel, the jump
@@ -221,33 +230,52 @@ def _noise_plan(spec, n_steps, rng):
     return rng.standard_normal(shape) if spec.is_diffusive else rng.random(shape)
 
 
-def _rv(mat):
-    return np.asarray(mat).reshape(-1)
+def _coords(mats):
+    """Real coordinates (..., d^2) of Hermitian matrices (..., d, d) in the
+    orthonormal Hermitian basis: the diagonal entries, then sqrt(2) Re and
+    then sqrt(2) Im of the entries above it (row by row).
 
-
-def _pack_right(m):
-    """Real embedding of right-multiplication by m^T on packed rows.
-
-    For complex rows y stored interleaved as float64, y_packed @ out equals
-    the packed form of y @ m.T.  The small complex GEMMs this replaces are
-    an order of magnitude slower than dgemm on skinny shapes.
+    The basis is orthonormal under Tr[A B], so Tr[rho sigma] = x . y, and a
+    Hermiticity-preserving superoperator acts as a real d^2 x d^2 matrix.
     """
-    mt = m.T
-    n = mt.shape[0]
-    out = np.zeros((2 * n, 2 * n))
-    out[0::2, 0::2] = mt.real
-    out[0::2, 1::2] = mt.imag
-    out[1::2, 0::2] = -mt.imag
-    out[1::2, 1::2] = mt.real
+    d = mats.shape[-1]
+    iu, ju = np.triu_indices(d, 1)
+    upper = math.sqrt(2.0) * mats[..., iu, ju]
+    return np.concatenate([np.real(np.diagonal(mats, axis1=-2, axis2=-1)),
+                           np.real(upper), np.imag(upper)], axis=-1)
+
+
+def _from_coords(x, d):
+    """Hermitian (..., d, d) matrices of coordinates x, exactly Hermitian."""
+    iu, ju = np.triu_indices(d, 1)
+    half = len(iu)
+    out = np.empty(x.shape[:-1] + (d, d), dtype=complex)
+    diag = np.arange(d)
+    out[..., diag, diag] = x[..., :d]
+    upper = (x[..., d:d + half] + 1j * x[..., d + half:]) / math.sqrt(2.0)
+    out[..., iu, ju] = upper
+    out[..., ju, iu] = np.conj(upper)
     return out
 
 
-def _pack_real_functional(w):
-    """Packed real vector p with (y_packed @ p) = Re(y_complex @ w)."""
-    n = w.shape[0]
-    out = np.zeros(2 * n)
-    out[0::2] = w.real
-    out[1::2] = -w.imag
+def _real_superop(s):
+    """The real matrix R of a Hermiticity-preserving superoperator s, given on
+    row-major vec(rho) (vec(X rho Y^dag) = kron(X, conj(Y)) vec(rho)): the
+    coordinates of s(rho) are R @ (the coordinates of rho)."""
+    n = s.shape[0]
+    d = math.isqrt(n)
+    basis = _from_coords(np.eye(n), d).reshape(n, n)
+    return _coords((basis @ s.T).reshape(n, d, d)).T
+
+
+def _apply_blocks(mats, yt):
+    """mats[e] applied to the e-th of E equal column blocks of yt (n, E*b),
+    as one (m, E*b) array.  Each block takes one GEMM shaped as in a run at
+    that efficiency alone, so a stacked block keeps the bits of its run."""
+    n_eta, m, n = mats.shape
+    out = np.empty((m, yt.shape[1]))
+    np.matmul(mats, yt.reshape(n, n_eta, -1).swapaxes(0, 1),
+              out=out.reshape(m, n_eta, -1).swapaxes(0, 1))
     return out
 
 
@@ -273,17 +301,15 @@ def _no_jump_generator(model):
     return k
 
 
-def _packed_initial(kernel, mats):
-    """`initial` of the packed-row kernels: each state as one real row."""
-    flat = np.ascontiguousarray(mats.reshape(mats.shape[0], -1).astype(complex))
-    return flat.view(np.float64)
+def _basis_initial(kernel, mats):
+    """`initial` of the small-dimension kernels: a (b, d^2) batch of
+    coordinates stored column-major, so y.T is a contiguous (d^2, b) array."""
+    return np.ascontiguousarray(_coords(mats).T).T
 
 
-def _packed_to_matrices(kernel, y):
-    """`to_matrices` of the packed-row kernels: Hermitian (b, d, d) states."""
-    d = kernel.dim
-    m = np.ascontiguousarray(y).view(np.complex128).reshape(-1, d, d)
-    return 0.5 * (m + np.conj(np.swapaxes(m, 1, 2)))
+def _basis_to_matrices(kernel, y):
+    """`to_matrices` of the small-dimension kernels: (b, d, d) states."""
+    return _from_coords(y, kernel.dim)
 
 
 class _KrausDiffusiveKernel:
@@ -294,15 +320,17 @@ class _KrausDiffusiveKernel:
     u_k = sqrt(eta) dW_k + eta <A_k + A_k^dag> dt.  Weak order 1, exactly
     positivity-preserving, keeps pure states exactly pure at eta = 1, and
     the exact drift exponential keeps strong driving accurate without tiny
-    steps.  It steps E efficiencies `etas` (default (spec.eta,)) at once,
-    in eta-major rows: row e*b + i is trajectory i at etas[e] and reads
-    noise row i.  Only s0 (the (1 - eta) dt leak) depends on eta; it is
-    stacked (E, n, n) for one batched GEMM.
+    steps.  The map expands into fixed real superoperators with
+    per-trajectory coefficients, S0 + sum_k u_k S_k + sum_{k<=l} u_k u_l S_kl,
+    stacked into one (J n, n) matrix for one GEMM against the contiguous
+    (n, b) view of the batch.  It steps E efficiencies `etas` (default
+    (spec.eta,)) at once, in eta-major rows: row e*b + i is trajectory i at
+    etas[e] and reads noise row i.  Only S0 (the (1 - eta) dt leak) depends
+    on eta, so the stack is (E, J n, n), one GEMM per efficiency block.
     """
 
     def __init__(self, model, spec, dt, etas=None):
-        d = model.dim
-        self.dim = d
+        self.dim = model.dim
         self.dt = dt
         etas = (spec.eta,) if etas is None else etas
         self.root_eta = np.sqrt(etas)[:, None]
@@ -311,9 +339,6 @@ class _KrausDiffusiveKernel:
         prop = expm(_no_jump_generator(model) * dt)
         ops = [z * c for z in spec.channel_coefficients()]
         self.n_ch = len(ops)
-        # expand M rho M^dag over row-vectorized states into fixed superops
-        # with per-trajectory scalar coefficients (u_k are real):
-        #   S0 + sum_k u_k S_k + sum_{k<=l} u_k u_l S_kl
         sandwich = lambda x, y: np.kron(x, y.conj())
 
         def leaky(eta):
@@ -322,38 +347,36 @@ class _KrausDiffusiveKernel:
                 s0 = s0 + (1.0 - eta) * dt * sandwich(a, a)
             for op in model.jump_operators[1:]:
                 s0 = s0 + dt * sandwich(op, op)
-            return _pack_right(s0)
+            return _real_superop(s0)
 
-        self.s0 = np.stack([leaky(eta) for eta in etas])
-        self.s_lin = [_pack_right(sandwich(a, prop) + sandwich(prop, a)) for a in ops]
-        self.s_quad = {}
-        for k in range(self.n_ch):
-            for l in range(k, self.n_ch):
-                term = sandwich(ops[k], ops[l])
-                if l != k:
-                    term = term + sandwich(ops[l], ops[k])
-                self.s_quad[(k, l)] = _pack_right(term)
-        self.weights = [_pack_real_functional(_rv((a + dag(a)).T)) for a in ops]
-        self.tr_vec = _pack_real_functional(_rv(np.eye(d)))
+        terms = [sandwich(a, prop) + sandwich(prop, a) for a in ops]
+        self.pairs = [(k, l) for k in range(self.n_ch) for l in range(k, self.n_ch)]
+        for k, l in self.pairs:
+            term = sandwich(ops[k], ops[l])
+            if l != k:
+                term = term + sandwich(ops[l], ops[k])
+            terms.append(term)
+        shared = [_real_superop(t) for t in terms]
+        self.stack = np.stack([np.concatenate([leaky(eta), *shared]) for eta in etas])
+        self.weights = _coords(np.stack([a + dag(a) for a in ops]))
 
-    initial = _packed_initial
+    initial = _basis_initial
 
     def step(self, y, dw_row):
-        rows = y.reshape(len(self.s0), -1, y.shape[1])
-        us = [(self.root_eta * dw_row[:, k] + self.eta_dt * (rows @ self.weights[k])).ravel()
-              for k in range(self.n_ch)]
-        out = (rows @ self.s0).reshape(y.shape)
-        # one reused term buffer: batch-sized temporaries cost page faults
-        term = np.empty_like(y)
-        coefs = us + [us[k] * us[l] for k, l in self.s_quad]
-        for s, c in zip(self.s_lin + list(self.s_quad.values()), coefs):
-            np.matmul(y, s, out=term)
-            term *= c[:, None]
+        n_eta, n = len(self.stack), y.shape[1]
+        yt = y.T
+        means = (self.weights @ yt).reshape(self.n_ch, n_eta, -1)
+        u = (self.root_eta * dw_row.T[:, None, :] + self.eta_dt * means).reshape(self.n_ch, -1)
+        terms = _apply_blocks(self.stack, yt).reshape(-1, n, len(y))
+        out = terms[0]
+        # each coefficient scales a contiguous row of b trajectories
+        for term, coef in zip(terms[1:], [*u, *(u[k] * u[l] for k, l in self.pairs)]):
+            term *= coef
             out += term
-        out /= (out @ self.tr_vec)[:, None]
-        return out
+        out /= out[:self.dim].sum(axis=0)
+        return out.T
 
-    to_matrices = _packed_to_matrices
+    to_matrices = _basis_to_matrices
 
 
 class _MatrixDiffusiveKernel:
@@ -406,24 +429,16 @@ class _MatrixDiffusiveKernel:
         return 0.5 * (rho + np.conj(np.swapaxes(rho, 1, 2)))
 
 
-def _rows_by_block(mask, n_blocks):
-    """(block, indices) of the rows where `mask` holds, per eta block with any:
-    one GEMM per block is shaped as in a run at that eta alone, keeping bits."""
-    idx = np.flatnonzero(mask)
-    bounds = np.searchsorted(idx, np.arange(n_blocks + 1) * (len(mask) // n_blocks))
-    return [(e, idx[lo:hi]) for e, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
-            if hi > lo]
-
-
 class _SuperopJumpKernel:
     """Jump stepper (direct detection and AID) with exact no-jump propagator.
 
     The no-jump propagator is trace-decreasing; the detected-jump
     probability per step is read off the trace decay.  For AID the
     local-oscillator sign is per-trajectory state: both signed variants of
-    every operator are precomputed and selected by mask.  Efficiencies
-    stack in eta-major rows as in _KrausDiffusiveKernel; only the no-click
-    propagators depend on eta, stacked (E, n, n) per sign in `props`.
+    every operator are precomputed, and each column takes its sign's.
+    States and efficiency stacks are laid out as in _KrausDiffusiveKernel;
+    only the no-click propagators depend on eta, stacked (E, n, n) per sign
+    in `props`.  Every map acts on coordinate columns: y.T -> P @ y.T.
     """
 
     def __init__(self, model, spec, dt, etas=None):
@@ -461,22 +476,22 @@ class _SuperopJumpKernel:
                     q += np.kron(op, op.conj()) - 0.5 * (np.kron(oo, ident)
                                                          + np.kron(ident, oo.T))
                 q -= 0.5 * eta * (np.kron(jj, ident) + np.kron(ident, jj.T))
-                return _pack_right(expm(q * dt))
+                return _real_superop(expm(q * dt))
 
             self.props.append(np.stack([no_click(eta) for eta in etas]))
-            self.jump_supers.append(_pack_right(np.kron(j, j.conj())))
-        self.tr_vec = _pack_real_functional(_rv(np.eye(d)))
+            self.jump_supers.append(_real_superop(np.kron(j, j.conj())))
+        self.tr_vec = _coords(ident)
 
-    initial = _packed_initial
+    initial = _basis_initial
 
     def step(self, y, u_row, signs):
         """One step for the batch; mutates `signs` in place, returns (y, jumped)."""
-        n_eta = len(self.props[0])
-        y_prop = (y.reshape(n_eta, -1, y.shape[1]) @ self.props[0]).reshape(y.shape)
+        d, n_eta = self.dim, len(self.props[0])
+        yt = y.T
+        y_prop = _apply_blocks(self.props[0], yt)
         if self.adaptive:
-            for e, idx in _rows_by_block(signs < 0, n_eta):
-                y_prop[idx] = y.take(idx, axis=0) @ self.props[1][e]
-        tr = y_prop @ self.tr_vec
+            y_prop = np.where(signs < 0, _apply_blocks(self.props[1], yt), y_prop)
+        tr = y_prop[:d].sum(axis=0)
         # click probability = trace decay of the no-click propagator; the
         # floor keeps roundoff from ever clicking a state with no emission
         p_jump = 1.0 - tr
@@ -484,19 +499,20 @@ class _SuperopJumpKernel:
         # the click acts on the no-click-evolved state, so a trajectory
         # sitting exactly in the ground state re-excites within the step
         # before it can emit (and the renormalization stays regular)
-        clicked = [(idx, y_prop.take(idx, axis=0)) for _, idx in _rows_by_block(jumped, n_eta)]
-        y_prop /= tr[:, None]
-        for idx, sub in clicked:
-            zsub = sub @ self.jump_supers[0]
+        idx = np.flatnonzero(jumped)
+        clicked = y_prop[:, idx]
+        y_prop /= tr
+        if idx.size:
+            post = self.jump_supers[0] @ clicked
             if self.adaptive:
-                m = signs[idx] < 0
-                if m.any():
-                    zsub[m] = sub[m] @ self.jump_supers[1]
+                minus = signs[idx] < 0
+                if minus.any():
+                    post[:, minus] = self.jump_supers[1] @ clicked[:, minus]
                 signs[idx] = -signs[idx]
-            y_prop[idx] = zsub / (zsub @ self.tr_vec)[:, None]
-        return y_prop, jumped
+            y_prop[:, idx] = post / post[:d].sum(axis=0)
+        return y_prop.T, jumped
 
-    to_matrices = _packed_to_matrices
+    to_matrices = _basis_to_matrices
 
 
 # each trajectory's click uniforms are drawn this many at a time
@@ -530,13 +546,15 @@ class _EventJumpSampler(_SuperopJumpKernel):
     probability S(m) = Tr[y P^m], and the stepped kernel's next click step
     has the law of the smallest m with S(m) < r for one uniform r: the
     waiting-time form of the quantum-jump method (Dalibard, Castin & Molmer,
-    PRL 68, 580 (1992)).  Per table, one per (LO sign, eta) with index
-    sign * E + eta, `prepare` keeps the trace rows t_m = P^m tr for m up to
-    the horizon (S(m) = y . t_m, found by binary search) and the powers
-    P^0 .. P^hop that carry a state from a click or sample point to the
-    next.  An AID click flips the row's sign, so its table.  The k-th click
-    of a trajectory, in each of its eta rows, takes the k-th uniform of the
-    trajectory's own stream, so the rows share common random numbers.
+    PRL 68, 580 (1992)).  The sampler gathers and scatters rows, so it keeps
+    row-major states and the row form y -> y P^T of every map.  Per table,
+    one per (LO sign, eta) with index sign * E + eta, `prepare` keeps the
+    trace rows t_m with S(m) = y . t_m for m up to the horizon (found by
+    binary search) and the powers P^0 .. P^hop that carry a state from a
+    click or checkpoint to the next.  An AID click flips the row's sign, so
+    its table.  The k-th click of a trajectory, in each of its eta rows,
+    takes the k-th uniform of the trajectory's own stream, so the rows share
+    common random numbers.
     """
 
     _shape = None       # (n_steps, hop) of the tables built last
@@ -545,7 +563,7 @@ class _EventJumpSampler(_SuperopJumpKernel):
         """Build the trace rows up to n_steps and the powers up to hop."""
         if self._shape == (n_steps, hop):
             return
-        p = np.concatenate(self.props)                 # (tables, n, n)
+        p = np.swapaxes(np.concatenate(self.props), 1, 2)      # (tables, n, n)
         n = p.shape[-1]
         traces = np.empty((len(p), n_steps + 1, n))
         traces[:, 0] = self.tr_vec
@@ -559,22 +577,26 @@ class _EventJumpSampler(_SuperopJumpKernel):
         self._check_survival_falls(traces)
         powers = np.empty((len(p), hop + 1, n, n))
         powers[:, 0] = np.eye(n)
-        for m in range(hop):
-            powers[:, m + 1] = powers[:, m] @ p
+        powers[:, 1:2] = p[:, None]
+        done = 1
+        while done < hop:
+            # P^{done + m} = P^m P^done, doubling the powers known
+            take = min(done, hop - done)
+            np.matmul(powers[:, 1:take + 1], powers[:, done:done + 1],
+                      out=powers[:, done + 1:done + take + 1])
+            done += take
         self.traces = traces.reshape(-1, n)
         self.powers = powers
+        self.jumps = np.swapaxes(np.stack(self.jump_supers), 1, 2)
         self._shape = (n_steps, hop)
 
     def _check_survival_falls(self, traces):
         """S(m) - S(m + 1) = Tr[y D_m] must be non-negative for every state
         y, that is each D_m, read off t_m - t_{m+1}, positive semi-definite."""
-        d = self.dim
         steps = traces[:, :-1] - traces[:, 1:]
         if not steps.size:
             return
-        ops = np.swapaxes((steps[..., 0::2] - 1j * steps[..., 1::2])
-                          .reshape(*steps.shape[:2], d, d), -1, -2)
-        low = np.linalg.eigvalsh(0.5 * (ops + np.conj(np.swapaxes(ops, -1, -2)))).min(axis=-1)
+        low = np.linalg.eigvalsh(_from_coords(steps, self.dim)).min(axis=-1)
         if low.min() < -_SURVIVAL_RISE_TOL:
             table, m = np.unravel_index(np.argmin(low), low.shape)
             raise InvariantViolationError(
@@ -608,12 +630,11 @@ class _EventJumpSampler(_SuperopJumpKernel):
         """Post-click states of rows y clicking `gap` steps after being held,
         and their tables after the click."""
         n_eta = len(self.props[0])
-        sign = table // n_eta
-        z = (self._carry(y, table, gap)[:, None, :] @ np.stack(self.jump_supers)[sign])[:, 0]
+        z = (self._carry(y, table, gap)[:, None, :] @ self.jumps[table // n_eta])[:, 0]
         return self._normalized(z, "post-click"), (table + n_eta) % (len(self.props) * n_eta)
 
     def _advance(self, y, table, held, last, step):
-        """Rows y, held since step `held` (at or after the grid point `last`)
+        """Rows y, held since step `held` (at or after the checkpoint `last`)
         and clicking no more before `step`, carried to `step` and normalized."""
         n_eta, n = len(self.props[0]), y.shape[1]
         # rows held since `last`: one GEMM per table over each efficiency's
@@ -625,13 +646,15 @@ class _EventJumpSampler(_SuperopJumpKernel):
         out[moved] = self._carry(y[moved], table[moved], step - held[moved])
         return self._normalized(out, "no-click")
 
-    def run(self, y, grid, sample_pos, sink, draw):
-        """Drive rows y to grid[-1] steps and hand them to sink(j, y) after
-        every step of sample_pos, whose steps lie on `grid` (the sample grid),
-        as _drive does.  Row e * b + i is trajectory i at the e-th efficiency
-        and takes its uniforms from draw(i, k)."""
-        n_steps = int(grid[-1])
-        self.prepare(n_steps, int(np.diff(grid).max(initial=0)))
+    def run(self, y, n_steps, sample_pos, sink, draw):
+        """Drive rows y to n_steps steps and hand them to sink(j, y) after
+        every step of sample_pos, as _drive does.  Rows are carried and
+        renormalized only at those steps and the horizon (the checkpoints);
+        in between, a row moves only when it clicks.  Row e * b + i is
+        trajectory i at the e-th efficiency and takes its uniforms from
+        draw(i, k)."""
+        stops = sorted({*sample_pos, n_steps} - {0})
+        self.prepare(n_steps, int(np.diff([0, *stops]).max()))
         n_eta = len(self.props[0])
         b = len(y) // n_eta
         traj = np.arange(len(y)) % b
@@ -642,7 +665,7 @@ class _EventJumpSampler(_SuperopJumpKernel):
         if 0 in sample_pos:
             sink(sample_pos[0], y)
         last = 0
-        for step in grid[1:]:
+        for step in stops:
             while True:
                 hit = np.flatnonzero(due <= step)
                 if not hit.size:
@@ -832,7 +855,9 @@ def _noise_blocks(spec, n_steps, dt, seed, start, stop):
     k = noise_width(spec)
     # as many steps as fit _NOISE_BLOCK_BYTES, at least one
     steps = max(1, min(n_steps, int(_NOISE_BLOCK_BYTES // (len(rngs) * k * 8))))
-    buf = np.empty((len(rngs), steps, k))
+    # step-major memory: one step's noise of the chunk is a contiguous
+    # (k, b) array, which the kernels read one step at a time
+    buf = np.empty((steps, k, len(rngs))).transpose(2, 0, 1)
     root_dt = math.sqrt(dt)
     for first in range(0, n_steps, steps):
         block = buf[:, :min(steps, n_steps - first)]
@@ -927,7 +952,7 @@ def _run_chunks(kernel, spec, rho0_m, config, n_traj, sample_pos, sink, n_eta=1)
     sink(rows, j, y) receives every sampled state of the chunk holding
     trajectories `rows` (a slice); a trajectory takes one row per efficiency.
     """
-    n_steps, dt, grid = config.grid()
+    n_steps, dt, _ = config.grid()
     rows = _MAX_DM_CHUNK if rho0_m.shape[0] > _SUPEROP_DIM_LIMIT else _MAX_SUPEROP_CHUNK
     for start, stop in _iter_chunks(n_traj, max(1, rows // n_eta)):
         mats = np.broadcast_to(rho0_m, (n_eta * (stop - start), *rho0_m.shape))
@@ -935,7 +960,7 @@ def _run_chunks(kernel, spec, rho0_m, config, n_traj, sample_pos, sink, n_eta=1)
         # the start state is passed inline so that no name here keeps it
         # alive through the steps
         if isinstance(kernel, _EventJumpSampler):
-            kernel.run(kernel.initial(mats), grid, sample_pos, chunk_sink,
+            kernel.run(kernel.initial(mats), n_steps, sample_pos, chunk_sink,
                        _click_uniforms(config.seed, start, stop))
         else:
             _drive(kernel, kernel.initial(mats),

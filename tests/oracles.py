@@ -194,3 +194,61 @@ def direct_detection_threshold(omega, gamma=1.0, horizon=20.0, stride=0.08, h=0.
                              + _purity_times_trace(rest)))
 
     return brentq(lambda eta: long_run_purity(eta) - theta, 0.3, 1.0, xtol=1e-10)
+
+
+def _column_superop(left, right):
+    """X -> left X right on column-stacked vec(X) = X.T.ravel()."""
+    return np.kron(right.T, left)
+
+
+def counting_step(model, eta, beta, rhos, uniforms, signs, dt):
+    """One detection window of direct detection (beta = 0) or AID on complex
+    matrices, for a batch: (states, clicked, signs after the step).
+
+    The monitored channel is the displaced jump J = c + s beta for LO sign
+    s, with the Hamiltonian H - (i/2)(s beta* c - s beta c^dag), which
+    leaves the unconditional master equation unchanged.  A window without a
+    detected click applies e^{L0 dt}, where L0 keeps the undetected
+    (1 - eta) share of the emission as a dissipator and the detected share
+    only as decay, -(eta/2){J^dag J, rho}.  The window clicks when the
+    uniform falls below the trace that e^{L0 dt} loses (and that loss
+    exceeds 1e-12); a click applies J . J^dag to the no-click-evolved state
+    and, for AID, flips the sign.
+    """
+    d = model.dim
+    c, others = model.jump_operators[0], model.jump_operators[1:]
+    eye = np.eye(d)
+
+    def dissipator(op, weight):
+        odo = op.conj().T @ op
+        return weight * (_column_superop(op, op.conj().T)
+                         - 0.5 * (_column_superop(odo, eye) + _column_superop(eye, odo)))
+
+    def no_click(s):
+        j = c + s * beta * eye
+        jdj = j.conj().T @ j
+        h = model.hamiltonian - 0.5j * (np.conj(s * beta) * c - s * beta * c.conj().T)
+        gen = -1j * (_column_superop(h, eye) - _column_superop(eye, h))
+        gen += dissipator(j, 1.0 - eta)
+        gen -= 0.5 * eta * (_column_superop(jdj, eye) + _column_superop(eye, jdj))
+        for op in others:
+            gen += dissipator(op, 1.0)
+        return expm(gen * dt), j
+
+    maps = {s: no_click(s) for s in np.unique(signs)}
+    out = np.empty_like(rhos, dtype=complex)
+    clicked = np.zeros(len(rhos), dtype=bool)
+    signs = np.array(signs, dtype=float)
+    for i, rho in enumerate(rhos):
+        prop, j = maps[signs[i]]
+        evolved = (prop @ rho.T.ravel()).reshape(d, d).T
+        tr = np.trace(evolved).real
+        p_click = 1.0 - tr
+        if uniforms[i] < p_click and p_click > 1e-12:
+            evolved = j @ evolved @ j.conj().T
+            tr = np.trace(evolved).real
+            clicked[i] = True
+            if beta:
+                signs[i] = -signs[i]
+        out[i] = evolved / tr
+    return out, clicked, signs

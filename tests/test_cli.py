@@ -115,6 +115,25 @@ class TestTlaRank:
         assert report["verdict"] == "resolved"
         assert report["entries"][0]["scheme"] == "aid"
 
+    def test_survival_ranking_matches_frozen_fixture(self, tmp_path):
+        # recorded while states were packed complex rows; the real Hermitian
+        # basis draws the same noise, so values may move by rounding only
+        frozen = {"aid": (1.3855606490209953, 0.0004537892013325804),
+                  "homodyne_x": (0.6395087646837824, 0.028520516697915846),
+                  "heterodyne": (0.5670914271881649, 0.02050661507360266),
+                  "direct": (0.3912142333672097, 0.013370493872261894)}
+        out = tmp_path / "rank.json"
+        code = run_cli(["tla-rank", "--omega", "2", "--measure", "survival",
+                        "--schemes", "aid,homodyne_x,heterodyne,direct",
+                        "--n-traj", "200", "--seed", "3", "--out", str(out)])
+        report = json.loads(out.read_text())
+        assert code == 0 and report["verdict"] == "resolved"
+        assert [e["scheme"] for e in report["entries"]] == list(frozen)
+        for entry in report["entries"]:
+            value, uncertainty = frozen[entry["scheme"]]
+            assert abs(entry["value"] - value) < 1e-9, entry
+            assert abs(entry["uncertainty"] - uncertainty) < 1e-9, entry
+
     @pytest.mark.slow
     def test_threshold_ranking_resolves_aid_against_heterodyne(self, tmp_path):
         # the bisection's early stop once left AID (0.531 +- 0.031)

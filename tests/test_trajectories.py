@@ -18,6 +18,8 @@ from unravel.hilbert import (
 )
 from unravel.systems import TlaParams, build_qbm_oracle, build_tla, gaussian_density_matrix
 
+import oracles
+
 EXCITED = DensityMatrix(np.diag([1.0, 0.0]))
 GROUND = DensityMatrix(np.diag([0.0, 1.0]))
 
@@ -114,8 +116,8 @@ class TestStepJump:
         dt = 1e-3
         kernel = T._SuperopJumpKernel(model, T.direct(1.0), dt)
         y = kernel.initial(EXCITED.matrix[None, :, :])
-        y_prop = y @ kernel.props[0][0]   # sign +1, first (only) efficiency
-        p = 1.0 - float((y_prop @ kernel.tr_vec)[0])
+        y_prop = kernel.props[0][0] @ y[0]   # sign +1, first (only) efficiency
+        p = 1.0 - float(y_prop @ kernel.tr_vec)
         assert p == pytest.approx(gamma * dt, rel=2e-3)
 
     def test_click_projects_to_ground(self):
@@ -268,6 +270,69 @@ class TestRunEnsemble:
             T.run_ensemble(model, T.homodyne_x(1.0), EXCITED, cfg, 1)
 
 
+class TestKernelReferences:
+    """The real-basis kernels against complex-matrix references, step by step."""
+
+    RHO = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
+
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_coordinates_round_trip(self, dim):
+        rng = np.random.default_rng(dim)
+        a = rng.uniform(-1, 1, (5, dim, dim)) + 1j * rng.uniform(-1, 1, (5, dim, dim))
+        herm = 0.5 * (a + np.conj(np.swapaxes(a, 1, 2)))
+        model = build_tla(tla()) if dim == 2 else build_qbm_oracle(QbmParams(1.0), dim)[0]
+        kernel = T._KrausDiffusiveKernel(model, T.heterodyne(), 1e-3)
+        y = kernel.initial(herm)
+        assert y.shape == (5, dim * dim) and y.T.flags.c_contiguous
+        back = kernel.to_matrices(y)
+        assert np.abs(back - herm).max() < 1e-15
+        assert np.array_equal(back, np.conj(np.swapaxes(back, 1, 2)))
+
+    @pytest.mark.parametrize("kind", ["homodyne_x", "heterodyne"])
+    @pytest.mark.parametrize("eta", [0.5, 1.0])
+    def test_kraus_kernel_matches_the_matrix_kernel(self, kind, eta):
+        # the matrix kernel builds the same M rho M^dag plus leak on
+        # complex matrices, trajectory by trajectory
+        model, spec, dt, n = build_tla(tla(5.0)), T.named_scheme(kind, eta), 4e-3, 64
+        kraus = T._KrausDiffusiveKernel(model, spec, dt)
+        matrix = T._MatrixDiffusiveKernel(model, spec, dt)
+        start = np.broadcast_to(self.RHO, (n, 2, 2))
+        y, rho = kraus.initial(start), matrix.initial(start)
+        noise = math.sqrt(dt) * np.random.default_rng(7).standard_normal(
+            (400, n, T.noise_width(spec)))
+        worst = 0.0
+        for dw in noise:
+            y, rho = kraus.step(y, dw), matrix.step(rho, dw)
+            worst = max(worst, np.abs(kraus.to_matrices(y) - rho).max())
+        assert worst < 1e-10
+        # the run moved the states: the check is not of a fixed point
+        assert np.abs(rho - self.RHO).max() > 0.1
+
+    @pytest.mark.parametrize("kind", ["direct", "aid"])
+    @pytest.mark.parametrize("eta", [0.7, 1.0])
+    def test_jump_kernel_matches_the_matrix_reference(self, kind, eta):
+        model, spec, dt, n = build_tla(tla(5.0)), T.named_scheme(kind, eta), 4e-3, 64
+        beta = 0.5 if kind == "aid" else 0.0    # sqrt(gamma) / 2
+        kernel = T._SuperopJumpKernel(model, spec, dt)
+        start = np.broadcast_to(self.RHO, (n, 2, 2))
+        y, rho = kernel.initial(start), start.astype(complex)
+        signs, ref_signs = np.ones(n), np.ones(n)
+        uniforms = np.random.default_rng(11).random((400, n))
+        clicks, worst = 0, 0.0
+        for u in uniforms:
+            y, jumped = kernel.step(y, u[:, None], signs)
+            rho, ref_jumped, ref_signs = oracles.counting_step(
+                model, eta, beta, rho, u, ref_signs, dt)
+            assert np.array_equal(jumped, ref_jumped)
+            assert np.array_equal(signs, ref_signs)
+            clicks += int(jumped.sum())
+            worst = max(worst, np.abs(kernel.to_matrices(y) - rho).max())
+        assert worst < 1e-10
+        assert clicks > 20
+        if kind == "aid":
+            assert (signs < 0).any() and (signs > 0).any()
+
+
 class TestEfficiencyStack:
     """One pass at several efficiencies, rows eta-major over shared noise."""
 
@@ -364,7 +429,7 @@ class TestEventSampler:
             signs = np.full(len(etas), -1.0 if sign else 1.0)
             survival = np.ones((n_steps + 1, len(etas)))
             for m in range(1, n_steps + 1):
-                no_click = np.stack([y[e] @ sampler.props[sign][e] for e in range(len(etas))])
+                no_click = np.stack([sampler.props[sign][e] @ y[e] for e in range(len(etas))])
                 survival[m] = survival[m - 1] * (no_click @ sampler.tr_vec)
                 # u = 1 never clicks, so the signs stay put
                 y, jumped = sampler.step(y, np.ones((1, 1)), signs)
