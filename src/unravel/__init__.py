@@ -43,7 +43,6 @@ from .systems import (                                   # noqa: F401
     TlaParams,
     build_qbm_oracle,
     build_tla,
-    measured_quadrature,
 )
 from .trajectories import (                              # noqa: F401
     EnsembleCurve,

@@ -96,6 +96,25 @@ def _write_rows(path, command, config, columns, rows):
             fh.close()
 
 
+def _write_json(path, report):
+    fh, close = _open_out(path)
+    try:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
+    finally:
+        if close:
+            fh.close()
+
+
+def _schemes(text):
+    """The comma-separated atom schemes of --schemes, each checked."""
+    schemes = text.split(",")
+    for name in schemes:
+        if name not in TLA_SCHEMES:
+            raise UsageError(f"unknown scheme {name!r}")
+    return schemes
+
+
 def _fmt(value):
     # numpy scalars print as np.float64(...) under repr; write plain floats
     if isinstance(value, (float, np.floating)):
@@ -146,10 +165,7 @@ def _map_jobs(fn, jobs, threads):
 
 def cmd_tla_curves(args):
     params = TlaParams(rabi=args.omega, gamma=args.gamma)
-    schemes = args.schemes.split(",")
-    for name in schemes:
-        if name not in TLA_SCHEMES:
-            raise UsageError(f"unknown scheme {name!r}")
+    schemes = _schemes(args.schemes)
     model = build_tla(params)
     theta, rho_ss = M.tla_theta(params)
     cfg = T.TrajectoryConfig(dt=args.dt / params.gamma,
@@ -193,10 +209,7 @@ def cmd_tla_rank(args):
     params = TlaParams(rabi=args.omega, gamma=args.gamma)
     if args.measure not in M.MEASURE_KINDS:
         raise UsageError(f"unknown measure {args.measure!r}")
-    schemes = args.schemes.split(",")
-    for name in schemes:
-        if name not in TLA_SCHEMES:
-            raise UsageError(f"unknown scheme {name!r}")
+    schemes = _schemes(args.schemes)
     opts = M.McOptions(n_traj=args.n_traj, dt=args.dt, seed=args.seed)
     entries = M.rank_unravellings(params, args.measure, schemes, opts)
     unresolved = [e.scheme for e in entries[:-1] if not e.resolved_vs_next]
@@ -215,13 +228,7 @@ def cmd_tla_rank(args):
         "verdict": "unresolved" if unresolved else "resolved",
         "unresolved_after": unresolved,
     }
-    fh, close = _open_out(args.out)
-    try:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    finally:
-        if close:
-            fh.close()
+    _write_json(args.out, report)
     return EXIT_FAIL if unresolved else EXIT_OK
 
 
@@ -355,13 +362,7 @@ def cmd_validate(args):
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
     }
-    fh, close = _open_out(args.out)
-    try:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    finally:
-        if close:
-            fh.close()
+    _write_json(args.out, report)
     return EXIT_OK if report["passed"] else EXIT_FAIL
 
 

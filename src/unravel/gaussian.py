@@ -93,24 +93,15 @@ class DiskPoint:
             raise ValueError(f"r must lie in [0, 1], got {self.r}")
         object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
 
-    @staticmethod
-    def homodyne(phi=0.0):
-        return DiskPoint(1.0, phi)
-
-    @staticmethod
-    def heterodyne():
-        return DiskPoint(0.0, 0.0)
-
 
 @dataclass(frozen=True)
 class CovarianceState:
-    """Second moments (V_q, V_p, C_qp) and means of a single-mode Gaussian state."""
+    """Second moments (V_q, V_p, C_qp) of a single-mode Gaussian state; the
+    means are not kept, since no measure reads them."""
 
     v_q: float
     v_p: float
     c_qp: float
-    mean_q: float = 0.0
-    mean_p: float = 0.0
 
     def __post_init__(self):
         if self.v_q <= 0 or self.v_p <= 0:
@@ -127,16 +118,11 @@ class CovarianceState:
     def matrix(self):
         return np.array([[self.v_q, self.c_qp], [self.c_qp, self.v_p]])
 
-    @property
-    def means(self):
-        return np.array([self.mean_q, self.mean_p])
-
     @staticmethod
-    def from_matrix(v, means=(0.0, 0.0)):
+    def from_matrix(v):
         v = np.asarray(v, dtype=float)
         return CovarianceState(v_q=float(v[0, 0]), v_p=float(v[1, 1]),
-                               c_qp=float(0.5 * (v[0, 1] + v[1, 0])),
-                               mean_q=float(means[0]), mean_p=float(means[1]))
+                               c_qp=float(0.5 * (v[0, 1] + v[1, 0])))
 
 
 @dataclass(frozen=True)
@@ -485,18 +471,15 @@ def covariance_ode(gen, v0, times):
     return sol.y.T.reshape(-1, 2, 2)
 
 
-def survival_curve(params, u, tau_grid, eta=1.0, v_c=None):
+def survival_curve(params, u, tau_grid):
     """Mean overlap between a frozen stationary conditional state and its
     unconditionally evolved copy, as a function of the delay.
 
-    The detection point u and efficiency eta fix the generators; v_c
-    defaults to their stationary conditional covariance.  See
-    survival_overlap_curve for the closed form.
+    The frozen state is conditioned at detection point u with unit
+    efficiency; see survival_overlap_curve for the closed form.
     """
-    gen = qbm_generators(params, u, eta)
-    if v_c is None:
-        v_c = riccati_steady(gen)
-    return survival_overlap_curve(gen, v_c, tau_grid)
+    gen = qbm_generators(params, u, 1.0)
+    return survival_overlap_curve(gen, riccati_steady(gen), tau_grid)
 
 
 def survival_overlap_curve(gen, v_c, tau_grid):

@@ -20,10 +20,17 @@ from .errors import (
     TruncationError,
 )
 
-# Default tolerances; callers may override per call.
+# Tolerances of the state checks; only the positivity slack is set per state
+# (pos_tol, for trajectory samples within O(dt) of the cone)
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
 POSITIVITY_TOL = 1e-9
+# steady_state's residual bound and null-space cutoff (relative, per d^2)
+_STEADY_RHS_TOL = 1e-9
+_DEGENERACY_TOL = 1e-10
+# check_tail: population allowed in the top Fock levels
+_TAIL_LEVELS = 5
+_TAIL_TOL = 1e-6
 
 
 def dag(a):
@@ -43,14 +50,13 @@ class DensityMatrix:
 
     matrix: np.ndarray
 
-    def __init__(self, elements, herm_tol=HERMITICITY_TOL, trace_tol=TRACE_TOL,
-                 pos_tol=POSITIVITY_TOL):
+    def __init__(self, elements, pos_tol=POSITIVITY_TOL):
         m = _as_complex_matrix(elements)
         herm_err = np.abs(m - dag(m)).max()
-        if herm_err > herm_tol:
+        if herm_err > HERMITICITY_TOL:
             raise InvariantViolationError(f"not Hermitian: max |rho - rho^dag| = {herm_err:.3e}")
         tr_err = abs(m.trace() - 1.0)
-        if tr_err > trace_tol:
+        if tr_err > TRACE_TOL:
             raise InvariantViolationError(f"trace differs from 1 by {tr_err:.3e}")
         min_eig = np.linalg.eigvalsh((m + dag(m)) / 2).min()
         if min_eig < -pos_tol:
@@ -84,10 +90,10 @@ class LindbladModel:
     hamiltonian: np.ndarray
     jump_operators: tuple = ()
 
-    def __init__(self, hamiltonian, jump_operators=(), herm_tol=HERMITICITY_TOL):
+    def __init__(self, hamiltonian, jump_operators=()):
         h = _as_complex_matrix(hamiltonian)
         herm_err = np.abs(h - dag(h)).max()
-        if herm_err > herm_tol:
+        if herm_err > HERMITICITY_TOL:
             raise InvariantViolationError(f"Hamiltonian not Hermitian: {herm_err:.3e}")
         ops = tuple(_as_complex_matrix(op) for op in jump_operators)
         for op in ops:
@@ -106,8 +112,6 @@ class LindbladModel:
 
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)  # |g><e| with basis (e, g)
 
 
@@ -139,16 +143,14 @@ class FockWorkspace:
         if err > 1e-8:
             raise InvariantViolationError(f"[q,p] != i on lower block: {err:.3e}")
 
-    def tail_mass(self, rho, levels=5):
-        """Total population in the top `levels` Fock levels of a state."""
+    def check_tail(self, rho):
+        """Population in the top _TAIL_LEVELS Fock levels of a state; raises
+        TruncationError above _TAIL_TOL."""
         m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-        return float(np.real(np.diag(m)[-levels:].sum()))
-
-    def check_tail(self, rho, levels=5, tol=1e-6):
-        mass = self.tail_mass(rho, levels)
-        if mass > tol:
+        mass = float(np.real(np.diag(m)[-_TAIL_LEVELS:].sum()))
+        if mass > _TAIL_TOL:
             raise TruncationError(
-                f"tail mass {mass:.3e} in top {levels} levels exceeds {tol:.1e}; "
+                f"tail mass {mass:.3e} in top {_TAIL_LEVELS} levels exceeds {_TAIL_TOL:.1e}; "
                 f"increase the Fock truncation (currently {self.truncation})")
         return mass
 
@@ -254,7 +256,7 @@ def liouvillian_matrix(model):
     return out
 
 
-def steady_state(model, rhs_tol=1e-9, degeneracy_tol=1e-10):
+def steady_state(model):
     """Unique stationary state of the generator, by null-space solve.
 
     Raises DegenerateSteadyStateError when the null space has dimension > 1
@@ -262,7 +264,7 @@ def steady_state(model, rhs_tol=1e-9, degeneracy_tol=1e-10):
     degenerate generator.  The result is checked against lindblad_rhs.
     """
     liou = liouvillian_matrix(model)
-    kernel = null_space(liou, rcond=degeneracy_tol * model.dim ** 2)
+    kernel = null_space(liou, rcond=_DEGENERACY_TOL * model.dim ** 2)
     if kernel.shape[1] != 1:
         raise DegenerateSteadyStateError(
             f"stationary subspace has dimension {kernel.shape[1]}")
@@ -274,7 +276,7 @@ def steady_state(model, rhs_tol=1e-9, degeneracy_tol=1e-10):
     m = m / tr
     rho = DensityMatrix(m)
     resid = np.abs(lindblad_rhs(model, rho)).max()
-    if resid > rhs_tol:
+    if resid > _STEADY_RHS_TOL:
         raise InvariantViolationError(
-            f"steady-state residual {resid:.3e} exceeds {rhs_tol:.1e}")
+            f"steady-state residual {resid:.3e} exceeds {_STEADY_RHS_TOL:.1e}")
     return rho

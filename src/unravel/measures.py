@@ -10,7 +10,7 @@ optimizer and the unravelling ranking harness.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -28,7 +28,7 @@ from .errors import (
 from .gaussian import DiskPoint, QbmParams, qbm_generators
 from .hilbert import liouvillian_matrix, purity, steady_state
 from .systems import TlaParams, build_tla
-from .trajectories import TrajectoryConfig, UnravellingSpec
+from .trajectories import TrajectoryConfig
 
 MEASURE_KINDS = ("purification", "efficiency_threshold", "mixing", "survival")
 
@@ -122,8 +122,10 @@ def crossing_with_uncertainty(times, values, stderr, theta):
 # ---------------------------------------------------------------------------
 # Brownian-particle backend (deterministic)
 
-# every QBM curve runs from 0 to this time (units of the inverse damping rate)
+# every QBM curve runs from 0 to this time (units of the inverse damping
+# rate), on a log grid of this many points after t = 0
 _QBM_HORIZON = 200.0
+_QBM_GRID_POINTS = 400
 _QBM_ETA_XTOL = 1e-12
 # Reported error of the QBM efficiency threshold.  Newton solves the root to
 # rounding: it agrees with brentq to 2.4e-13 over T in [0.01, 1000] x the
@@ -133,10 +135,10 @@ _QBM_ETA_UNCERTAINTY = 1e-9
 
 
 @functools.lru_cache(maxsize=128)
-def _log_grid(t_fast, horizon, n=400):
+def _log_grid(t_fast, horizon):
     """Time grid of the QBM curves, shared read-only between calls."""
     lo = min(1e-6 / max(t_fast, 1e-12), horizon * 1e-3)
-    grid = np.concatenate([[0.0], np.geomspace(lo, horizon, n)])
+    grid = np.concatenate([[0.0], np.geomspace(lo, horizon, _QBM_GRID_POINTS)])
     grid.setflags(write=False)
     return grid
 
@@ -145,41 +147,40 @@ def _qbm_rate_scale(params):
     return max(1.0, 2.0 * params.temperature, 1.0 / (4.0 * params.temperature))
 
 
+def _qbm_meta(params, u):
+    return {"temperature": params.temperature, "r": u.r, "phi": u.phi}
+
+
+def _qbm_time(kind, params, u, curve):
+    """First crossing of theta by curve(gen, grid), gen the unit-efficiency
+    generators at u: the body of the three QBM time measures."""
+    gen = qbm_generators(params, u, eta=1.0)
+    grid = _log_grid(_qbm_rate_scale(params), _QBM_HORIZON)
+    tau = first_crossing(CrossingCurve(grid, curve(gen, grid), QBM_THETA.theta))
+    return MeasureResult(kind, tau, metadata=_qbm_meta(params, u))
+
+
 def purification_time_qbm(params, u):
     """Time for the conditional purity to climb to 1/2, conditioning from the
     unconditional long-time state (information-form flow from Y = diag(0, 1/T))."""
-    gen = qbm_generators(params, u, eta=1.0)
-    grid = _log_grid(_qbm_rate_scale(params), _QBM_HORIZON)
-    p = G.conditioned_purity_curve(gen, grid, G.qbm_information_start(params))
-    tau = first_crossing(CrossingCurve(grid, p, QBM_THETA.theta))
-    return MeasureResult("purification", tau,
-                         metadata={"temperature": params.temperature,
-                                   "r": u.r, "phi": u.phi})
+    y0 = G.qbm_information_start(params)
+    return _qbm_time("purification", params, u,
+                     lambda gen, grid: G.conditioned_purity_curve(gen, grid, y0))
 
 
 def mixing_time_qbm(params, u):
     """Time for an unobserved, conditionally-pure state to mix down to theta."""
-    gen = qbm_generators(params, u, eta=1.0)
-    v_c = G.riccati_steady(gen)
-    grid = _log_grid(_qbm_rate_scale(params), _QBM_HORIZON)
-    v_u = G.unconditional_covariance_curve(gen, v_c, grid)
-    dets = v_u[:, 0, 0] * v_u[:, 1, 1] - v_u[:, 0, 1] ** 2
-    p = 1.0 / np.sqrt(4.0 * dets)
-    tau = first_crossing(CrossingCurve(grid, p, QBM_THETA.theta))
-    return MeasureResult("mixing", tau,
-                         metadata={"temperature": params.temperature,
-                                   "r": u.r, "phi": u.phi})
+    def unconditional_purity(gen, grid):
+        v_u = G.unconditional_covariance_curve(gen, G.riccati_steady(gen), grid)
+        return 1.0 / np.sqrt(4.0 * (v_u[:, 0, 0] * v_u[:, 1, 1] - v_u[:, 0, 1] ** 2))
+    return _qbm_time("mixing", params, u, unconditional_purity)
 
 
 def survival_time_qbm(params, u):
-    gen = qbm_generators(params, u, eta=1.0)
-    v_c = G.riccati_steady(gen)
-    grid = _log_grid(_qbm_rate_scale(params), _QBM_HORIZON)
-    s = G.survival_overlap_curve(gen, v_c, grid)
-    tau = first_crossing(CrossingCurve(grid, s, QBM_THETA.theta))
-    return MeasureResult("survival", tau,
-                         metadata={"temperature": params.temperature,
-                                   "r": u.r, "phi": u.phi})
+    """Time for a frozen conditioned state's mean overlap with its
+    unconditionally evolved copy to fall to theta."""
+    return _qbm_time("survival", params, u, lambda gen, grid: G.survival_overlap_curve(
+        gen, G.riccati_steady(gen), grid))
 
 
 def efficiency_threshold_qbm(params, u):
@@ -212,8 +213,7 @@ def efficiency_threshold_qbm(params, u):
     except ConvergenceError:
         eta_thr = _efficiency_threshold_brentq(gen, lo, hi)
     return MeasureResult("efficiency_threshold", eta_thr, uncertainty=_QBM_ETA_UNCERTAINTY,
-                         metadata={"temperature": params.temperature,
-                                   "r": u.r, "phi": u.phi})
+                         metadata=_qbm_meta(params, u))
 
 
 def _efficiency_threshold_brentq(gen, lo, hi):
@@ -282,7 +282,7 @@ def purification_time_tla(params, spec, opts=McOptions()):
         return MeasureResult("purification", 0.0,
                              metadata={"rabi": params.rabi, "gamma": params.gamma,
                                        "scheme": spec.kind, "degenerate": True})
-    spec1 = _with_eta(spec, 1.0)
+    spec1 = replace(spec, eta=1.0)
     model = build_tla(params)
     cfg = TrajectoryConfig(dt=_scaled(params, opts.dt),
                            horizon=_scaled(params, _TLA_PUR_HORIZON),
@@ -292,11 +292,6 @@ def purification_time_tla(params, spec, opts=McOptions()):
                                          theta.theta)
     return MeasureResult("purification", tau * params.gamma, err * params.gamma,
                          metadata=_mc_meta(params, spec, opts, curve.n))
-
-
-def _with_eta(spec, eta):
-    return UnravellingSpec(spec.kind, eta, disk=spec.disk,
-                           lo_amplitude=spec.lo_amplitude)
 
 
 def _mc_meta(params, spec, opts, n):
@@ -335,7 +330,7 @@ def conditioned_stationary_states(params, spec, opts):
     cfg = TrajectoryConfig(dt=_scaled(params, opts.dt),
                            horizon=_scaled(params, _TLA_RELAX_TIME),
                            seed=opts.seed)
-    return T.run_final_states(model, _with_eta(spec, 1.0), rho_ss, cfg, opts.n_traj)
+    return T.run_final_states(model, replace(spec, eta=1.0), rho_ss, cfg, opts.n_traj)
 
 
 def mixing_and_survival_tla(params, spec, opts=McOptions()):
@@ -576,7 +571,12 @@ class RankingEntry:
     resolved_vs_next: bool = True
 
 
-def rank_unravellings(params, kind, schemes, opts=McOptions(), z=1.96):
+# adjacent ranked schemes are resolved when their gap exceeds this many
+# combined standard errors (95 percent intervals)
+_RANK_Z = 1.96
+
+
+def rank_unravellings(params, kind, schemes, opts=McOptions()):
     """Schemes ordered most-robust first, with 95 percent CI tie detection.
 
     Larger is more robust for the mixing and survival times (the state
@@ -598,7 +598,7 @@ def rank_unravellings(params, kind, schemes, opts=McOptions(), z=1.96):
         if i + 1 < len(ordered):
             nxt = ordered[i + 1][1]
             gap = abs(res.value - nxt.value)
-            resolved = gap > z * math.hypot(res.uncertainty, nxt.uncertainty)
+            resolved = gap > _RANK_Z * math.hypot(res.uncertainty, nxt.uncertainty)
         entries.append(RankingEntry(scheme=name, value=res.value,
                                     uncertainty=res.uncertainty,
                                     resolved_vs_next=resolved))

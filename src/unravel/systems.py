@@ -12,7 +12,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import InvariantViolationError
-from .gaussian import DiskPoint, QbmParams
+from .gaussian import QbmParams
 from .hilbert import (
     DensityMatrix,
     FockWorkspace,
@@ -66,7 +66,7 @@ def build_qbm_oracle(params, truncation=60):
     return LindbladModel(h, [c]), ws
 
 
-def gaussian_density_matrix(workspace, cov, means=(0.0, 0.0), tail_tol=1e-6):
+def gaussian_density_matrix(workspace, cov, means=(0.0, 0.0)):
     """Fock-basis density matrix of the single-mode Gaussian state (cov, means).
 
     Built as displaced-squeezed-thermal: rho = D S rho_th S^dag D^dag with
@@ -117,26 +117,8 @@ def gaussian_density_matrix(workspace, cov, means=(0.0, 0.0), tail_tol=1e-6):
 
     rho = 0.5 * (rho + dag(rho))
     rho = rho / rho.trace().real
-    workspace.check_tail(rho, tol=tail_tol)
+    workspace.check_tail(rho)
     return DensityMatrix(rho)
-
-
-def measured_quadrature(params, u):
-    """Coefficients (c_q, c_p) of the homodyne observable x = c_q q + c_p p.
-
-    Only defined on the boundary of the disk (r = 1), where the single
-    quadrature x = c e^{i phi/2} + c^dag e^{-i phi/2} is monitored; phi = 0
-    measures position, phi = pi momentum, and just below pi the observable
-    is -p/sqrt(8T) plus a small (pi - phi) sqrt(2T)/2 position admixture.
-    """
-    if not isinstance(u, DiskPoint):
-        u = DiskPoint(*u)
-    if abs(u.r - 1.0) > 1e-12:
-        raise InvariantViolationError(
-            f"r={u.r}: not a single-quadrature (homodyne) measurement")
-    c_q = 2.0 * params.alpha * math.cos(u.phi / 2.0)
-    c_p = -2.0 * params.beta * math.sin(u.phi / 2.0)
-    return c_q, c_p
 
 
 __all__ = [
@@ -147,5 +129,4 @@ __all__ = [
     "build_qbm_oracle",
     "qbm_coupling_operator",
     "gaussian_density_matrix",
-    "measured_quadrature",
 ]

@@ -79,7 +79,6 @@ class UnravellingSpec:
     kind: str
     eta: float = 1.0
     disk: object = None          # DiskPoint, general_dyne only
-    lo_amplitude: complex = None  # AID only; default resolved against the jump rate
 
     def __post_init__(self):
         if self.kind not in DIFFUSIVE_KINDS + JUMP_KINDS:
@@ -88,8 +87,6 @@ class UnravellingSpec:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
         if self.kind == "general_dyne" and self.disk is None:
             raise ValueError("general_dyne requires a disk point")
-        if self.kind == "aid" and self.lo_amplitude is not None and self.lo_amplitude == 0:
-            raise ValueError("AID requires a nonzero local-oscillator amplitude")
 
     @property
     def is_diffusive(self):
@@ -135,17 +132,15 @@ def heterodyne(eta=1.0):
     return UnravellingSpec("heterodyne", eta)
 
 
-def aid(eta=1.0, lo_amplitude=None):
-    return UnravellingSpec("aid", eta, lo_amplitude=lo_amplitude)
+def aid(eta=1.0):
+    return UnravellingSpec("aid", eta)
 
 
 def general_dyne(disk, eta=1.0):
     return UnravellingSpec("general_dyne", eta, disk=disk)
 
 
-def named_scheme(name, eta=1.0, lo_amplitude=None):
-    if name == "aid":
-        return aid(eta, lo_amplitude)
+def named_scheme(name, eta=1.0):
     return UnravellingSpec(name, eta)
 
 
@@ -279,10 +274,9 @@ def _apply_blocks(mats, yt):
     return out
 
 
-def _resolve_lo(spec, jump_op):
-    if spec.lo_amplitude is not None:
-        return complex(spec.lo_amplitude)
-    # |beta| = sqrt(gamma)/2 by default, with gamma read off the jump operator
+def _resolve_lo(jump_op):
+    # AID's local oscillator is always beta = sqrt(gamma)/2, with gamma read
+    # off the jump operator
     gamma = float(np.linalg.eigvalsh(dag(jump_op) @ jump_op).max())
     return 0.5 * math.sqrt(gamma)
 
@@ -451,7 +445,7 @@ class _SuperopJumpKernel:
         etas = (spec.eta,) if etas is None else etas
         self.adaptive = spec.kind == "aid"
         c = _measured_op(model)
-        beta = _resolve_lo(spec, c) if self.adaptive else 0.0
+        beta = _resolve_lo(c) if self.adaptive else 0.0
         rate_scale = float(np.linalg.eigvalsh(
             dag(c + beta * np.eye(d)) @ (c + beta * np.eye(d))).max())
         if dt * max(rate_scale, 1e-300) > 0.1:
@@ -1038,9 +1032,7 @@ def run_ensemble(model, spec, rho0, config, n_traj, statistic="purity"):
 
     times = sample_idx * dt
     if statistic == "mean_state":
-        mean_states = sink / n_traj
-        mean_states = 0.5 * (mean_states + np.conj(np.swapaxes(mean_states, 1, 2)))
-        return MeanStateCurve(times=times, states=mean_states, n=n_traj)
+        return MeanStateCurve(times=times, states=sink / n_traj, n=n_traj)
     return sink.finish(times, n_traj)
 
 

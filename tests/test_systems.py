@@ -20,7 +20,6 @@ from unravel.systems import (
     build_qbm_oracle,
     build_tla,
     gaussian_density_matrix,
-    measured_quadrature,
 )
 
 from oracles import bloch, fock_covariance, gaussian_overlap, tla_steady_bloch
@@ -54,7 +53,7 @@ class TestQbmOracle:
     def test_means_follow_drift(self):
         params = QbmParams(0.5)
         model, ws = build_qbm_oracle(params, 40)
-        v0 = CovarianceState(0.5, 0.5, 0.0, 0.6, -0.4)
+        v0 = CovarianceState(0.5, 0.5, 0.0)
         rho0 = gaussian_density_matrix(ws, v0, (0.6, -0.4))
         gen = qbm_generators(params, DiskPoint(1.0, 0.0), 0.0)
         rho_t = propagate(model, rho0, 1.0, 1e-3)
@@ -95,7 +94,7 @@ class TestGaussianDensityMatrix:
             cmax = math.sqrt(max(vq * vp - 0.26, 1e-3))
             c = float(rng.uniform(-0.8, 0.8) * cmax)
             mq, mp = rng.normal(0, 0.8, size=2)
-            target = CovarianceState(vq, vp, c, mq, mp)
+            target = CovarianceState(vq, vp, c)
             rho = gaussian_density_matrix(ws, target, (mq, mp))
             back = np.array(fock_covariance(ws, rho))
             assert np.abs(back - [vq, vp, c, mq, mp]).max() < 1e-7
@@ -104,11 +103,11 @@ class TestGaussianDensityMatrix:
         from unravel.hilbert import FockWorkspace
 
         ws = FockWorkspace(60)
-        v1 = CovarianceState(0.9, 0.5, 0.2, 0.3, -0.4)
-        v2 = CovarianceState(0.6, 0.8, -0.1, -0.2, 0.5)
-        rho1 = gaussian_density_matrix(ws, v1, (0.3, -0.4))
-        rho2 = gaussian_density_matrix(ws, v2, (-0.2, 0.5))
-        assert gaussian_overlap(v1, v1.means, v2, v2.means) == pytest.approx(
+        v1, mu1 = CovarianceState(0.9, 0.5, 0.2), (0.3, -0.4)
+        v2, mu2 = CovarianceState(0.6, 0.8, -0.1), (-0.2, 0.5)
+        rho1 = gaussian_density_matrix(ws, v1, mu1)
+        rho2 = gaussian_density_matrix(ws, v2, mu2)
+        assert gaussian_overlap(v1, mu1, v2, mu2) == pytest.approx(
             overlap(rho1, rho2), abs=1e-4)
 
     def test_rejects_unphysical_covariance(self):
@@ -117,28 +116,3 @@ class TestGaussianDensityMatrix:
         ws = FockWorkspace(30)
         with pytest.raises(InvariantViolationError):
             gaussian_density_matrix(ws, np.array([[0.1, 0.0], [0.0, 0.1]]))
-
-
-class TestMeasuredQuadrature:
-    def test_phi_zero_is_position(self):
-        c_q, c_p = measured_quadrature(QbmParams(1.0), DiskPoint(1.0, 0.0))
-        assert c_p == pytest.approx(0.0, abs=1e-12)
-        assert c_q != 0.0
-
-    def test_phi_pi_is_momentum(self):
-        c_q, c_p = measured_quadrature(QbmParams(1.0), DiskPoint(1.0, math.pi))
-        assert c_q == pytest.approx(0.0, abs=1e-12)
-        assert c_p != 0.0
-
-    def test_near_pi_expansion(self):
-        # x ~ -p/sqrt(8T) + (pi - phi) sqrt(2T)/2 q for phi just below pi
-        t = 3.0
-        eps = 1e-4
-        c_q, c_p = measured_quadrature(QbmParams(t), DiskPoint(1.0, math.pi - eps))
-        ratio = c_q / c_p
-        expect = (eps * math.sqrt(2 * t) / 2) / (-1.0 / math.sqrt(8 * t))
-        assert ratio == pytest.approx(expect, rel=1e-6)
-
-    def test_interior_point_rejected(self):
-        with pytest.raises(InvariantViolationError):
-            measured_quadrature(QbmParams(1.0), DiskPoint(0.5, 0.0))

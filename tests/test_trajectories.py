@@ -255,6 +255,27 @@ class TestRunEnsemble:
         assert chunks == [4] * 2 * len(cases)
         assert max(draws) == 14 and min(draws) < 7
 
+    @pytest.mark.parametrize("kind,eta,dim", [
+        (kind, eta, 2) for kind in ("direct", "aid", "homodyne_x", "heterodyne")
+        for eta in (0.6, 1.0)] + [("homodyne_x", 0.7, 30), ("homodyne_x", 1.0, 30)])
+    def test_mean_states_are_exactly_hermitian(self, kind, eta, dim):
+        # every kernel behind "mean_state" hands back exactly Hermitian states
+        # (real coordinates at d = 2, the matrix kernel's symmetrising at
+        # d = 30), so their mean needs no symmetrising either
+        if dim == 2:
+            model, rho0 = build_tla(tla()), EXCITED
+        else:
+            model, ws = build_qbm_oracle(QbmParams(1.0), dim)
+            rho0 = gaussian_density_matrix(ws, CovarianceState(1.0, 1.0, 0.0))
+        spec = T.named_scheme(kind, eta)
+        cfg = T.TrajectoryConfig(2e-3, 0.2, seed=4, sample_stride=25)
+        if dim > 8:
+            kernel = T._select_kernel(model, spec, rho0.matrix, 2e-3, "mean_state")
+            assert isinstance(kernel, T._MatrixDiffusiveKernel)
+        states = T.run_ensemble(model, spec, rho0, cfg, 16, "mean_state").states
+        assert np.array_equal(states, np.conj(np.swapaxes(states, 1, 2)))
+        assert np.abs(states[-1] - states[0]).max() > 1e-3
+
     def test_member_matches_run_trajectory(self):
         model = build_tla(tla())
         cfg = T.TrajectoryConfig(2e-3, 0.4, seed=17, sample_stride=100)
@@ -310,9 +331,11 @@ class TestKernelReferences:
 
     @pytest.mark.parametrize("kind", ["direct", "aid"])
     @pytest.mark.parametrize("eta", [0.7, 1.0])
-    def test_jump_kernel_matches_the_matrix_reference(self, kind, eta):
-        model, spec, dt, n = build_tla(tla(5.0)), T.named_scheme(kind, eta), 4e-3, 64
-        beta = 0.5 if kind == "aid" else 0.0    # sqrt(gamma) / 2
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    def test_jump_kernel_matches_the_matrix_reference(self, kind, eta, gamma):
+        # at gamma = 2 the kernel's local oscillator must scale as sqrt(gamma)
+        model, spec, dt, n = build_tla(tla(5.0, gamma)), T.named_scheme(kind, eta), 4e-3, 64
+        beta = 0.5 * math.sqrt(gamma) if kind == "aid" else 0.0
         kernel = T._SuperopJumpKernel(model, spec, dt)
         start = np.broadcast_to(self.RHO, (n, 2, 2))
         y, rho = kernel.initial(start), start.astype(complex)
