@@ -4,8 +4,9 @@ Purification time, efficiency threshold, mixing time and survival time,
 all defined against the shared halfway threshold theta = (1 + Tr[rho_ss^2])/2.
 The Brownian-particle backend is deterministic (closed-form Riccati and
 Lyapunov curves, closed-form survival); the two-level-atom backend is Monte
-Carlo with explicit statistical uncertainties.  Also hosts the detection-disk
-optimizer and the unravelling ranking harness.
+Carlo with explicit statistical uncertainties.  Each QBM measure has one
+body over a stack of disk points, which the detection-disk optimizer's
+coarse grid calls once; the module also hosts the unravelling ranking harness.
 """
 
 import functools
@@ -79,32 +80,32 @@ class CrossingCurve:
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or len(t) != len(self.values):
-            raise ValueError("times and values must be 1-d and equally long")
-        if np.any(np.diff(t) <= 0):
+        if t.ndim != 1 or np.shape(self.values)[-1:] != t.shape:
+            raise ValueError("times must be 1-d and as long as each curve")
+        if np.any(t[1:] <= t[:-1]):
             raise ValueError("time grid must be strictly increasing")
 
 
 def first_crossing(curve):
     """Earliest time at which the curve meets its threshold, by linear
-    interpolation inside the first straddling grid interval."""
-    t = np.asarray(curve.times, dtype=float)
-    v = np.asarray(curve.values, dtype=float)
-    theta = curve.threshold
+    interpolation inside the first straddling grid interval: a float, or
+    HorizonError; for a stack of curves (values (..., len(times))), (times,
+    faults) row by row, a HorizonError for each row that never meets it."""
+    t, theta = np.asarray(curve.times, dtype=float), curve.threshold
+    values = np.asarray(curve.values, dtype=float)
+    v = values.reshape(-1, len(t))
     d = v - theta
-    if d[0] == 0.0:
-        return float(t[0])
-    straddle = np.nonzero(d[:-1] * d[1:] <= 0)[0]
-    if len(straddle) == 0:
-        raise HorizonError(
-            f"no crossing of {theta:.6g} within the horizon "
-            f"(curve spans {v[0]:.6g} .. {v[-1]:.6g})",
-            first_value=float(v[0]), last_value=float(v[-1]), threshold=theta)
-    i = int(straddle[0])
-    if d[i + 1] == d[i]:
-        return float(t[i])
-    frac = d[i] / (d[i] - d[i + 1])
-    return float(t[i] + frac * (t[i + 1] - t[i]))
+    # each row's first interval whose ends straddle (or touch) theta, or its first
+    ends = np.argmax(d[:, :-1] * d[:, 1:] <= 0, axis=1)[:, None] + [0, 1]
+    (d_i, d_next), (t_i, t_next) = d[np.arange(len(d))[:, None], ends].T, t[ends].T
+    faults = np.full(len(d), None, dtype=object)
+    G._flag(faults, ~(d_i * d_next <= 0), lambda k: HorizonError(
+        f"no crossing of {theta:.6g} within the horizon "
+        f"(curve spans {v[k, 0]:.6g} .. {v[k, -1]:.6g})",
+        first_value=float(v[k, 0]), last_value=float(v[k, -1]), threshold=theta))
+    # a flat straddle lies on theta, which it meets at the interval's start
+    frac = d_i / np.where(d_next == d_i, 1.0, d_i - d_next)
+    return G._settle(t_i + frac * (t_next - t_i), faults, values.shape[:-1])
 
 
 def crossing_with_uncertainty(times, values, stderr, theta):
@@ -132,6 +133,7 @@ _QBM_ETA_XTOL = 1e-12
 # default disk grid, and its brentq fallback stops at _QBM_ETA_XTOL.  Both
 # rest on the algebraic stationary solve, so 1e-9 is a conservative bound.
 _QBM_ETA_UNCERTAINTY = 1e-9
+_QBM_STACK = 16     # disk points per stacked evaluation: keeps work arrays near 2 MB
 
 
 @functools.lru_cache(maxsize=128)
@@ -147,73 +149,98 @@ def _qbm_rate_scale(params):
     return max(1.0, 2.0 * params.temperature, 1.0 / (4.0 * params.temperature))
 
 
-def _qbm_meta(params, u):
-    return {"temperature": params.temperature, "r": u.r, "phi": u.phi}
+def _qbm_measure(kind, params, u):
+    """One QBM measure at disk point u: its stacked body on a stack of one."""
+    value = G._settle(*_qbm_values(kind, params, [u]), ())
+    err = _QBM_ETA_UNCERTAINTY if kind == "efficiency_threshold" else 0.0
+    return MeasureResult(kind, value, err,
+                         metadata={"temperature": params.temperature, "r": u.r, "phi": u.phi})
 
 
-def _qbm_time(kind, params, u, curve):
-    """First crossing of theta by curve(gen, grid), gen the unit-efficiency
-    generators at u: the body of the three QBM time measures."""
-    gen = qbm_generators(params, u, eta=1.0)
+def _qbm_values(kind, params, points):
+    """One QBM measure at each of a sequence of disk points: (values,
+    faults), a fault being the SimulationError the point's measure raises
+    (its value is then NaN).  The three times are first crossings of theta
+    by the stacked curves of the points' unit-efficiency generators."""
+    if len(points) > _QBM_STACK:
+        return tuple(map(np.concatenate, zip(*(_qbm_values(kind, params, points[i:i + _QBM_STACK])
+                                                for i in range(0, len(points), _QBM_STACK)))))
+    if kind == "efficiency_threshold":
+        return _threshold_values(params, points)
+    gen = qbm_generators(params, points, eta=1.0)
     grid = _log_grid(_qbm_rate_scale(params), _QBM_HORIZON)
-    tau = first_crossing(CrossingCurve(grid, curve(gen, grid), QBM_THETA.theta))
-    return MeasureResult(kind, tau, metadata=_qbm_meta(params, u))
+    if kind == "purification":
+        curves, faults = G.conditioned_purity_curve(gen, grid, G.qbm_information_start(params))
+    else:
+        v_c, faults = G._riccati_stationary_algebraic(gen)
+        if kind == "mixing":
+            curves = G.gaussian_purity(G.unconditional_covariance_curve(gen, v_c, grid))
+        else:
+            curves, later = G.survival_overlap_curve(gen, v_c, grid)
+            faults = np.where(faults.astype(bool), faults, later)
+    taus, later = first_crossing(CrossingCurve(grid, curves, QBM_THETA.theta))
+    faults = np.where(faults.astype(bool), faults, later)
+    taus[faults.astype(bool)] = np.nan
+    return taus, faults
 
 
 def purification_time_qbm(params, u):
     """Time for the conditional purity to climb to 1/2, conditioning from the
     unconditional long-time state (information-form flow from Y = diag(0, 1/T))."""
-    y0 = G.qbm_information_start(params)
-    return _qbm_time("purification", params, u,
-                     lambda gen, grid: G.conditioned_purity_curve(gen, grid, y0))
+    return _qbm_measure("purification", params, u)
 
 
 def mixing_time_qbm(params, u):
     """Time for an unobserved, conditionally-pure state to mix down to theta."""
-    def unconditional_purity(gen, grid):
-        v_u = G.unconditional_covariance_curve(gen, G.riccati_steady(gen), grid)
-        return 1.0 / np.sqrt(4.0 * (v_u[:, 0, 0] * v_u[:, 1, 1] - v_u[:, 0, 1] ** 2))
-    return _qbm_time("mixing", params, u, unconditional_purity)
+    return _qbm_measure("mixing", params, u)
 
 
 def survival_time_qbm(params, u):
     """Time for a frozen conditioned state's mean overlap with its
     unconditionally evolved copy to fall to theta."""
-    return _qbm_time("survival", params, u, lambda gen, grid: G.survival_overlap_curve(
-        gen, G.riccati_steady(gen), grid))
+    return _qbm_measure("survival", params, u)
 
 
 def efficiency_threshold_qbm(params, u):
     """Detection efficiency at which the stationary conditional purity sits
-    halfway between no observation (0) and perfect observation.
+    halfway between no observation (0) and perfect observation
+    (_threshold_values on a stack of one)."""
+    return _qbm_measure("efficiency_threshold", params, u)
 
-    The four probes, which check monotonicity and bracket the root, come
-    from one stacked stationary solve.  The root itself is solved exactly
-    by Newton on (V, eta) (G.stationary_efficiency, purity theta being
-    det V = 1 / (4 theta^2)), started from the stationary covariance at the
-    bracket's upper probe.  If Newton's root is not accepted, brentq on the
-    stationary purity finds it instead (_efficiency_threshold_brentq).
+
+def _threshold_values(params, points):
+    """The efficiency threshold at each disk point, as _qbm_values gives it.
+
+    The four probes of all points (monotonicity check and bracket) are one
+    stacked stationary solve; one vectorised Newton on (V, eta)
+    (G.stationary_efficiency, purity theta being det V = 1 / (4 theta^2))
+    from each bracket's upper probe solves the roots, and brentq on the
+    stationary purity each root it does not accept, one point at a time.
     """
     theta = QBM_THETA.theta
-    gen = qbm_generators(params, u, eta=1.0)
-    probe = [0.25, 0.5, 0.75, 1.0]
-    covs = [G.CovarianceState.from_matrix(v)
-            for v in G._riccati_stationary_algebraic(gen, probe)]
-    vals = [float(G.gaussian_purity(v)) for v in covs]
-    if any(b < a for a, b in zip(vals, vals[1:])):
-        raise AssumptionError(f"stationary purity not monotone in eta: {vals}")
-    if vals[-1] < theta:
-        raise BracketError("even perfect efficiency stays below theta")
-    lo = max([0.0] + [e for e, v in zip(probe, vals) if v < theta])
-    i_hi = min(i for i, v in enumerate(vals) if v >= theta)
-    hi = probe[i_hi]
-    try:
-        eta_thr, _ = G.stationary_efficiency(gen, 0.25 / theta ** 2, covs[i_hi].matrix,
-                                             hi, (lo, hi))
-    except ConvergenceError:
-        eta_thr = _efficiency_threshold_brentq(gen, lo, hi)
-    return MeasureResult("efficiency_threshold", eta_thr, uncertainty=_QBM_ETA_UNCERTAINTY,
-                         metadata=_qbm_meta(params, u))
+    gen = qbm_generators(params, points, eta=1.0)
+    probe = np.array([0.25, 0.5, 0.75, 1.0])
+    covs, probe_faults = G._riccati_stationary_algebraic(gen, probe)
+    vals = G.gaussian_purity(covs)
+    # a point's fault is that of its first failing probe
+    faults = probe_faults[np.arange(len(points)), probe_faults.astype(bool).argmax(axis=1)]
+    G._flag(faults, (np.diff(vals, axis=1) < 0).any(axis=1), lambda i: AssumptionError(
+        f"stationary purity not monotone in eta: {vals[i].tolist()}"))
+    G._flag(faults, vals[:, -1] < theta, lambda _i: BracketError(
+        "even perfect efficiency stays below theta"))
+    ok = ~faults.astype(bool)
+    i_hi = np.argmax(vals >= theta, axis=1)
+    hi, lo = probe[i_hi], np.where(i_hi > 0, probe[i_hi - 1], 0.0)
+    v_start = np.where(ok[:, None, None], covs[np.arange(len(points)), i_hi], np.nan)
+    eta, accepted = G.stationary_efficiency(gen, 0.25 / theta ** 2, v_start, hi, (lo, hi))
+    for i in np.flatnonzero(ok & ~accepted):
+        try:
+            eta[i] = _efficiency_threshold_brentq(
+                qbm_generators(params, points[i], 1.0), lo[i], hi[i])
+        except SimulationError as exc:
+            faults[i] = exc.with_traceback(None)  # its frames hold faults
+    eta[faults.astype(bool)] = np.nan
+    return eta, faults
 
 
 def _efficiency_threshold_brentq(gen, lo, hi):
@@ -499,13 +526,15 @@ def _dispatch(kind, system, spec, **kw):
 def optimize_disk(params, kind, r_grid=None, phi_points=24, refine=True):
     """Most robust general-dyne point for one robustness measure.
 
-    Coarse grid over the disk followed by Nelder-Mead refinement from the
-    two best grid points, bounded to r in [0, 1]: scipy clips every simplex
-    vertex onto the disk, so no evaluation is spent outside it.  Robust
-    means fast information gain (purification time and efficiency threshold
-    minimized) but slow degradation while unobserved (mixing and survival
-    times maximized).  Points where the measure fails (e.g. pure momentum
-    homodyne) are recorded and skipped.
+    Coarse grid over the disk, evaluated as one stacked call of the
+    measure's body (_qbm_values), followed by Nelder-Mead refinement from
+    the two best grid points through the scalar measure, bounded to r in
+    [0, 1]: scipy clips every simplex vertex onto the disk, so no
+    evaluation is spent outside it.  Robust means fast information gain
+    (purification time and efficiency threshold minimized) but slow
+    degradation while unobserved (mixing and survival times maximized).
+    Points where the measure fails (e.g. pure momentum homodyne) are
+    recorded, once each, and skipped.
     """
     if kind not in MEASURE_KINDS:
         raise ValueError(f"unknown measure kind {kind!r}")
@@ -514,24 +543,28 @@ def optimize_disk(params, kind, r_grid=None, phi_points=24, refine=True):
 
     failures = []
 
-    def objective(x):
-        u = DiskPoint(x[0], x[1])
+    @functools.lru_cache(maxsize=None)      # deterministic: each point once
+    def evaluate(u):
         try:
-            res = measure(params, u)
+            return measure(params, u)
         except SimulationError as exc:
             failures.append((u.r, u.phi, str(exc)))
-            return np.inf
-        return sign * res.value
+            return None
+
+    def objective(x):
+        res = evaluate(DiskPoint(x[0], x[1]))
+        return np.inf if res is None else sign * res.value
 
     if r_grid is None:
         r_grid = (0.0, 0.25, 0.5, 0.75, 1.0)
     phis = np.linspace(0.0, 2.0 * math.pi, phi_points, endpoint=False)
-    evals = []
-    for r in r_grid:
-        for phi in (phis if r > 0 else phis[:1]):
-            val = objective((r, phi))
-            if np.isfinite(val):
-                evals.append((val, r, phi))
+    grid = [(r, phi) for r in r_grid for phi in (phis if r > 0 else phis[:1])]
+    values, faults = _qbm_values(kind, params, [DiskPoint(r, phi) for r, phi in grid])
+    # a failing grid point goes through the scalar measure again, which
+    # raises its error for the objective to record
+    evals = [(sign * float(value) if fault is None else objective(x), *x)
+             for x, value, fault in zip(grid, values, faults)]
+    evals = [e for e in evals if np.isfinite(e[0])]
     if not evals:
         raise ConvergenceError("every grid point failed to converge")
     evals.sort()
@@ -549,7 +582,7 @@ def optimize_disk(params, kind, r_grid=None, phi_points=24, refine=True):
                 best_val, best_r, best_phi = res.fun, res.x[0], res.x[1]
 
     u = DiskPoint(best_r, best_phi)
-    result = measure(params, u)
+    result = evaluate(u)
     meta = dict(result.metadata)
     meta["grid_failures"] = len(failures)
     return u, MeasureResult(result.kind, result.value, result.uncertainty, meta)

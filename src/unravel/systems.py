@@ -66,11 +66,12 @@ def build_qbm_oracle(params, truncation=60):
     return LindbladModel(h, [c]), ws
 
 
-def gaussian_density_matrix(workspace, cov, means=(0.0, 0.0)):
-    """Fock-basis density matrix of the single-mode Gaussian state (cov, means).
+def gaussian_density_matrix(workspace, cov):
+    """Fock-basis density matrix of the centred single-mode Gaussian state
+    with covariance cov.
 
-    Built as displaced-squeezed-thermal: rho = D S rho_th S^dag D^dag with
-    the symplectic data read off the covariance matrix.  Raises
+    Built as squeezed-thermal: rho = S rho_th S^dag with the symplectic
+    data read off the covariance matrix.  Raises
     TruncationError through the workspace tail check if the state does not
     fit the truncation.
     """
@@ -108,13 +109,6 @@ def gaussian_density_matrix(workspace, cov, means=(0.0, 0.0)):
     z = -r_sq * np.exp(2j * theta)
     squeeze = expm(0.5 * (np.conj(z) * (a @ a) - z * (dag(a) @ dag(a))))
     rho = squeeze @ rho @ dag(squeeze)
-
-    # displace to the requested means: alpha = (q + i p)/sqrt(2)
-    alpha = (means[0] + 1j * means[1]) / math.sqrt(2.0)
-    if abs(alpha) > 0:
-        disp = expm(alpha * dag(a) - np.conj(alpha) * a)
-        rho = disp @ rho @ dag(disp)
-
     rho = 0.5 * (rho + dag(rho))
     rho = rho / rho.trace().real
     workspace.check_tail(rho)

@@ -717,18 +717,17 @@ class _PurifiedKernel:
         return np.ascontiguousarray(psi).astype(complex)
 
     def step(self, psi, dw_row):
+        # the bundle comes in with unit weighted norm: the kets start
+        # orthonormal with weights summing to 1, and every step renormalises
         b, k, d = psi.shape
         u = (psi.reshape(b * k, d) @ self.c.T).reshape(b, k, d)     # (c psi)
-        c_exp = np.einsum("bki,bki->bk", psi.conj(), u)
-        norms = np.einsum("bki,bki->bk", psi.conj(), psi).real
-        denom = norms @ self.weights
+        c_mean = np.vecdot(psi, u) @ self.weights                   # <c>
         new = psi.copy()
         for j, z in enumerate(self.zs):
-            x_hat = 2.0 * ((c_exp @ self.weights) * z).real / denom
-            dy = x_hat * self.dt + dw_row[:, j]
+            dy = 2.0 * (c_mean * z).real * self.dt + dw_row[:, j]
             new += (z * dy)[:, None, None] * u
         new = (new.reshape(b * k, d) @ self.prop.T).reshape(b, k, d)
-        scale = np.sqrt(np.einsum("bki,bki->bk", new.conj(), new).real @ self.weights)
+        scale = np.sqrt(np.vecdot(new, new).real @ self.weights)
         return new / scale[:, None, None]
 
     def purity(self, psi):

@@ -42,6 +42,19 @@ def _matrix(v):
     return v.matrix if isinstance(v, (CovarianceState, DensityMatrix)) else np.asarray(v)
 
 
+def displaced(workspace, rho, means):
+    """A Fock-space state displaced by the phase-space means (<q>, <p>):
+    D rho D^dag with D = exp(alpha a^dag - alpha* a), alpha = (q + i p)/sqrt(2)."""
+    a = workspace.annihilation
+    alpha = (means[0] + 1j * means[1]) / math.sqrt(2.0)
+    disp = expm(alpha * a.conj().T - np.conj(alpha) * a)
+    m = disp @ _matrix(rho) @ disp.conj().T
+    m = 0.5 * (m + m.conj().T)
+    m = m / m.trace().real
+    workspace.check_tail(m)
+    return DensityMatrix(m)
+
+
 def covariance_ode(gen, v0, times):
     """Covariances V(t), shape (len(times), 2, 2), of dV/dt = gen.rhs(V)
     from V(times[0]) = v0, by adaptive DOP853 at rtol = atol = 1e-12."""

@@ -214,22 +214,28 @@ class TestRiccatiSteady:
 
     @pytest.mark.parametrize("temp", (0.01, 0.5, 100.0))
     def test_stacked_solve_equals_scalar_bitwise(self, temp):
-        # the efficiency-threshold probes come from one stacked solve; each
-        # member must be the scalar riccati_steady result, including stacks
-        # that mix real and complex Hamiltonian spectra (T = 0.01)
-        probe = [0.25, 0.5, 0.75, 1.0]
-        solved = 0
-        for r in (0.0, 0.25, 0.5, 0.75, 1.0):
-            for phi in np.linspace(0.0, 2.0 * math.pi, 24 if r > 0 else 1, endpoint=False):
-                gen = qbm_generators(QbmParams(temp), DiskPoint(r, phi), 1.0)
-                try:
-                    stack = G._riccati_stationary_algebraic(gen, probe)
-                except ConvergenceError:
-                    continue
-                solved += 1
-                for v, eta in zip(stack, probe):
+        # the efficiency-threshold probes of the whole disk grid come from one
+        # stacked solve; each member must be the scalar riccati_steady result,
+        # or fail as it does, including stacks that mix real and complex
+        # Hamiltonian spectra (T = 0.01)
+        params, probe = QbmParams(temp), [0.25, 0.5, 0.75, 1.0]
+        points = [DiskPoint(r, phi) for r in (0.0, 0.25, 0.5, 0.75, 1.0)
+                  for phi in np.linspace(0.0, 2.0 * math.pi, 24 if r > 0 else 1,
+                                         endpoint=False)]
+        stack, faults = G._riccati_stationary_algebraic(
+            qbm_generators(params, points, 1.0), probe)
+        assert stack.shape == (97, 4, 2, 2) and faults.shape == (97, 4)
+        for u, vs, fs in zip(points, stack, faults):
+            gen = qbm_generators(params, u, 1.0)
+            for v, fault, eta in zip(vs, fs, probe):
+                if fault is None:
                     assert np.array_equal(v, riccati_steady(gen.with_eta(eta)).matrix)
-        assert solved >= 96
+                else:
+                    assert np.isnan(v).all()
+                    with pytest.raises(type(fault)) as err:
+                        riccati_steady(gen.with_eta(eta))
+                    assert str(err.value) == str(fault)
+        assert faults.any(axis=1).sum() <= 1
 
     def test_unconditional_qbm_has_no_stationary_state(self):
         gen = qbm_generators(QbmParams(1.0), DiskPoint(1.0, 0.0), 0.0)

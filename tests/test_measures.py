@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -6,7 +7,13 @@ import pytest
 from unravel import measures as M
 from unravel import trajectories as T
 from unravel import gaussian as G
-from unravel.errors import AssumptionError, BracketError, ConvergenceError, HorizonError
+from unravel.errors import (
+    AssumptionError,
+    BracketError,
+    ConvergenceError,
+    HorizonError,
+    SimulationError,
+)
 from unravel.gaussian import DiskPoint, QbmParams
 from unravel.systems import TlaParams
 
@@ -51,6 +58,31 @@ class TestFirstCrossing:
     def test_threshold_at_start(self):
         curve = M.CrossingCurve([0.0, 1.0], [0.5, 1.0], 0.5)
         assert M.first_crossing(curve) == 0.0
+
+    def test_stack_is_worked_row_by_row(self):
+        curve = M.CrossingCurve([0.0, 1.0, 2.0, 3.0],
+                                [[0.5, 0.9, 0.2, 0.1],     # on theta at t = 0
+                                 [0.5, 0.5, 0.5, 0.9],     # flat on theta
+                                 [0.9, 0.85, 0.8, 0.7],    # never crosses
+                                 [0.9, 0.7, 0.3, 0.1]],    # falls through
+                                0.5)
+        times, faults = M.first_crossing(curve)
+        assert times.shape == faults.shape == (4,)
+        assert times[0] == 0.0 and times[1] == 0.0
+        assert times[3] == pytest.approx(1.5)
+        assert faults[0] is None and faults[1] is None and faults[3] is None
+        # the row that never crosses carries its own endpoints
+        assert isinstance(faults[2], HorizonError)
+        assert faults[2].first_value == 0.9 and faults[2].last_value == 0.7
+        assert faults[2].threshold == 0.5
+        with pytest.raises(HorizonError):
+            M.first_crossing(M.CrossingCurve(curve.times, curve.values[2], 0.5))
+
+    def test_stack_keeps_its_leading_shape(self):
+        values = np.linspace(1.0, 0.0, 5)[None, None, :] * np.ones((2, 3, 1))
+        times, faults = M.first_crossing(M.CrossingCurve(np.arange(5.0), values, 0.5))
+        assert times.shape == faults.shape == (2, 3)
+        assert np.all(times == 2.0) and not faults.astype(bool).any()
 
 
 class TestMeasureResult:
@@ -148,6 +180,59 @@ def _threshold_by_brentq(params, u):
     return M._efficiency_threshold_brentq(gen, lo, hi)
 
 
+class TestStackedQbmMeasures:
+    @pytest.mark.parametrize("temp", (0.5, 1.0, 100.0))
+    @pytest.mark.parametrize("kind", M.MEASURE_KINDS)
+    def test_stack_matches_the_scalar_measure(self, temp, kind):
+        # the coarse grid of optimize_disk as one stacked call, against the
+        # scalar measure at every point: values and failures alike
+        params, points = QbmParams(temp), list(_disk_grid())
+        values, faults = M._qbm_values(kind, params, points)
+        assert values.shape == faults.shape == (97,)
+        failed = []
+        for u, value, fault in zip(points, values, faults):
+            try:
+                want = M._QBM_MEASURES[kind](params, u).value
+            except SimulationError as exc:
+                assert type(fault) is type(exc)
+                assert np.isnan(value)
+                failed.append(u)
+                continue
+            assert fault is None
+            assert abs(value - want) <= 1e-12 * abs(want)
+        # pure momentum homodyne only
+        assert [(u.r, u.phi) for u in failed] == [(1.0, pytest.approx(math.pi))]
+
+    def test_scalar_failure_is_released(self):
+        # a scalar measure raises the fault of its stack of one.  numpy object
+        # arrays are invisible to the garbage collector, so a raised fault
+        # that its own traceback kept in such an array would never be freed
+        params, u = QbmParams(1.0), DiskPoint(1.0, math.pi)
+        for measure in M._QBM_MEASURES.values():
+            try:
+                measure(params, u)
+            except SimulationError as exc:
+                released = weakref.ref(exc)
+            assert released() is None
+
+    def test_stored_fallback_failure_is_released(self, monkeypatch):
+        # a fault raised inside the threshold's brentq fallback is stored in
+        # the point's fault array; its traceback reaches that array too
+        made = []
+
+        def failing(*args):
+            made.append(ConvergenceError("fallback failed"))
+            raise made[-1]
+        newton = G.stationary_efficiency
+        monkeypatch.setattr(G, "stationary_efficiency",
+                            lambda *a: (newton(*a)[0], np.zeros(1, dtype=bool)))
+        monkeypatch.setattr(M, "_efficiency_threshold_brentq", failing)
+        with pytest.raises(ConvergenceError, match="fallback failed"):
+            M.efficiency_threshold_qbm(QbmParams(1.0), DiskPoint(0.5, 0.0))
+        stored = weakref.ref(made.pop())
+        assert stored() is None
+
+
 class TestQbmThresholdNewton:
     @pytest.mark.parametrize("temp", (0.01, 0.5, 1.0, 10.0, 100.0, 1000.0))
     def test_matches_brentq_reference_on_the_disk_grid(self, temp):
@@ -186,6 +271,19 @@ class TestQbmThresholdNewton:
         assert M.efficiency_threshold_qbm(params, u).value == want
         assert len(calls) == 1
 
+    def test_singular_member_fails_alone(self):
+        # a zero start zeroes that member's det row, so its Jacobian is
+        # exactly singular; the other member runs as in a stack of one
+        params, u = QbmParams(1.0), DiskPoint(1.0, 1.07)
+        v = G.riccati_steady(G.qbm_generators(params, u, 1.0)).matrix
+        target, lo, hi = 0.25 / M.QBM_THETA.theta ** 2, np.zeros(2), np.ones(2)
+        alone = G.stationary_efficiency(G.qbm_generators(params, [u], 1.0), target,
+                                        v[None], hi[:1], (lo[:1], hi[:1]))
+        eta, accepted = G.stationary_efficiency(G.qbm_generators(params, [u, u], 1.0), target,
+                                                np.stack([0.0 * v, v]), hi, (lo, hi))
+        assert alone[1].tolist() == [True] and accepted.tolist() == [False, True]
+        assert eta[1] == alone[0][0]
+
     def test_root_outside_the_bracket_falls_back(self, monkeypatch):
         # at this point Newton from the upper probe converges to eta = 0.668,
         # outside the bracket [0, 0.25]; the root is rejected, brentq finds it
@@ -197,8 +295,9 @@ class TestQbmThresholdNewton:
         assert got == _threshold_by_brentq(params, u)
 
     def test_monotonicity_message_lists_plain_floats(self, monkeypatch):
-        falling = iter(np.float64(v) for v in (0.9, 0.8, 0.7, 0.6))
-        monkeypatch.setattr(G, "gaussian_purity", lambda _v: next(falling))
+        # the probes' purities come as one (points, probes) array
+        monkeypatch.setattr(G, "gaussian_purity", lambda v: np.broadcast_to(
+            np.array([0.9, 0.8, 0.7, 0.6]), v.shape[:-2]))
         with pytest.raises(AssumptionError) as info:
             M.efficiency_threshold_qbm(QbmParams(1.0), DiskPoint(1.0, 0.0))
         assert "[0.9, 0.8, 0.7, 0.6]" in str(info.value)

@@ -22,7 +22,7 @@ from unravel.systems import (
     gaussian_density_matrix,
 )
 
-from oracles import bloch, fock_covariance, gaussian_overlap, tla_steady_bloch
+from oracles import bloch, displaced, fock_covariance, gaussian_overlap, tla_steady_bloch
 
 
 class TestTla:
@@ -54,7 +54,7 @@ class TestQbmOracle:
         params = QbmParams(0.5)
         model, ws = build_qbm_oracle(params, 40)
         v0 = CovarianceState(0.5, 0.5, 0.0)
-        rho0 = gaussian_density_matrix(ws, v0, (0.6, -0.4))
+        rho0 = displaced(ws, gaussian_density_matrix(ws, v0), (0.6, -0.4))
         gen = qbm_generators(params, DiskPoint(1.0, 0.0), 0.0)
         rho_t = propagate(model, rho0, 1.0, 1e-3)
         got = fock_covariance(ws, rho_t)
@@ -95,7 +95,7 @@ class TestGaussianDensityMatrix:
             c = float(rng.uniform(-0.8, 0.8) * cmax)
             mq, mp = rng.normal(0, 0.8, size=2)
             target = CovarianceState(vq, vp, c)
-            rho = gaussian_density_matrix(ws, target, (mq, mp))
+            rho = displaced(ws, gaussian_density_matrix(ws, target), (mq, mp))
             back = np.array(fock_covariance(ws, rho))
             assert np.abs(back - [vq, vp, c, mq, mp]).max() < 1e-7
 
@@ -105,8 +105,8 @@ class TestGaussianDensityMatrix:
         ws = FockWorkspace(60)
         v1, mu1 = CovarianceState(0.9, 0.5, 0.2), (0.3, -0.4)
         v2, mu2 = CovarianceState(0.6, 0.8, -0.1), (-0.2, 0.5)
-        rho1 = gaussian_density_matrix(ws, v1, mu1)
-        rho2 = gaussian_density_matrix(ws, v2, mu2)
+        rho1 = displaced(ws, gaussian_density_matrix(ws, v1), mu1)
+        rho2 = displaced(ws, gaussian_density_matrix(ws, v2), mu2)
         assert gaussian_overlap(v1, mu1, v2, mu2) == pytest.approx(
             overlap(rho1, rho2), abs=1e-4)
 
