@@ -527,12 +527,15 @@ def optimize_disk(params, kind, r_grid=None, phi_points=24, refine=True):
     """Most robust general-dyne point for one robustness measure.
 
     Coarse grid over the disk, evaluated as one stacked call of the
-    measure's body (_qbm_values), followed by Nelder-Mead refinement from
-    the two best grid points through the scalar measure, bounded to r in
-    [0, 1]: scipy clips every simplex vertex onto the disk, so no
-    evaluation is spent outside it.  Robust means fast information gain
-    (purification time and efficiency threshold minimized) but slow
-    degradation while unobserved (mixing and survival times maximized).
+    measure's body (_qbm_values), followed by Nelder-Mead refinement
+    through the scalar measure, bounded to r in [0, 1]: scipy clips every
+    simplex vertex onto the disk, so no evaluation is spent outside it.
+    It starts from the best grid point, and from the runner-up only when
+    that is no grid neighbour of the best (one ring and one phi step away
+    at most; the centre neighbours the first ring), since only then can it
+    lie in another basin.  Robust means fast information gain (purification
+    time and efficiency threshold minimized) but slow degradation while
+    unobserved (mixing and survival times maximized).
     Points where the measure fails (e.g. pure momentum homodyne) are
     recorded, once each, and skipped.
     """
@@ -558,20 +561,31 @@ def optimize_disk(params, kind, r_grid=None, phi_points=24, refine=True):
     if r_grid is None:
         r_grid = (0.0, 0.25, 0.5, 0.75, 1.0)
     phis = np.linspace(0.0, 2.0 * math.pi, phi_points, endpoint=False)
-    grid = [(r, phi) for r in r_grid for phi in (phis if r > 0 else phis[:1])]
-    values, faults = _qbm_values(kind, params, [DiskPoint(r, phi) for r, phi in grid])
+    # grid points by (ring index, phi index); the centre has one phi
+    grid = [(i, j) for i, r in enumerate(r_grid)
+            for j in (range(phi_points) if r > 0 else (0,))]
+    points = [(r_grid[i], phis[j]) for i, j in grid]
+    values, faults = _qbm_values(kind, params, [DiskPoint(*x) for x in points])
     # a failing grid point goes through the scalar measure again, which
     # raises its error for the objective to record
-    evals = [(sign * float(value) if fault is None else objective(x), *x)
-             for x, value, fault in zip(grid, values, faults)]
+    evals = [(sign * float(value) if fault is None else objective(x), x, ij)
+             for x, ij, value, fault in zip(points, grid, values, faults)]
     evals = [e for e in evals if np.isfinite(e[0])]
     if not evals:
         raise ConvergenceError("every grid point failed to converge")
     evals.sort()
-    best_val, best_r, best_phi = evals[0]
+    best_val, (best_r, best_phi), (i0, j0) = evals[0]
+
+    def near_best(x, ij):
+        # one ring and one phi step (wrapping at 2 pi) from the best point;
+        # the centre is next to every point on the first ring
+        dj = abs(ij[1] - j0)
+        return abs(ij[0] - i0) <= 1 and (
+            min(dj, phi_points - dj) <= 1 or 0.0 in (x[0], best_r))
 
     if refine:
-        starts = {(round(r, 6), round(p, 6)) for _, r, p in evals[:2]}
+        starts = [x for n, (_, x, ij) in enumerate(evals[:2])
+                  if n == 0 or not near_best(x, ij)]
         for r0, p0 in starts:
             res = minimize(objective, x0=[r0, p0], method="Nelder-Mead",
                            bounds=[(0.0, 1.0), (None, None)],

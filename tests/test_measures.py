@@ -433,17 +433,20 @@ class TestOptimizeDisk:
     @pytest.mark.parametrize("kind", M.MEASURE_KINDS)
     def test_refinement_stays_on_the_disk(self, kind, monkeypatch):
         # bounded Nelder-Mead: every point it proposes already lies on the
-        # disk, so none is clamped back and none is wasted outside it
-        proposed = []
+        # disk, so none is clamped back and none is wasted outside it.  At
+        # T = 1 the two best grid points are neighbours, so one run
+        proposed, runs = [], []
         minimize = M.minimize
 
         def recording(fun, *args, **kwargs):
             def objective(x):
                 proposed.append(float(x[0]))
                 return fun(x)
+            runs.append(args)
             return minimize(objective, *args, **kwargs)
         monkeypatch.setattr(M, "minimize", recording)
         M.optimize_disk(QbmParams(1.0), kind)
+        assert len(runs) == 1
         assert len(proposed) > 20
         assert all(0.0 <= r <= 1.0 for r in proposed)
 
@@ -459,6 +462,61 @@ class TestOptimizeDisk:
             assert type(u.r) is float and u.r == 1.0
             assert abs(u.phi - phi) < 1e-5
             assert res.value == pytest.approx(value, rel=1e-10)
+
+    @pytest.mark.parametrize("temp, frozen", [
+        (0.5, {"purification": (6.270000196777346, 0.14378496713789274),
+               "efficiency_threshold": (6.244417616210935, 0.05572106568515397),
+               "mixing": (1.9386921913643134, 2.063199994859941),
+               "survival": (0.4986911630859373, 2.9992170311062623)}),
+        (100.0, {"purification": (6.090406580053999, 0.06123145432020953),
+                 "efficiency_threshold": (6.2605675185546925, 0.23135475337605485),
+                 "mixing": (2.0951686797609694, 0.06729604946497501),
+                 "survival": (2.86163168408203, 0.037667126494427716)}),
+    ])
+    def test_benchmark_corners_match_frozen_fixture(self, temp, frozen):
+        # the qbm-optimal benchmark's two temperatures, recorded while the
+        # refinement still started from both of the two best grid points
+        for kind, (phi, value) in frozen.items():
+            u, res = M.optimize_disk(QbmParams(temp), kind)
+            assert u.r == 1.0
+            gap = abs(u.phi - phi) % (2 * math.pi)
+            assert min(gap, 2 * math.pi - gap) < 1e-5
+            assert res.value == pytest.approx(value, rel=1e-10)
+
+    def test_second_refinement_finds_the_deeper_basin(self, monkeypatch):
+        # two narrow dips on the rim, nine phi steps apart: the shallow one
+        # sits on a grid point and wins the grid, the deep one lies between
+        # grid points, so only the runner-up's own start finds it
+        step = 2 * math.pi / 24
+        shallow, deep = 4 * step, 15 * step + 0.08
+
+        def dip(phi, centre, depth):
+            gap = (phi - centre + math.pi) % (2 * math.pi) - math.pi
+            return depth * np.exp(-gap ** 2 / 0.0128)
+
+        def f(r, phi):
+            return 3.0 - 2.0 * r - r * (dip(phi, shallow, 0.5) + dip(phi, deep, 0.7))
+
+        def values(kind, params, points):
+            return (np.array([f(u.r, u.phi) for u in points]),
+                    np.full(len(points), None, dtype=object))
+
+        def measure(params, u):
+            return M.MeasureResult("purification", float(f(u.r, u.phi)))
+        starts = []
+        minimize = M.minimize
+
+        def recording(fun, x0, *args, **kwargs):
+            starts.append(tuple(x0))
+            return minimize(fun, x0, *args, **kwargs)
+        monkeypatch.setattr(M, "minimize", recording)
+        monkeypatch.setattr(M, "_qbm_values", values)
+        monkeypatch.setitem(M._QBM_MEASURES, "purification", measure)
+        u, res = M.optimize_disk(QbmParams(1.0), "purification")
+        assert starts == [(1.0, shallow), (1.0, 15 * step)]
+        assert u.r == 1.0
+        assert abs(u.phi - deep) < 1e-4
+        assert res.value == pytest.approx(0.3, abs=1e-9)
 
     @pytest.mark.parametrize("temp", (0.5, 100.0))
     def test_measure_path_starts_no_ode_solver(self, temp, monkeypatch):
