@@ -1,17 +1,20 @@
-"""Dense finite-dimensional quantum linear algebra.
+"""Finite-dimensional quantum linear algebra.
 
-States, Lindblad generators, steady states and deterministic propagation:
-one fixed-step RK4 loop over stacks of states (propagate_matrices), with
-propagate as its validated single-state entry point.  Everything is plain
-numpy under the hood; the thin wrapper types enforce the physical
-invariants (Hermiticity, unit trace, positivity) at construction time so
-that downstream code can trust its inputs.
+States, the Lindblad generator (liouvillian_matrix, its one assembly),
+steady states and exact deterministic propagation: propagate_matrices
+streams stacks of states along a time grid, with propagate as its
+validated single-state entry point.  Everything is plain numpy and scipy
+under the hood; the thin wrapper types enforce the physical invariants
+(Hermiticity, unit trace, positivity) at construction time so that
+downstream code can trust its inputs.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
+import scipy.sparse as sp
+from scipy.linalg import expm, null_space
+from scipy.sparse.linalg import expm_multiply
 
 from .errors import (
     DegenerateSteadyStateError,
@@ -31,6 +34,9 @@ _DEGENERACY_TOL = 1e-10
 # check_tail: population allowed in the top Fock levels
 _TAIL_LEVELS = 5
 _TAIL_TOL = 1e-6
+# propagate_matrices: one dense exponential per distinct step up to this
+# dimension, the action of the sparse generator's exponential above it
+_DENSE_PROPAGATOR_DIM = 8
 
 
 def dag(a):
@@ -176,14 +182,9 @@ def trace_distance(rho1, rho2):
     return float(0.5 * np.abs(np.linalg.eigvalsh(m1 - m2)).sum())
 
 
-def dissipator(op, m):
-    """D[B]A = B A B^dag - (B^dag B A + A B^dag B)/2 on a raw matrix or stack."""
-    bdb = dag(op) @ op
-    return op @ m @ dag(op) - 0.5 * (bdb @ m + m @ bdb)
-
-
 def lindblad_rhs(model, rho):
-    """Right-hand side -i[H, rho] + sum_k D[L_k] rho.
+    """Right-hand side -i[H, rho] + sum_k D[L_k] rho, with
+    D[B]A = B A B^dag - (B^dag B A + A B^dag B)/2.
 
     Takes one state or a stack (..., d, d) of raw matrices and returns raw
     trace-zero matrices of the same shape.
@@ -194,66 +195,92 @@ def lindblad_rhs(model, rho):
     h = model.hamiltonian
     out = -1j * (h @ m - m @ h)
     for op in model.jump_operators:
-        out += dissipator(op, m)
+        bdb = dag(op) @ op
+        out += op @ m @ dag(op) - 0.5 * (bdb @ m + m @ bdb)
     return out
 
 
-def propagate_matrices(model, mats, duration, dt):
-    """Integrate the master equation with fixed-step RK4 over a stack (..., d, d).
+def propagate_matrices(model, mats, times):
+    """Exact solution of the master equation for a stack (..., d, d) of
+    states, streamed along a non-decreasing grid of times from t = 0: yields
+    (t, stack at t) for each t in `times`.
 
-    The package's one master-equation integrator.  Each step is
-    re-symmetrized to bound Hermiticity drift; the outputs are raw matrices
-    and are not validated (propagate is the validated single-state entry).
+    The package's one master-equation propagator.  Up to dimension
+    _DENSE_PROPAGATOR_DIM each step h applies e^{L h}, one dense exponential
+    per distinct step; above it, the action of the sparse generator's
+    exponential (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)),
+    which never forms a dense d^2 x d^2 matrix.  Only the current stack is
+    held; the outputs are raw matrices and are not validated (propagate is
+    the validated single-state entry).
     """
-    if duration < 0:
-        raise ValueError("duration must be non-negative")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    m = np.array(mats, dtype=complex)
-    if duration == 0:
-        return m
-    n_steps = int(np.ceil(duration / dt))
-    step = duration / n_steps
-    for _ in range(n_steps):
-        k1 = lindblad_rhs(model, m)
-        k2 = lindblad_rhs(model, m + 0.5 * step * k1)
-        k3 = lindblad_rhs(model, m + 0.5 * step * k2)
-        k4 = lindblad_rhs(model, m + step * k3)
-        m = m + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        m = 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
-    return m
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or np.any(times < 0) or np.any(np.diff(times) < 0):
+        raise ValueError("times must be a non-negative, non-decreasing 1-d grid")
+    m = np.asarray(mats, dtype=complex)
+    d = model.dim
+    if m.shape[-2:] != (d, d):
+        raise DimensionMismatchError(f"state shape {m.shape} != model dim {d}")
+    liou = liouvillian_matrix(model)
+    dense = d <= _DENSE_PROPAGATOR_DIM
+    if dense:
+        liou = liou.toarray()
+    y = m.reshape(-1, d * d)
+    props = {}
+    prev = 0.0
+    for t in times:
+        step = round(t - prev, 15)
+        if step > 0 and dense:
+            if step not in props:
+                props[step] = expm(liou * step)
+            y = y @ props[step].T
+        elif step > 0:
+            y = expm_multiply(liou * step, y.T).T
+        prev = t
+        yield t, y.reshape(m.shape)
 
 
-def propagate(model, rho0, duration, dt):
-    """Integrate the unconditional master equation for one state; a DensityMatrix.
+def propagate(model, rho0, duration):
+    """The state after `duration` of the unconditional master equation,
+    exactly (propagate_matrices); a DensityMatrix.
 
     A DensityMatrix propagated for zero duration comes back as itself.
     """
-    m = propagate_matrices(
-        model, rho0.matrix if isinstance(rho0, DensityMatrix) else rho0, duration, dt)
     if duration == 0 and isinstance(rho0, DensityMatrix):
         return rho0
+    _, m = next(propagate_matrices(
+        model, rho0.matrix if isinstance(rho0, DensityMatrix) else rho0, [duration]))
     try:
         return DensityMatrix(m)
     except InvariantViolationError as exc:
-        raise InvariantViolationError(
-            f"propagation left the state manifold (dt too large?): {exc}") from exc
+        raise InvariantViolationError(f"propagation left the state manifold: {exc}") from exc
+
+
+def _no_jump_generator(model):
+    """K = -iH - (1/2) sum_k L_k^dag L_k, the generator of e^{K dt}."""
+    k = -1j * model.hamiltonian
+    for op in model.jump_operators:
+        k -= 0.5 * dag(op) @ op
+    return k
 
 
 def liouvillian_matrix(model):
-    """Dense matrix of the generator acting on row-stacked rho.
+    """The generator as a sparse (CSR) matrix acting on row-stacked rho;
+    dense callers take .toarray().
 
-    Row-stacking convention: vec(A X B) = (A kron B^T) vec(X).
+    Row-stacking convention: vec(A X B) = (A kron B^T) vec(X), so the
+    generator is K kron 1 + 1 kron conj(K) + sum_k L_k kron conj(L_k), each
+    Kronecker product taken over the nonzero entries of its factors.
     """
     d = model.dim
-    ident = np.eye(d)
-    h = model.hamiltonian
-    out = -1j * (np.kron(h, ident) - np.kron(ident, h.T))
-    for op in model.jump_operators:
-        bdb = dag(op) @ op
-        out += np.kron(op, op.conj())
-        out -= 0.5 * (np.kron(bdb, ident) + np.kron(ident, bdb.T))
-    return out
+    k, ident = _no_jump_generator(model), np.eye(d)
+    vals, rows, cols = [], [], []
+    for a, b in [(k, ident), (ident, k.conj()), *((op, op.conj()) for op in model.jump_operators)]:
+        (ia, ja), (ib, jb) = np.nonzero(a), np.nonzero(b)
+        vals.append(np.outer(a[ia, ja], b[ib, jb]).ravel())
+        rows.append(np.add.outer(ia * d, ib).ravel())
+        cols.append(np.add.outer(ja * d, jb).ravel())
+    return sp.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(d * d, d * d))
 
 
 def steady_state(model):
@@ -263,7 +290,7 @@ def steady_state(model):
     (e.g. a Hamiltonian-only model); there is no fallback that could mask a
     degenerate generator.  The result is checked against lindblad_rhs.
     """
-    liou = liouvillian_matrix(model)
+    liou = liouvillian_matrix(model).toarray()
     kernel = null_space(liou, rcond=_DEGENERACY_TOL * model.dim ** 2)
     if kernel.shape[1] != 1:
         raise DegenerateSteadyStateError(

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.optimize import brentq, minimize
 
 from . import gaussian as G
@@ -27,7 +26,7 @@ from .errors import (
     SimulationError,
 )
 from .gaussian import DiskPoint, QbmParams, qbm_generators
-from .hilbert import liouvillian_matrix, purity, steady_state
+from .hilbert import propagate_matrices, purity, steady_state
 from .systems import TlaParams, build_tla
 from .trajectories import TrajectoryConfig
 
@@ -327,27 +326,9 @@ def _mc_meta(params, spec, opts, n):
 
 
 def _superop_steps(model, mats, tau_grid):
-    """Deterministic evolution of a batch of small states, sampled on tau_grid.
-
-    Exact exponential stepping of the vectorized generator; yields (tau,
-    states) including tau = 0.
-    """
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    liou = liouvillian_matrix(model)
-    d = model.dim
-    y = mats.reshape(mats.shape[0], -1).astype(complex)
-    yield 0.0, mats
-    prev = 0.0
-    prop_cache = {}
-    for tau in tau_grid:
-        if tau == 0.0:
-            continue
-        step = round(tau - prev, 15)
-        if step not in prop_cache:
-            prop_cache[step] = expm(liou * step)
-        y = y @ prop_cache[step].T
-        prev = tau
-        yield tau, y.reshape(-1, d, d)
+    """Deterministic evolution of a batch of frozen states: yields (tau,
+    states) for each tau of tau_grid, exactly (hilbert.propagate_matrices)."""
+    return propagate_matrices(model, mats, tau_grid)
 
 
 def conditioned_stationary_states(params, spec, opts):
@@ -371,29 +352,17 @@ def mixing_and_survival_tla(params, spec, opts=McOptions()):
     model = build_tla(params)
     frozen = conditioned_stationary_states(params, spec, opts)
     n = frozen.shape[0]
-    n_tau = 240
-    tau_grid = np.linspace(0.0, _scaled(params, _TLA_TAU_HORIZON), n_tau + 1)[1:]
-    pur0 = np.einsum("bij,bji->b", frozen, frozen).real
-    err0 = pur0.std(ddof=1) / math.sqrt(n)
-    taus = [0.0]
-    pur_mean, pur_err = [pur0.mean()], [err0]
-    ov_mean, ov_err = [pur0.mean()], [err0]
-    for tau, states in _superop_steps(model, frozen, tau_grid):
-        if tau == 0.0:
-            continue
+    tau_grid = np.linspace(0.0, _scaled(params, _TLA_TAU_HORIZON), 241)
+    # mean and standard error of the purity and the overlap at each delay
+    stats, root_n = [], math.sqrt(n)
+    for _, states in _superop_steps(model, frozen, tau_grid):
         p = np.einsum("bij,bji->b", states, states).real
         ov = np.einsum("bij,bji->b", frozen, states).real
-        taus.append(tau)
-        pur_mean.append(p.mean())
-        pur_err.append(p.std(ddof=1) / math.sqrt(n))
-        ov_mean.append(ov.mean())
-        ov_err.append(ov.std(ddof=1) / math.sqrt(n))
-    taus = np.array(taus)
+        stats.append([p.mean(), p.std(ddof=1) / root_n, ov.mean(), ov.std(ddof=1) / root_n])
+    pur_mean, pur_err, ov_mean, ov_err = np.array(stats).T
     meta = _mc_meta(params, spec, opts, n)
-    t_mix, e_mix = crossing_with_uncertainty(taus, np.array(pur_mean),
-                                             np.array(pur_err), theta.theta)
-    t_sur, e_sur = crossing_with_uncertainty(taus, np.array(ov_mean),
-                                             np.array(ov_err), theta.theta)
+    t_mix, e_mix = crossing_with_uncertainty(tau_grid, pur_mean, pur_err, theta.theta)
+    t_sur, e_sur = crossing_with_uncertainty(tau_grid, ov_mean, ov_err, theta.theta)
     return (MeasureResult("mixing", t_mix * params.gamma, e_mix * params.gamma,
                           metadata=meta),
             MeasureResult("survival", t_sur * params.gamma, e_sur * params.gamma,

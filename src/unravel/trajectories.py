@@ -60,7 +60,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import InvariantViolationError, StepSizeError
-from .hilbert import DensityMatrix, dag
+from .hilbert import DensityMatrix, LindbladModel, _no_jump_generator, dag, liouvillian_matrix
 
 DIFFUSIVE_KINDS = ("homodyne_x", "homodyne_y", "heterodyne", "general_dyne")
 JUMP_KINDS = ("direct", "aid")
@@ -287,14 +287,6 @@ def _measured_op(model):
     return model.jump_operators[0]
 
 
-def _no_jump_generator(model):
-    """K = -iH - (1/2) sum_k L_k^dag L_k, the generator of e^{K dt}."""
-    k = -1j * model.hamiltonian
-    for op in model.jump_operators:
-        k -= 0.5 * dag(op) @ op
-    return k
-
-
 def _basis_initial(kernel, mats):
     """`initial` of the small-dimension kernels: a (b, d^2) batch of
     coordinates stored column-major, so y.T is a contiguous (d^2, b) array."""
@@ -459,21 +451,12 @@ class _SuperopJumpKernel:
         for s in signs:
             j = c + s * beta * ident
             h = model.hamiltonian + 0.5j * (s * beta * dag(c) - np.conj(s * beta) * c)
-            jj = dag(j) @ j
-
-            def no_click(eta):
-                q = -1j * (np.kron(h, ident) - np.kron(ident, h.T))
-                q += (1.0 - eta) * (np.kron(j, j.conj())
-                                    - 0.5 * (np.kron(jj, ident) + np.kron(ident, jj.T)))
-                for op in model.jump_operators[1:]:
-                    oo = dag(op) @ op
-                    q += np.kron(op, op.conj()) - 0.5 * (np.kron(oo, ident)
-                                                         + np.kron(ident, oo.T))
-                q -= 0.5 * eta * (np.kron(jj, ident) + np.kron(ident, jj.T))
-                return _real_superop(expm(q * dt))
-
-            self.props.append(np.stack([no_click(eta) for eta in etas]))
-            self.jump_supers.append(_real_superop(np.kron(j, j.conj())))
+            liou = liouvillian_matrix(LindbladModel(h, (j, *model.jump_operators[1:]))).toarray()
+            click = np.kron(j, j.conj())
+            # the no-click generator: the whole generator less the detected clicks
+            self.props.append(np.stack([_real_superop(expm((liou - eta * click) * dt))
+                                        for eta in etas]))
+            self.jump_supers.append(_real_superop(click))
         self.tr_vec = _coords(ident)
 
     initial = _basis_initial

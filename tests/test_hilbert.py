@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from unravel import hilbert
 from unravel.errors import (
@@ -14,6 +15,7 @@ from unravel.hilbert import (
     LindbladModel,
     PAULI_X,
     SIGMA_MINUS,
+    liouvillian_matrix,
     lindblad_rhs,
     overlap,
     propagate,
@@ -21,6 +23,9 @@ from unravel.hilbert import (
     steady_state,
     trace_distance,
 )
+
+from unravel.gaussian import QbmParams
+from unravel.systems import build_qbm_oracle
 
 from oracles import bloch
 
@@ -117,15 +122,15 @@ class TestLindbladRhs:
 
 class TestPropagate:
     def test_zero_duration_identity(self):
-        rho = propagate(tla_model(), EXCITED, 0.0, 1e-3)
+        rho = propagate(tla_model(), EXCITED, 0.0)
         assert rho is EXCITED
 
     def test_raw_matrix_comes_back_as_density_matrix(self):
         model = tla_model()
         for duration in (0.0, 0.1):
-            rho = propagate(model, np.diag([1.0, 0.0]), duration, 1e-3)
+            rho = propagate(model, np.diag([1.0, 0.0]), duration)
             assert isinstance(rho, DensityMatrix)
-        assert np.array_equal(propagate(model, np.diag([1.0, 0.0]), 0.0, 1e-3).matrix,
+        assert np.array_equal(propagate(model, np.diag([1.0, 0.0]), 0.0).matrix,
                               EXCITED.matrix)
 
     def test_pure_decay_closed_form(self):
@@ -133,30 +138,30 @@ class TestPropagate:
         gamma = 1.0
         model = tla_model(0.0, gamma)
         for t in (0.3, 1.0, 2.5):
-            rho = propagate(model, EXCITED, t, 1e-3)
+            rho = propagate(model, EXCITED, t)
             z = bloch(rho)[2]
-            assert z == pytest.approx(2 * np.exp(-gamma * t) - 1, abs=1e-8)
+            assert z == pytest.approx(2 * np.exp(-gamma * t) - 1, abs=1e-12)
 
     def test_relaxes_to_steady_state(self):
         model = tla_model(2.0, 1.0)
-        rho_inf = propagate(model, EXCITED, 30.0, 1e-3)
+        rho_inf = propagate(model, EXCITED, 30.0)
         assert trace_distance(rho_inf, steady_state(model)) < 1e-6
 
     def test_semigroup_property(self):
         model = tla_model(1.5, 1.0)
-        one_shot = propagate(model, EXCITED, 2.0, 1e-3)
-        two_step = propagate(model, propagate(model, EXCITED, 0.8, 1e-3), 1.2, 1e-3)
-        assert trace_distance(one_shot, two_step) < 1e-8
+        one_shot = propagate(model, EXCITED, 2.0)
+        two_step = propagate(model, propagate(model, EXCITED, 0.8), 1.2)
+        assert trace_distance(one_shot, two_step) < 1e-12
 
     def test_purity_nonincreasing_initially(self):
         model = LindbladModel(np.zeros((2, 2)), [SIGMA_MINUS])
         p0 = purity(EXCITED)
-        p1 = purity(propagate(model, EXCITED, 0.05, 1e-4))
+        p1 = purity(propagate(model, EXCITED, 0.05))
         assert p1 <= p0 + 1e-12
 
     def test_outputs_valid_states(self):
         model = tla_model(3.0, 1.0)
-        rho = propagate(model, EXCITED, 1.0, 1e-3)
+        rho = propagate(model, EXCITED, 1.0)
         m = rho.matrix
         assert np.abs(m - m.conj().T).max() < 1e-10
         assert abs(m.trace() - 1) < 1e-9
@@ -194,6 +199,17 @@ class TestFockWorkspace:
             ws.check_tail(top)
 
 
+def _random_states(rng, n, d):
+    a = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    m = a @ np.conj(np.swapaxes(a, 1, 2))
+    return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+
+
+# one model on each route of propagate_matrices: d = 2 and the d = 12 Fock oracle
+ROUTE_MODELS = [tla_model(1.3, 0.7), build_qbm_oracle(QbmParams(0.5), 12)[0]]
+ROUTE_IDS = ["dense-d2", "sparse-fock12"]
+
+
 class TestBatchedPropagation:
     def test_rhs_of_a_stack_is_the_stack_of_rhs(self):
         model = tla_model(1.2, 1.0)
@@ -202,10 +218,34 @@ class TestBatchedPropagation:
         for m, rho in zip(out, stack):
             assert np.abs(m - lindblad_rhs(model, rho)).max() < 1e-15
 
-    def test_matches_scalar_path(self):
-        model = tla_model(1.2, 1.0)
-        mats = np.stack([EXCITED.matrix, GROUND.matrix])
-        out = hilbert.propagate_matrices(model, mats, 1.0, 1e-3)
-        for m, rho0 in zip(out, (EXCITED, GROUND)):
-            ref = propagate(model, rho0, 1.0, 1e-3)
-            assert np.abs(m - ref.matrix).max() < 1e-10
+    @pytest.mark.parametrize("model", ROUTE_MODELS, ids=ROUTE_IDS)
+    def test_matches_scalar_path(self, model):
+        # a streamed stack against each member propagated alone in one step
+        mats = _random_states(np.random.default_rng(8), 4, model.dim)
+        for t, out in hilbert.propagate_matrices(model, mats, [0.05, 0.3, 1.0]):
+            for m, rho0 in zip(out, mats):
+                assert np.abs(m - propagate(model, rho0, t).matrix).max() < 1e-13
+
+
+class TestExactPropagation:
+    """Each route of propagate_matrices (dense exponential per step at
+    d <= 8, action of the sparse exponential above) against the dense
+    exponential of the generator taken here."""
+
+    @pytest.mark.parametrize("model", ROUTE_MODELS, ids=ROUTE_IDS)
+    def test_route_matches_dense_exponential(self, model, monkeypatch):
+        calls, sparse_route = [], hilbert.expm_multiply
+        monkeypatch.setattr(hilbert, "expm_multiply",
+                            lambda *a: calls.append(1) or sparse_route(*a))
+        d = model.dim
+        mats = _random_states(np.random.default_rng(7), 3, d)
+        liou = liouvillian_matrix(model).toarray()
+        times = [0.0, 0.1, 0.25, 0.25, 0.7]
+        for t, out in hilbert.propagate_matrices(model, mats, times):
+            want = (mats.reshape(3, -1) @ expm(liou * t).T).reshape(mats.shape)
+            assert np.abs(out - want).max() < 1e-12, (t, np.abs(out - want).max())
+        assert bool(calls) == (d > hilbert._DENSE_PROPAGATOR_DIM)
+
+    def test_rejects_a_decreasing_grid(self):
+        with pytest.raises(ValueError):
+            next(hilbert.propagate_matrices(tla_model(), EXCITED.matrix, [0.5, 0.2]))

@@ -71,7 +71,7 @@ class TestStepDiffusive:
         out1 = T.step_diffusive(model, spec, rho, [3.0 * math.sqrt(1e-3)], 1e-3)
         out2 = T.step_diffusive(model, spec, rho, [-2.0 * math.sqrt(1e-3)], 1e-3)
         assert np.abs(out1.matrix - out2.matrix).max() < 1e-14
-        ref = propagate(model, rho, 1e-3, 1e-3)
+        ref = propagate(model, rho, 1e-3)
         assert trace_distance(out1, ref) < 1e-5
 
     def test_one_step_mean_matches_deterministic(self):
@@ -194,7 +194,7 @@ class TestRunEnsemble:
             for t, m in zip(curve.times, curve.states):
                 if t == 0:
                     continue
-                ref = propagate(model, EXCITED, float(t), 5e-4)
+                ref = propagate(model, EXCITED, float(t))
                 dist = trace_distance(DensityMatrix(m, pos_tol=1e-2), ref)
                 # 3/sqrt(N) statistical + O(dt) discretization allowance
                 assert dist < 3.0 / math.sqrt(400) + 0.02, (name, t, dist)
