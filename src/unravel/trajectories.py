@@ -28,7 +28,10 @@ of four kernels, Kraus-form steppers after Rouchon & Ralph, PRA 91, 012118
 * `_PurifiedKernel`: efficient diffusive runs at large dimension, which
   unravel a mixed initial state as a weighted bundle of pure states driven
   by a common measurement record (the conditional map is a pure Kraus map
-  at eta = 1, so the bundle stays rank-one per component).
+  at eta = 1, so the bundle stays rank-one per component).  It steps the
+  bundle in the generator's block order, one GEMM per block of the
+  connected components of the no-jump generator's sparsity pattern: two
+  blocks of d/2 for the Fock oracle, whose generator conserves parity.
 
 Purity curves and mean states of direct detection and AID, and so the
 efficiency threshold's long-run purities, go through `_EventJumpSampler`
@@ -664,6 +667,18 @@ class _EventJumpSampler(_SuperopJumpKernel):
 _PURIFIED_WEIGHT_CUT = 1e-7
 
 
+def _generator_blocks(k):
+    """The connected components of the sparsity pattern of k, as (perm, sizes):
+    perm lists the indices component by component, each component in
+    ascending order and the components by their smallest index."""
+    linked = (k != 0) | (k.T != 0) | np.eye(len(k), dtype=bool)
+    reach = linked
+    while (wider := reach @ reach).sum() > reach.sum():
+        reach = wider
+    first = reach.argmax(axis=1)                # smallest index of each component
+    return np.argsort(first, kind="stable"), np.unique(first, return_counts=True)[1]
+
+
 class _PurifiedKernel:
     """Efficient-measurement diffusive ensembles as pure-state bundles.
 
@@ -674,6 +689,13 @@ class _PurifiedKernel:
     trajectory distribution exact; per-component norms encode the
     conditional weights.  Orders of magnitude faster than the matrix path
     at Fock dimensions.
+
+    The bundle steps in the generator's block order: kets, the no-jump
+    generator K and c are permuted so that the connected components of K's
+    sparsity pattern are contiguous blocks, the propagator is one
+    expm(K[blk, blk] dt) per block (its zeros exact), and each row block of
+    c psi reads only the blocks that row of c touches.  The Fock oracle's K
+    conserves parity: two blocks of d/2.  `to_matrices` undoes the order.
     """
 
     def __init__(self, model, spec, rho0, dt):
@@ -685,14 +707,26 @@ class _PurifiedKernel:
         c = _measured_op(model)
         if len(model.jump_operators) != 1:
             raise ValueError("purified path supports a single jump operator")
+        gen = _no_jump_generator(model)
+        self.perm, sizes = _generator_blocks(gen)
+        self.inverse = np.argsort(self.perm)
+        gen, c = (m[np.ix_(self.perm, self.perm)] for m in (gen, c))
+        edges = [0, *np.cumsum(sizes).tolist()]
+        self.blocks = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+        # right factors of the row-stored kets, psi @ P^T block by block
+        self.props = [expm(gen[blk, blk] * dt).T for blk in self.blocks]
+        self.c_rows = []
+        for blk in self.blocks:
+            touched = [col for col in self.blocks if c[blk, col].any()]
+            span = slice(touched[0].start, touched[-1].stop) if touched else slice(0, 0)
+            self.c_rows.append((blk, span, c[blk, span].T))
         vals, vecs = np.linalg.eigh(rho0)
         keep = vals > _PURIFIED_WEIGHT_CUT * vals.max()
         self.weights = vals[keep] / vals[keep].sum()
-        self.kets = vecs[:, keep].T            # (K, d)
+        self.kets = vecs[:, keep].T[:, self.perm]   # (K, d), in block order
         self.n_comp = len(self.weights)
-        self.c = c
-        self.prop = expm(_no_jump_generator(model) * dt)
         self.zs = np.array(spec.channel_coefficients())
+        self._u = np.empty(0, dtype=complex)        # c psi, reused across steps
 
     def initial(self, mats):
         # the bundle of the rho0 given at construction; mats sets the batch size
@@ -701,17 +735,25 @@ class _PurifiedKernel:
 
     def step(self, psi, dw_row):
         # the bundle comes in with unit weighted norm: the kets start
-        # orthonormal with weights summing to 1, and every step renormalises
+        # orthonormal with weights summing to 1, and every step renormalises.
+        # A contiguous bundle is advanced in place.
         b, k, d = psi.shape
-        u = (psi.reshape(b * k, d) @ self.c.T).reshape(b, k, d)     # (c psi)
-        c_mean = np.vecdot(psi, u) @ self.weights                   # <c>
-        new = psi.copy()
-        for j, z in enumerate(self.zs):
-            dy = 2.0 * (c_mean * z).real * self.dt + dw_row[:, j]
-            new += (z * dy)[:, None, None] * u
-        new = (new.reshape(b * k, d) @ self.prop.T).reshape(b, k, d)
-        scale = np.sqrt(np.vecdot(new, new).real @ self.weights)
-        return new / scale[:, None, None]
+        x = psi.reshape(b * k, d)
+        if self._u.shape != x.shape:
+            self._u = np.empty_like(x)
+        u = self._u
+        for out, span, c_t in self.c_rows:
+            np.matmul(x[:, span], c_t, out=u[:, out])                 # c psi
+        u3 = u.reshape(b, k, d)
+        c_mean = np.vecdot(psi, u3) @ self.weights                   # <c>
+        dy = 2.0 * (c_mean[:, None] * self.zs).real * self.dt + dw_row
+        u3 *= (dy @ self.zs)[:, None, None]
+        u3 += psi                                     # (1 + sum_j z_j dy_j c) psi
+        for blk, p_t in zip(self.blocks, self.props):
+            np.matmul(u[:, blk], p_t, out=x[:, blk])
+        new = x.reshape(b, k, d)
+        new *= (1.0 / np.sqrt(np.vecdot(new, new).real @ self.weights))[:, None, None]
+        return new
 
     def purity(self, psi):
         gram = np.einsum("bki,bli->bkl", psi.conj(), psi)
@@ -721,7 +763,7 @@ class _PurifiedKernel:
         return quad / norm ** 2
 
     def to_matrices(self, psi):
-        scaled = psi * np.sqrt(self.weights)[None, :, None]
+        scaled = psi[..., self.inverse] * np.sqrt(self.weights)[None, :, None]
         rho = np.einsum("bki,bkj->bij", scaled, scaled.conj())
         tr = np.einsum("bii->b", rho).real
         return rho / tr[:, None, None]

@@ -265,3 +265,22 @@ def counting_step(model, eta, beta, rhos, uniforms, signs, dt):
                 signs[i] = -signs[i]
         out[i] = evolved / tr
     return out, clicked, signs
+
+
+def purified_step(c, prop, zs, weights, dt, psi, dw_row):
+    """One step of the eta = 1 purified bundle with dense operators in the
+    caller's basis: c the measured operator, prop = expm(K dt) with K the
+    no-jump generator, zs the channel coefficients.  The package's kernel
+    steps the same map in the generator's block order."""
+    # the bundle comes in with unit weighted norm: the kets start
+    # orthonormal with weights summing to 1, and every step renormalises
+    b, k, d = psi.shape
+    u = (psi.reshape(b * k, d) @ c.T).reshape(b, k, d)     # (c psi)
+    c_mean = np.vecdot(psi, u) @ weights                   # <c>
+    new = psi.copy()
+    for j, z in enumerate(zs):
+        dy = 2.0 * (c_mean * z).real * dt + dw_row[:, j]
+        new += (z * dy)[:, None, None] * u
+    new = (new.reshape(b * k, d) @ prop.T).reshape(b, k, d)
+    scale = np.sqrt(np.vecdot(new, new).real @ weights)
+    return new / scale[:, None, None]

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from unravel import cli
+from unravel import gaussian as G
+from unravel import trajectories as T
+from unravel.gaussian import DiskPoint, QbmParams, qbm_generators
 
 
 def run_cli(argv):
@@ -188,6 +191,27 @@ class TestValidate:
         [check] = report["checks"]
         # the largest excess over the allowance, not a floor of 0.0
         assert check["passed"] is True and check["value"] < 0.0
+
+    def test_gaussian_oracle_runs_and_reports_the_requested_count(self, tmp_path, monkeypatch):
+        # a stub ensemble that records its size and returns the exact curve
+        sizes = []
+
+        def exact_ensemble(model, spec, rho0, cfg, n_traj, statistic):
+            sizes.append(n_traj)
+            _, dt, sample_idx = cfg.grid()
+            times = sample_idx * dt
+            mean = G.conditioned_purity_curve(
+                qbm_generators(QbmParams(0.5), DiskPoint(1.0, 0.0), 1.0), times, np.eye(2))
+            return T.EnsembleCurve(times=times, mean=mean, stderr=np.zeros_like(mean), n=n_traj)
+
+        monkeypatch.setattr(T, "run_ensemble", exact_ensemble)
+        out = tmp_path / "oracle.json"
+        code = run_cli(["validate", "gaussian-oracle", "--n-traj", "600",
+                        "--out", str(out)])
+        report = json.loads(out.read_text())
+        assert code == 0, report
+        [check] = report["checks"]
+        assert sizes == [600] and check["n"] == 600 and report["n_traj"] == 600
 
     @pytest.mark.slow
     def test_invariance_suite_passes(self, tmp_path):

@@ -4,12 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import expm
 
 from unravel import trajectories as T
 from unravel.errors import InvariantViolationError, SimulationError, StepSizeError
 from unravel.gaussian import CovarianceState, DiskPoint, QbmParams
 from unravel.hilbert import (
     DensityMatrix,
+    LindbladModel,
+    _no_jump_generator,
     lindblad_rhs,
     propagate,
     purity,
@@ -620,6 +623,60 @@ class TestPurifiedPath:
         for a, sa, b, sb in zip(pure.mean[1:], pure.stderr[1:],
                                 dm.mean[1:], dm.stderr[1:]):
             assert abs(a - b) < 3.0 * math.sqrt(sa ** 2 + sb ** 2) + 2e-3
+
+    @staticmethod
+    def _dense_reference(kernel, model, spec, psi, noise):
+        """The kernel's bundle psi, taken to the caller's basis (a copy) and
+        stepped through `noise` by the dense reference step."""
+        c = model.jump_operators[0]
+        prop = expm(_no_jump_generator(model) * kernel.dt)
+        zs = np.array(spec.channel_coefficients())
+        ref = psi[..., kernel.inverse]
+        for dw in noise:
+            ref = oracles.purified_step(c, prop, zs, kernel.weights, kernel.dt, ref, dw)
+        return ref
+
+    @pytest.mark.parametrize("shift, spec, sizes", [
+        (0.0, T.general_dyne(DiskPoint(1.0, 0.0), eta=1.0), [30, 30]),
+        (0.3, T.heterodyne(1.0), [60]),
+    ], ids=["oracle-parity", "parity-broken"])
+    def test_block_step_matches_dense_reference(self, shift, spec, sizes):
+        # the oracle's generator conserves Fock parity (two blocks); a
+        # linear term in H breaks it (one block, the dense step)
+        model, ws = build_qbm_oracle(QbmParams(0.5), 60)
+        model = LindbladModel(model.hamiltonian + shift * ws.position, model.jump_operators)
+        rho0 = gaussian_density_matrix(ws, CovarianceState(1.0, 1.0, 0.0)).matrix
+        kernel = T._PurifiedKernel(model, spec, rho0, 2e-3)
+        assert [blk.stop - blk.start for blk in kernel.blocks] == sizes
+        noise = np.random.default_rng(17).standard_normal(
+            (1000, 4, len(spec.channel_coefficients()))) * math.sqrt(kernel.dt)
+        psi = kernel.initial(np.broadcast_to(rho0, (4, 60, 60)))
+        ref = self._dense_reference(kernel, model, spec, psi, noise)
+        for dw in noise:
+            psi = kernel.step(psi, dw)
+        assert np.abs(psi[..., kernel.inverse] - ref).max() < 1e-12
+
+    def test_states_come_back_in_the_callers_basis(self):
+        # purity does not see the block permutation, so only matrices catch a
+        # missing inverse; a rank-4 start mixing both parities keeps every
+        # eigenvalue above the bundle's weight cut, so the bundle is rho0 exactly
+        model, _ = build_qbm_oracle(QbmParams(0.5), 30)
+        rng = np.random.default_rng(5)
+        vecs = np.linalg.qr(rng.standard_normal((30, 4)) + 1j * rng.standard_normal((30, 4)))[0]
+        rho0 = (vecs * [0.4, 0.3, 0.2, 0.1]) @ vecs.conj().T
+        spec = T.general_dyne(DiskPoint(1.0, 0.0), eta=1.0)
+        kernel = T._PurifiedKernel(model, spec, rho0, 2e-3)
+        assert len(kernel.blocks) == 2
+        psi = kernel.initial(np.broadcast_to(rho0, (3, 30, 30)))
+        assert np.abs(kernel.to_matrices(psi) - rho0).max() < 1e-12
+        noise = rng.standard_normal((50, 3, 1)) * math.sqrt(kernel.dt)
+        ref = self._dense_reference(kernel, model, spec, psi, noise)
+        for dw in noise:
+            psi = kernel.step(psi, dw)
+        scaled = ref * np.sqrt(kernel.weights)[None, :, None]
+        ref_mats = np.einsum("bki,bkj->bij", scaled, scaled.conj())
+        ref_mats /= np.einsum("bii->b", ref_mats).real[:, None, None]
+        assert np.abs(kernel.to_matrices(psi) - ref_mats).max() < 1e-12
 
     def test_requires_unit_efficiency(self):
         params = QbmParams(0.5)
