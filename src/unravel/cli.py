@@ -136,6 +136,8 @@ def _optimal_point(job):
 
 def cmd_qbm_optimal(args):
     temps = [float(t) for t in args.temps.split(",") if t]
+    if not temps:
+        raise UsageError(f"--temps {args.temps!r} names no temperature")
     kinds = (list(M.MEASURE_KINDS) if args.measure == "all"
              else [args.measure])
     for kind in kinds:

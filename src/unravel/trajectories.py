@@ -2,9 +2,10 @@
 
 Diffusive (homodyne / heterodyne / general-dyne), jump (direct detection)
 and adaptive-feedback jump (AID) steppers, plus a seeded ensemble runner
-whose per-trajectory noise streams are derived from (master seed,
-trajectory index) with a counter-based bit generator, so results depend
-on chunking or thread count only through rounding.
+whose random numbers come from counter-based streams keyed by the master
+seed, so results depend on chunking or thread count only through rounding:
+one stream per trajectory index for the per-step noise, one per group of
+_CLICK_GROUP trajectories for the event sampler's click uniforms.
 
 One driver, `_drive`, steps every diffusive run and the counting runs
 that keep per-step detail (single trajectories, final states), and hands
@@ -495,25 +496,40 @@ class _SuperopJumpKernel:
     to_matrices = _basis_to_matrices
 
 
-# each trajectory's click uniforms are drawn this many at a time
+# trajectories per click-uniform stream, and uniforms per trajectory per draw
+_CLICK_GROUP = 64
 _CLICK_DRAW = 32
 # tolerance on the no-click survival's step-to-step rise, relative to S(0) = 1
 _SURVIVAL_RISE_TOL = 1e-12
 
 
+def _click_stream(seed, group):
+    """The click-uniform stream of trajectories group * _CLICK_GROUP onwards.
+
+    Its two-word spawn key (group, _CLICK_GROUP) is never the one-word key
+    of a `trajectory_rng` stream, so the two families do not overlap."""
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=seed, spawn_key=(group, _CLICK_GROUP))))
+
+
 def _click_uniforms(seed, start, stop):
     """draw(traj, k): the k-th click uniform of each trajectory start + traj.
 
-    A trajectory's uniforms are the numbers of its own stream in order,
-    drawn _CLICK_DRAW at a time, so they do not depend on chunking."""
-    rngs = [trajectory_rng(seed, i) for i in range(start, stop)]
-    drawn = np.empty((len(rngs), 0))
+    Trajectory i takes row k, column i mod G of its group's stream, drawn in
+    (_CLICK_DRAW, G) blocks, G = _CLICK_GROUP; group i // G is keyed by
+    (seed, group).  A chunk draws every group it overlaps whole, so a group
+    split between chunks gives the same numbers in each, and a trajectory's
+    uniforms depend neither on chunking nor on the ensemble size."""
+    first, offset = divmod(start, _CLICK_GROUP)
+    rngs = [_click_stream(seed, g) for g in range(first, -(-stop // _CLICK_GROUP))]
+    drawn = np.empty((0, len(rngs) * _CLICK_GROUP))
 
     def draw(traj, k):
         nonlocal drawn
-        while k.max() >= drawn.shape[1]:
-            drawn = np.hstack([drawn, np.stack([rng.random(_CLICK_DRAW) for rng in rngs])])
-        return drawn[traj, k]
+        while k.max() >= len(drawn):
+            block = np.hstack([rng.random((_CLICK_DRAW, _CLICK_GROUP)) for rng in rngs])
+            drawn = np.vstack([drawn, block])
+        return drawn[k, traj + offset]
 
     return draw
 
@@ -533,8 +549,8 @@ class _EventJumpSampler(_SuperopJumpKernel):
     binary search) and the powers P^0 .. P^hop that carry a state from a
     click or checkpoint to the next.  An AID click flips the row's sign, so
     its table.  The k-th click of a trajectory, in each of its eta rows,
-    takes the k-th uniform of the trajectory's own stream, so the rows share
-    common random numbers.
+    takes the trajectory's k-th click uniform, its column of its group's
+    stream (`_click_uniforms`), so the rows share common random numbers.
     """
 
     _shape = None       # (n_steps, hop) of the tables built last
@@ -781,8 +797,8 @@ def _select_kernel(model, spec, rho0, dt, statistic, etas=None):
     the Kraus superoperators up to dimension _SUPEROP_DIM_LIMIT.  Above it,
     eta = 1 runs that need only purities or final states ("purity",
     "final_states") use the purified bundle, and the rest ("mean_state",
-    "trajectory") the matrix kernel.  Only the matrix kernel and the purified
-    bundle take no `etas` stack.
+    "trajectory") the matrix kernel.  Neither takes `etas`, so any
+    efficiency stack, even of one, needs dimension <= _SUPEROP_DIM_LIMIT.
     """
     if not spec.is_diffusive:
         if statistic in ("purity", "mean_state"):
@@ -790,7 +806,7 @@ def _select_kernel(model, spec, rho0, dt, statistic, etas=None):
         return _SuperopJumpKernel(model, spec, dt, etas)
     if model.dim <= _SUPEROP_DIM_LIMIT:
         return _KrausDiffusiveKernel(model, spec, dt, etas)
-    if etas is not None and tuple(etas) != (spec.eta,):
+    if etas is not None:
         raise ValueError(f"efficiency stacks need dimension <= {_SUPEROP_DIM_LIMIT}")
     if spec.eta == 1.0 and statistic in ("purity", "final_states"):
         return _PurifiedKernel(model, spec, rho0, dt)
@@ -1008,6 +1024,11 @@ def _batch_purity(mats):
     return np.einsum("bij,bji->b", mats, mats).real
 
 
+def _coord_purity(y):
+    """Tr rho^2 of each row of real coordinates y (the basis is orthonormal)."""
+    return np.einsum("ij,ij->i", y, y)
+
+
 def _collect_static(statistic, mats, sink, j=0):
     """Add states `mats` at sample index j to a purity collector or mean-state sum."""
     if statistic == "purity":
@@ -1034,7 +1055,7 @@ def run_ensemble(model, spec, rho0, config, n_traj, statistic="purity"):
     index), so the result depends on chunking and thread count only
     through rounding (chunked sums, batch-shaped GEMMs).  Direct detection
     and AID run event-driven (`_EventJumpSampler`): one uniform per click,
-    drawn from the trajectory's stream, in place of one per step.
+    from one stream per group of trajectories, in place of one per step.
     """
     if statistic not in ("purity", "mean_state"):
         raise ValueError(f"unknown statistic {statistic!r}")
@@ -1066,8 +1087,8 @@ def run_purity_averages(model, spec, rho0, config, n_traj, etas):
     trajectory's one noise draw (common random numbers).  Each row equals,
     bit for bit, the row of a run at that efficiency alone.  Direct
     detection and AID run event-driven (`_EventJumpSampler`): a
-    trajectory's k-th click at every efficiency takes the k-th uniform of
-    its stream."""
+    trajectory's k-th click at every efficiency takes its k-th click
+    uniform.  Needs dimension <= _SUPEROP_DIM_LIMIT (real coordinates)."""
     if n_traj < 2:
         raise ValueError("n_traj must be at least 2")
     _, dt, sample_idx = config.grid()
@@ -1077,7 +1098,7 @@ def run_purity_averages(model, spec, rho0, config, n_traj, etas):
     acc = np.zeros((len(etas), n_traj))
 
     def add(rows, _j, y):
-        acc[:, rows] += _batch_purity(kernel.to_matrices(y)).reshape(len(etas), -1)
+        acc[:, rows] += _coord_purity(y).reshape(len(etas), -1)
 
     _run_chunks(kernel, spec, rho0_m, config, n_traj,
                 {int(s): j for j, s in enumerate(window)}, add, len(etas))
@@ -1091,6 +1112,8 @@ def run_final_states(model, spec, rho0, config, n_traj):
     condition to (near) stationarity, then hand the frozen states to the
     deterministic propagator.
     """
+    if n_traj < 2:
+        raise ValueError("n_traj must be at least 2")
     n_steps, dt, _ = config.grid()
     rho0_m = _as_matrix(rho0)
     if n_steps == 0:

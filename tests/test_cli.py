@@ -49,6 +49,12 @@ class TestQbmOptimal:
                         "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("temps", [",", ""])
+    def test_empty_temperature_list_is_usage_error(self, tmp_path, temps):
+        out = tmp_path / "x.csv"
+        assert run_cli(["qbm-optimal", "--temps", temps, "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestTlaCurves:
     def test_tiny_run_well_formed(self, tmp_path):
@@ -107,6 +113,14 @@ class TestTlaRank:
         report = json.loads(out.read_text())
         assert report["verdict"] == "unresolved"
         assert code == 1
+
+    def test_one_trajectory_is_usage_error(self, tmp_path):
+        # one final state has no spread, so its uncertainty would be NaN
+        out = tmp_path / "rank.json"
+        code = run_cli(["tla-rank", "--measure", "survival", "--schemes", "aid,direct",
+                        "--n-traj", "1", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
 
     def test_resolved_pair(self, tmp_path):
         out = tmp_path / "rank.json"

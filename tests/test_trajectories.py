@@ -293,6 +293,14 @@ class TestRunEnsemble:
         with pytest.raises(ValueError):
             T.run_ensemble(model, T.homodyne_x(1.0), EXCITED, cfg, 1)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_final_states_need_two(self, n):
+        # one state has no spread: the survival estimate would be NaN
+        model = build_tla(tla())
+        cfg = T.TrajectoryConfig(1e-3, 0.1, seed=1)
+        with pytest.raises(ValueError, match="at least 2"):
+            T.run_final_states(model, T.direct(1.0), EXCITED, cfg, n)
+
 
 class TestKernelReferences:
     """The real-basis kernels against complex-matrix references, step by step."""
@@ -431,6 +439,22 @@ class TestEfficiencyStack:
         rho0 = np.diag([1.0] + [0.0] * 11)
         with pytest.raises(ValueError):
             T._select_kernel(model, T.heterodyne(), rho0, 1e-3, "purity", (0.5, 1.0))
+        # a stack of one too: the averages read purities off real coordinates
+        with pytest.raises(ValueError):
+            T.run_purity_averages(model, T.heterodyne(), rho0,
+                                  T.TrajectoryConfig(1e-3, 0.01), 2, (1.0,))
+
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_coordinate_purity_is_the_matrix_purity(self, dim):
+        rng = np.random.default_rng(dim)
+        a = rng.standard_normal((50, dim, dim)) + 1j * rng.standard_normal((50, dim, dim))
+        mats = a @ np.conj(np.swapaxes(a, 1, 2))
+        mats /= np.trace(mats, axis1=1, axis2=2).real[:, None, None]
+        # both layouts: the stepping kernels' column-major batch, the
+        # sampler's row-major one
+        for y in (T._basis_initial(None, mats), T._coords(mats)):
+            ref = T._batch_purity(T._from_coords(y, dim))
+            assert np.abs(T._coord_purity(y) - ref).max() <= 1e-15
 
 
 class TestEventSampler:
@@ -533,6 +557,75 @@ class TestEventSampler:
         stepped, stepped_err = summary(32)
         z = (event - stepped) / np.hypot(event_err, stepped_err)
         assert np.abs(z).max() < 3.0, z
+
+
+class TestClickStreams:
+    """Click uniforms: one Philox stream per group of _CLICK_GROUP trajectories."""
+
+    def _reference(self, seed, n, k_max):
+        draw = T._click_uniforms(seed, 0, n)
+        k = np.arange(k_max)
+        return np.stack([draw(np.full(k_max, i), k) for i in range(n)])
+
+    def test_uniforms_depend_on_the_trajectory_alone(self, monkeypatch):
+        # every uniform a run takes, keyed by (trajectory, click), against
+        # one whole draw of 200 trajectories
+        seed, k_max = 6, 3 * T._CLICK_DRAW
+        ref = self._reference(seed, 200, k_max)
+        assert np.array_equal(self._reference(seed, 70, k_max), ref[:70])
+        seen, spans = {}, []
+        click_uniforms = T._click_uniforms
+
+        def recording(seed, start, stop):
+            spans.append((start, stop))
+            draw = click_uniforms(seed, start, stop)
+
+            def spy(traj, k):
+                out = draw(traj, k)
+                for i, j, u in zip(traj + start, k, out):
+                    seen.setdefault((int(i), int(j)), set()).add(float(u))
+                return out
+            return spy
+
+        monkeypatch.setattr(T, "_click_uniforms", recording)
+        model = build_tla(tla(5.0))
+        cfg = T.TrajectoryConfig(4e-3, 2.0, seed=seed, sample_stride=50)
+        etas = (0.25, 0.5, 0.75, 1.0)
+        for n in (70, 200):
+            T.run_purity_averages(model, T.aid(), EXCITED, cfg, n, etas)
+        # 16 rows hold 4 trajectories at 4 efficiencies: every chunk splits
+        # group 0, and the last (68, 70) is a partial group 1
+        monkeypatch.setattr(T, "_MAX_SUPEROP_CHUNK", 16)
+        T.run_purity_averages(model, T.aid(), EXCITED, cfg, 70, etas)
+        assert spans[:2] == [(0, 70), (0, 200)] and spans[-1] == (68, 70)
+        assert len(spans) == 2 + 18
+        assert max(k for _, k in seen) > 0
+        for (i, k), values in seen.items():
+            assert values == {ref[i, k]}, (i, k)
+
+    def test_group_streams_are_not_trajectory_streams(self):
+        seed = 3
+        groups = [T._click_stream(seed, g).random(8) for g in range(4)]
+        members = [T.trajectory_rng(seed, i).random(8) for i in range(300)]
+        firsts = {u for draws in groups + members for u in draws}
+        assert len(firsts) == 8 * (len(groups) + len(members))
+
+    def test_one_stream_per_group(self, monkeypatch):
+        # 2,000 trajectories at two efficiencies fit one chunk
+        counts = {"group": 0, "trajectory": 0}
+        click_stream, trajectory_rng = T._click_stream, T.trajectory_rng
+
+        def counted(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(T, "_click_stream", counted("group", click_stream))
+        monkeypatch.setattr(T, "trajectory_rng", counted("trajectory", trajectory_rng))
+        cfg = T.TrajectoryConfig(4e-3, 0.4, seed=2, sample_stride=25)
+        T.run_purity_averages(build_tla(tla(5.0)), T.direct(), EXCITED, cfg, 2000, (0.5, 1.0))
+        assert counts == {"group": 32, "trajectory": 0}
 
 
 class TestNoiseStream:
