@@ -106,13 +106,34 @@ def _write_json(path, report):
             fh.close()
 
 
+def _no_repeats(flag, values):
+    """Reject a list naming one value twice: it would run twice."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise UsageError(f"{flag} names {value!r} twice")
+
+
 def _schemes(text):
-    """The comma-separated atom schemes of --schemes, each checked."""
+    """The comma-separated atom schemes of --schemes, each known and none
+    named twice."""
     schemes = text.split(",")
     for name in schemes:
         if name not in TLA_SCHEMES:
             raise UsageError(f"unknown scheme {name!r}")
+    _no_repeats("--schemes", schemes)
     return schemes
+
+
+def _temps(text):
+    """The comma-separated temperatures of --temps, each a valid QbmParams
+    temperature and none named twice."""
+    temps = [float(t) for t in text.split(",") if t]
+    if not temps:
+        raise UsageError(f"--temps {text!r} names no temperature")
+    for temp in temps:
+        QbmParams(temp)
+    _no_repeats("--temps", temps)
+    return temps
 
 
 def _fmt(value):
@@ -135,9 +156,7 @@ def _optimal_point(job):
 
 
 def cmd_qbm_optimal(args):
-    temps = [float(t) for t in args.temps.split(",") if t]
-    if not temps:
-        raise UsageError(f"--temps {args.temps!r} names no temperature")
+    temps = _temps(args.temps)
     kinds = (list(M.MEASURE_KINDS) if args.measure == "all"
              else [args.measure])
     for kind in kinds:

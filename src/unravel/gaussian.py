@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .errors import ConvergenceError, DecompositionError, InvariantViolationError
@@ -76,6 +75,8 @@ class QbmParams:
     temperature: float
 
     def __post_init__(self):
+        if not math.isfinite(self.temperature):
+            raise ValueError(f"temperature must be finite, got {self.temperature}")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
 
@@ -510,6 +511,14 @@ def unconditional_covariance_curve(gen, v0, t_grid):
         m[..., k, :] = mk.reshape(mk.shape[:-2] + (4,))
     v = phi @ m
     return v.reshape(v.shape[:-1] + (2, 2))
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported when first called: only
+    covariance_ode integrates, so `import unravel` does not load it."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def covariance_ode(gen, v0, times):

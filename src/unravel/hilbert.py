@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm, null_space
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import (
     DegenerateSteadyStateError,
@@ -198,6 +197,15 @@ def lindblad_rhs(model, rho):
         bdb = dag(op) @ op
         out += op @ m @ dag(op) - 0.5 * (bdb @ m + m @ bdb)
     return out
+
+
+def expm_multiply(*args, **kwargs):
+    """scipy.sparse.linalg.expm_multiply, imported when first called: only
+    propagation above _DENSE_PROPAGATOR_DIM needs it, so `import unravel`
+    does not load it."""
+    from scipy.sparse.linalg import expm_multiply as scipy_expm_multiply
+
+    return scipy_expm_multiply(*args, **kwargs)
 
 
 def propagate_matrices(model, mats, times):

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
 from . import gaussian as G
 from . import trajectories as T
@@ -31,6 +30,23 @@ from .systems import TlaParams, build_tla
 from .trajectories import TrajectoryConfig
 
 MEASURE_KINDS = ("purification", "efficiency_threshold", "mixing", "survival")
+
+
+# scipy.optimize loads on first use: only the disk optimizer and the
+# threshold's fallback call it, and importing it at module level costs every
+# command about 0.2 s
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported when first called."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
+
+def brentq(*args, **kwargs):
+    """scipy.optimize.brentq, imported when first called."""
+    from scipy.optimize import brentq as scipy_brentq
+
+    return scipy_brentq(*args, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,9 @@ class TlaParams:
     gamma: float = 1.0
 
     def __post_init__(self):
+        for name, value in (("rabi", self.rabi), ("gamma", self.gamma)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
         if self.rabi < 0:

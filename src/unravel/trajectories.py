@@ -257,6 +257,20 @@ def _from_coords(x, d):
     return out
 
 
+def _positive_definite(mats):
+    """Whether each Hermitian matrix of a stack (..., d, d) is positive
+    definite: Cholesky elimination, one column at a time over the whole
+    stack, and every pivot must be positive."""
+    a = np.array(mats, dtype=complex)
+    ok = np.ones(a.shape[:-2], dtype=bool)
+    for j in range(a.shape[-1]):
+        pivot = a[..., j, j].real
+        ok &= pivot > 0.0
+        col = a[..., j + 1:, j] / np.where(ok, pivot, 1.0)[..., None]
+        a[..., j + 1:, j + 1:] -= col[..., :, None] * np.conj(a[..., None, j + 1:, j])
+    return ok
+
+
 def _real_superop(s):
     """The real matrix R of a Hermiticity-preserving superoperator s, given on
     row-major vec(rho) (vec(X rho Y^dag) = kron(X, conj(Y)) vec(rho)): the
@@ -588,10 +602,15 @@ class _EventJumpSampler(_SuperopJumpKernel):
 
     def _check_survival_falls(self, traces):
         """S(m) - S(m + 1) = Tr[y D_m] must be non-negative for every state
-        y, that is each D_m, read off t_m - t_{m+1}, positive semi-definite."""
-        steps = traces[:, :-1] - traces[:, 1:]
-        if not steps.size:
+        y, that is each D_m, read off t_m - t_{m+1}, positive semi-definite
+        to _SURVIVAL_RISE_TOL.  A Cholesky screen of each D_m + tol I passes
+        the tables one at a time; only when one fails does eigvalsh run, for
+        the verdict and the step it reports."""
+        shift = _SURVIVAL_RISE_TOL * np.eye(self.dim)
+        if all(_positive_definite(_from_coords(rows[:-1] - rows[1:], self.dim) + shift).all()
+               for rows in traces):
             return
+        steps = traces[:, :-1] - traces[:, 1:]
         low = np.linalg.eigvalsh(_from_coords(steps, self.dim)).min(axis=-1)
         if low.min() < -_SURVIVAL_RISE_TOL:
             table, m = np.unravel_index(np.argmin(low), low.shape)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,10 @@ from unravel.gaussian import DiskPoint, QbmParams, qbm_generators
 
 def run_cli(argv):
     return cli.main(argv)
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("a run started before the arguments were checked")
 
 
 class TestQbmOptimal:
@@ -51,6 +56,14 @@ class TestQbmOptimal:
 
     @pytest.mark.parametrize("temps", [",", ""])
     def test_empty_temperature_list_is_usage_error(self, tmp_path, temps):
+        out = tmp_path / "x.csv"
+        assert run_cli(["qbm-optimal", "--temps", temps, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("temps", ["1,1", "0.5,1,1.0"])
+    def test_repeated_temperature_is_usage_error(self, tmp_path, monkeypatch, temps):
+        # the optimum would be computed again and written as a second row
+        monkeypatch.setattr(cli.M, "optimize_disk", _never_called)
         out = tmp_path / "x.csv"
         assert run_cli(["qbm-optimal", "--temps", temps, "--out", str(out)]) == 2
         assert not out.exists()
@@ -102,6 +115,13 @@ class TestTlaCurves:
         blob = json.loads(header[0].split("# config: ")[1])
         assert blob["n_traj"] == 2          # from config file
         assert blob["horizon"] == 0.2       # flag wins over config
+
+    def test_repeated_scheme_is_usage_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.T, "run_ensemble", _never_called)
+        out = tmp_path / "c.csv"
+        assert run_cli(["tla-curves", "--schemes", "aid,direct,aid", "--n-traj", "10",
+                        "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestTlaRank:
@@ -181,6 +201,31 @@ class TestTlaRank:
         code = run_cli(["tla-rank", "--schemes", "telepathy",
                         "--out", str(tmp_path / "r.json")])
         assert code == 2
+
+    def test_repeated_scheme_is_usage_error(self, tmp_path, monkeypatch):
+        # the scheme would run twice and be reported once
+        monkeypatch.setattr(cli.M, "rank_unravellings", _never_called)
+        out = tmp_path / "r.json"
+        assert run_cli(["tla-rank", "--schemes", "aid,aid", "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["qbm-optimal", "--temps", "inf"], "temperature"),
+    (["qbm-optimal", "--temps", "1,nan"], "temperature"),
+    (["tla-rank", "--omega", "nan"], "rabi"),
+    (["tla-rank", "--gamma", "inf"], "gamma"),
+    (["tla-curves", "--omega", "nan"], "rabi"),
+])
+def test_non_finite_parameter_is_usage_error(tmp_path, capsys, argv, field):
+    # rejected by the parameter check, before numpy meets the value
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(argv + ["--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{field} must be finite" in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestValidate:

@@ -65,6 +65,11 @@ class TestTypes:
         with pytest.raises(ValueError):
             QbmParams(0.0)
 
+    @pytest.mark.parametrize("temp", [math.inf, -math.inf, math.nan])
+    def test_temperature_finite(self, temp):
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            QbmParams(temp)
+
 
 class TestGenerators:
     def test_eta_zero_correction_vanishes(self):

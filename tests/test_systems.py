@@ -41,6 +41,13 @@ class TestTla:
         assert purity(rho) == pytest.approx(0.5, abs=1e-4)
         assert purity(rho) > 0.5
 
+    @pytest.mark.parametrize("field, kwargs", [
+        ("rabi", {"rabi": math.nan}), ("rabi", {"rabi": math.inf}),
+        ("gamma", {"rabi": 1.0, "gamma": math.inf}), ("gamma", {"rabi": 1.0, "gamma": math.nan})])
+    def test_parameters_must_be_finite(self, field, kwargs):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TlaParams(**kwargs)
+
     def test_dynamics_depend_only_on_ratio(self):
         # (Omega, gamma) and (2 Omega, 2 gamma) give the same Bloch curve vs gamma*t
         excited = DensityMatrix(np.diag([1.0, 0.0]))

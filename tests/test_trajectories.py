@@ -521,6 +521,32 @@ class TestEventSampler:
         with pytest.raises(SimulationError, match="survival rises"):
             sampler.prepare(100, 1)
 
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_cholesky_screen_agrees_with_eigvalsh(self, d):
+        # random Hermitian stacks whose lowest eigenvalue sits just above
+        # zero, inside the survival tolerance, or beyond it
+        rng = np.random.default_rng(d)
+        tol, lows = T._SURVIVAL_RISE_TOL, np.array([1e-13, -5e-13, -2e-12])
+        z = rng.normal(size=(60, d, d)) + 1j * rng.normal(size=(60, d, d))
+        q = np.linalg.qr(z)[0]
+        spectrum = rng.uniform(0.01, 1.0, size=(60, d))
+        spectrum[:, 0] = lows[np.arange(60) % 3]
+        mats = (q * spectrum[:, None, :]) @ q.conj().mT
+        mats = 0.5 * (mats + mats.conj().mT)
+        screen = T._positive_definite(mats + tol * np.eye(d))
+        verdict = np.linalg.eigvalsh(mats).min(axis=-1) >= -tol
+        assert np.array_equal(screen, verdict)
+        assert np.array_equal(verdict, spectrum[:, 0] > -tol)
+
+    def test_passing_prepare_calls_no_eigvalsh(self, monkeypatch):
+        sampler = T._EventJumpSampler(build_tla(tla(5.0)), T.aid(), 4e-3, (0.25, 1.0))
+
+        def eigvalsh(*args, **kwargs):
+            raise AssertionError("eigvalsh ran although every table passed the screen")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        sampler.prepare(1000, 25)
+
     def test_counting_ensembles_use_the_sampler(self):
         model = build_tla(tla())
         for statistic in ("purity", "mean_state"):
