@@ -100,6 +100,8 @@ class DiskPoint:
         object.__setattr__(self, "r", float(self.r))
         if not 0.0 <= self.r <= 1.0:
             raise ValueError(f"r must lie in [0, 1], got {self.r}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, got {self.phi}")
         object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
 
 

@@ -1,59 +1,39 @@
 """Stochastic unravelling engine over density matrices.
 
 Diffusive (homodyne / heterodyne / general-dyne), jump (direct detection)
-and adaptive-feedback jump (AID) steppers, plus a seeded ensemble runner
-whose random numbers come from counter-based streams keyed by the master
-seed, so results depend on chunking or thread count only through rounding:
-one stream per trajectory index for the per-step noise, one per group of
-_CLICK_GROUP trajectories for the event sampler's click uniforms.
+and adaptive-feedback jump (AID) unravellings, plus a seeded ensemble
+runner with one keying rule for its random numbers: one counter-based
+stream per group of _GROUP trajectories and family (noise or clicks),
+keyed by (master seed, group) (`_group_stream`).  Trajectory i reads
+column i mod _GROUP of group i // _GROUP, and chunks hold whole groups, so
+results depend neither on chunking nor on the ensemble size.
 
-One driver, `_drive`, steps every diffusive run and the counting runs
-that keep per-step detail (single trajectories, final states), and hands
+Diffusive runs step through one driver, `_drive`, over noise drawn a block
+of steps at a time (`_noise_blocks`, at most _NOISE_BLOCK_BYTES per chunk
+whatever the horizon), with one of three Kraus-form kernels after Rouchon
+& Ralph, PRA 91, 012118 (2015): `_KrausDiffusiveKernel` on real
+superoperators at small dimension (the atom), `_MatrixDiffusiveKernel` on
+raw matrices at large dimension, and `_PurifiedKernel`, a bundle of pure
+states, for efficient runs at large dimension (the Fock oracle).  Every
+counting run (purity curves, mean states, long-run purities, final states
+and single trajectories) goes through `_EventJumpSampler` instead: the
+exact no-click propagator of `_SuperopJumpKernel`, but one uniform per
+click rather than per step, with the waiting time to each click drawn from
+the no-click survival, which is the stepped kernel's law exactly.  Only
+`step_jump` still takes one step of `_SuperopJumpKernel`.  Both hand
 sampled states to a sink (purity collector, mean-state sum, final states,
-or one trajectory's states and clicks).  A chunk of trajectories keeps one
-noise stream per trajectory and draws it a block of steps at a time
-(`_noise_blocks`), so its noise memory is bounded by _NOISE_BLOCK_BYTES
-whatever the horizon; the block size changes no number, since a stream
-drawn in pieces gives the numbers of one whole draw.  The driver runs one
-of four kernels, Kraus-form steppers after Rouchon & Ralph, PRA 91, 012118
-(2015):
+or one trajectory's states and record).
 
-* `_KrausDiffusiveKernel`: diffusive schemes at small dimension (the
-  two-level atom), the one-step Kraus map expanded over precomputed real
-  superoperators, with the deterministic part applied through an exact
-  propagator so strong driving does not force tiny steps;
-* `_SuperopJumpKernel`: direct detection and AID, with an exact no-click
-  propagator and the local-oscillator sign as per-trajectory state;
-* `_MatrixDiffusiveKernel`: diffusive schemes on raw matrices at large
-  dimension (the Fock-space oracle);
-* `_PurifiedKernel`: efficient diffusive runs at large dimension, which
-  unravel a mixed initial state as a weighted bundle of pure states driven
-  by a common measurement record (the conditional map is a pure Kraus map
-  at eta = 1, so the bundle stays rank-one per component).  It steps the
-  bundle in the generator's block order, one GEMM per block of the
-  connected components of the no-jump generator's sparsity pattern: two
-  blocks of d/2 for the Fock oracle, whose generator conserves parity.
-
-Purity curves and mean states of direct detection and AID, and so the
-efficiency threshold's long-run purities, go through `_EventJumpSampler`
-instead: the same no-click propagator, but one uniform per click rather
-than per step, with the waiting time to each click drawn from the no-click
-survival S(m) = Tr[y P^m], which is the stepped kernel's law exactly.  It
-moves a state only at its clicks, at the steps a sink reads and at the
-horizon, and hands its states to the same sinks.
-
-Up to dimension 8 these kernels and the sampler hold each state as its d^2
+Up to dimension 8 the kernels and the sampler hold each state as its d^2
 real coordinates in an orthonormal Hermitian basis (`_coords`), so every
 superoperator is a real d^2 x d^2 matrix (4 x 4 for the atom) and states
 come back exactly Hermitian.  The stepping kernels store a batch
 column-major, (b, d^2) with y.T contiguous, so each GEMM and each
 per-trajectory scaling runs along the contiguous batch axis, and the noise
-blocks are laid out step-major to match.
-
-`_select_kernel` alone chooses among them, from the scheme, the
-dimension, eta and what the run records.  The Kraus kernel, the jump
-kernel and the sampler also run stacks of efficiencies on shared noise
-(`run_purity_averages`).
+blocks are laid out step-major to match.  `_select_kernel` alone chooses
+the kernel or sampler, from the scheme, the dimension, eta and what the
+run records.  The Kraus kernel and the sampler also run stacks of
+efficiencies on shared random numbers (`run_purity_averages`).
 """
 
 import math
@@ -218,15 +198,30 @@ def trajectory_rng(master_seed, index):
         np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))))
 
 
+# trajectories per random-number stream, and the family tag of the
+# diffusive noise streams (the click streams take none)
+_GROUP = 64
+_NOISE_TAG = 1
+
+
+def _group_stream(seed, group, *tag):
+    """The stream of trajectories group * _GROUP onwards, of the family `tag`.
+
+    Its spawn key (group, _GROUP, *tag) has two words for the click
+    uniforms and three for the noise, so it is never another family's key
+    nor the one-word key of a `trajectory_rng` stream."""
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=seed, spawn_key=(group, _GROUP, *tag))))
+
+
 def noise_width(spec):
-    return len(spec.channel_coefficients()) if spec.is_diffusive else 1
+    return len(spec.channel_coefficients())
 
 
 def _noise_plan(spec, n_steps, rng):
-    """The next n_steps steps of one trajectory's noise from its stream rng:
-    a standard normal per channel (diffusive) or one uniform (counting)."""
-    shape = (n_steps, noise_width(spec))
-    return rng.standard_normal(shape) if spec.is_diffusive else rng.random(shape)
+    """The next n_steps steps of one group's diffusive noise from its stream
+    rng: standard normals, (n_steps, channels, _GROUP)."""
+    return rng.standard_normal((n_steps, noise_width(spec), _GROUP))
 
 
 def _coords(mats):
@@ -510,38 +505,28 @@ class _SuperopJumpKernel:
     to_matrices = _basis_to_matrices
 
 
-# trajectories per click-uniform stream, and uniforms per trajectory per draw
-_CLICK_GROUP = 64
+# uniforms per trajectory per draw
 _CLICK_DRAW = 32
 # tolerance on the no-click survival's step-to-step rise, relative to S(0) = 1
 _SURVIVAL_RISE_TOL = 1e-12
 
 
-def _click_stream(seed, group):
-    """The click-uniform stream of trajectories group * _CLICK_GROUP onwards.
-
-    Its two-word spawn key (group, _CLICK_GROUP) is never the one-word key
-    of a `trajectory_rng` stream, so the two families do not overlap."""
-    return np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=seed, spawn_key=(group, _CLICK_GROUP))))
-
-
 def _click_uniforms(seed, start, stop):
     """draw(traj, k): the k-th click uniform of each trajectory start + traj.
 
-    Trajectory i takes row k, column i mod G of its group's stream, drawn in
-    (_CLICK_DRAW, G) blocks, G = _CLICK_GROUP; group i // G is keyed by
-    (seed, group).  A chunk draws every group it overlaps whole, so a group
-    split between chunks gives the same numbers in each, and a trajectory's
-    uniforms depend neither on chunking nor on the ensemble size."""
-    first, offset = divmod(start, _CLICK_GROUP)
-    rngs = [_click_stream(seed, g) for g in range(first, -(-stop // _CLICK_GROUP))]
-    drawn = np.empty((0, len(rngs) * _CLICK_GROUP))
+    Trajectory i takes row k, column i mod G of its group's click stream,
+    drawn in (_CLICK_DRAW, G) blocks, G = _GROUP.  A chunk draws every
+    group it overlaps whole, so a group split between chunks gives the same
+    numbers in each, and a trajectory's uniforms depend neither on chunking
+    nor on the ensemble size."""
+    first, offset = divmod(start, _GROUP)
+    rngs = [_group_stream(seed, g) for g in range(first, -(-stop // _GROUP))]
+    drawn = np.empty((0, len(rngs) * _GROUP))
 
     def draw(traj, k):
         nonlocal drawn
         while k.max() >= len(drawn):
-            block = np.hstack([rng.random((_CLICK_DRAW, _CLICK_GROUP)) for rng in rngs])
+            block = np.hstack([rng.random((_CLICK_DRAW, _GROUP)) for rng in rngs])
             drawn = np.vstack([drawn, block])
         return drawn[k, traj + offset]
 
@@ -661,16 +646,20 @@ class _EventJumpSampler(_SuperopJumpKernel):
         out[moved] = self._carry(y[moved], table[moved], step - held[moved])
         return self._normalized(out, "no-click")
 
-    def run(self, y, n_steps, sample_pos, sink, draw):
+    def run(self, y, n_steps, sample_pos, sink, draw, log=None):
         """Drive rows y to n_steps steps and hand them to sink(j, y) after
         every step of sample_pos, as _drive does.  Rows are carried and
-        renormalized only at those steps and the horizon (the checkpoints);
-        in between, a row moves only when it clicks.  Row e * b + i is
-        trajectory i at the e-th efficiency and takes its uniforms from
-        draw(i, k)."""
-        stops = sorted({*sample_pos, n_steps} - {0})
+        renormalized only at those steps, the horizon and, where the gap
+        between them would make the powers outgrow _NOISE_BLOCK_BYTES,
+        carry-only steps (the checkpoints); in between, a row moves only
+        when it clicks.  Row e * b + i is trajectory i at the e-th
+        efficiency and takes its uniforms from draw(i, k).  (step, LO sign
+        after the click) of every click of row 0 is appended to `log` if
+        given."""
+        n_eta, n = len(self.props[0]), y.shape[1]
+        cap = max(1, int(_NOISE_BLOCK_BYTES // (len(self.props) * n_eta * n * n * 8)) - 1)
+        stops = sorted({*sample_pos, n_steps, *range(cap, n_steps, cap)} - {0})
         self.prepare(n_steps, int(np.diff([0, *stops]).max()))
-        n_eta = len(self.props[0])
         b = len(y) // n_eta
         traj = np.arange(len(y)) % b
         table = np.repeat(np.arange(n_eta), b)
@@ -687,6 +676,8 @@ class _EventJumpSampler(_SuperopJumpKernel):
                     break
                 y[hit], table[hit] = self._click(y[hit], table[hit], due[hit] - held[hit])
                 held[hit] = due[hit]
+                if log is not None and hit[0] == 0:
+                    log.append((int(held[0]), -1.0 if table[0] >= n_eta else 1.0))
                 clicks[hit] += 1
                 due[hit] = self._wait(y[hit], table[hit], held[hit], n_steps,
                                       draw(traj[hit], clicks[hit]))
@@ -810,19 +801,15 @@ _SUPEROP_DIM_LIMIT = 8
 def _select_kernel(model, spec, rho0, dt, statistic, etas=None):
     """The stepping kernel or sampler for one run; no other code chooses one.
 
-    Counting schemes run event-driven for purities and mean states
-    ("purity", "mean_state") and step through the jump kernel for final
-    states and single trajectories.  Diffusive schemes use
-    the Kraus superoperators up to dimension _SUPEROP_DIM_LIMIT.  Above it,
-    eta = 1 runs that need only purities or final states ("purity",
-    "final_states") use the purified bundle, and the rest ("mean_state",
-    "trajectory") the matrix kernel.  Neither takes `etas`, so any
+    Counting schemes run event-driven whatever the statistic (`step_jump`
+    takes the sampler's stepped step).  Diffusive schemes use the Kraus
+    superoperators up to dimension _SUPEROP_DIM_LIMIT.  Above it, eta = 1
+    runs that need only purities or final states use the purified bundle,
+    and the rest the matrix kernel.  Neither takes `etas`, so any
     efficiency stack, even of one, needs dimension <= _SUPEROP_DIM_LIMIT.
     """
     if not spec.is_diffusive:
-        if statistic in ("purity", "mean_state"):
-            return _EventJumpSampler(model, spec, dt, etas)
-        return _SuperopJumpKernel(model, spec, dt, etas)
+        return _EventJumpSampler(model, spec, dt, etas)
     if model.dim <= _SUPEROP_DIM_LIMIT:
         return _KrausDiffusiveKernel(model, spec, dt, etas)
     if etas is not None:
@@ -875,7 +862,9 @@ def step_jump(model, spec, rho, uniform, dt, lo_sign=1.0):
     Returns (state, jumped).  A detected click occurs when `uniform`
     falls below the no-click trace decay (eta <J^dag J> dt to first
     order); undetected emission stays in the no-click drift as a
-    (1 - eta) dissipator with the LO-displaced operator.
+    (1 - eta) dissipator with the LO-displaced operator.  This is the one
+    stepped step left (`_SuperopJumpKernel.step`); counting runs follow its
+    law click to click.
     """
     if spec.is_diffusive:
         raise ValueError(f"{spec.kind} is not a counting scheme")
@@ -895,56 +884,47 @@ def step_jump(model, spec, rho, uniform, dt, lo_sign=1.0):
 # the stepping driver
 
 def _noise_blocks(spec, n_steps, dt, seed, start, stop):
-    """Noise of trajectories start..stop-1, streamed in (b, s, k) blocks of steps.
+    """Wiener increments of trajectories start..stop-1 in (b, s, k) blocks.
 
-    Each trajectory keeps its own stream across blocks, and a Philox stream
-    drawn in pieces gives the numbers of one whole-horizon draw, so every
-    trajectory sees the same noise whatever the block size.  Blocks hold
-    Wiener increments (standard normals times sqrt(dt)) for diffusive
-    schemes and uniforms for counting schemes.  One buffer is refilled for
-    every block, so a yielded block is valid only until the next one.
+    Trajectory i reads column i mod G of its group's noise stream, drawn in
+    (s, k, G) blocks of standard normals, G = _GROUP.  A chunk draws every
+    group it overlaps whole, and a Philox stream drawn in pieces gives the
+    numbers of one whole draw, so the noise depends neither on chunking,
+    the ensemble size nor the block size.  One buffer is refilled for every
+    block, so a yielded block is valid only until the next one.
     """
-    rngs = [trajectory_rng(seed, i) for i in range(start, stop)]
-    k = noise_width(spec)
+    first, offset = divmod(start, _GROUP)
+    rngs = [_group_stream(seed, g, _NOISE_TAG) for g in range(first, -(-stop // _GROUP))]
+    k, width = noise_width(spec), len(rngs) * _GROUP
     # as many steps as fit _NOISE_BLOCK_BYTES, at least one
-    steps = max(1, min(n_steps, int(_NOISE_BLOCK_BYTES // (len(rngs) * k * 8))))
-    # step-major memory: one step's noise of the chunk is a contiguous
-    # (k, b) array, which the kernels read one step at a time
-    buf = np.empty((steps, k, len(rngs))).transpose(2, 0, 1)
+    steps = max(1, min(n_steps, int(_NOISE_BLOCK_BYTES // (width * k * 8))))
+    # step-major memory: one step's noise of the chunk is a (k, b) array
+    # with contiguous rows, which the kernels read one step at a time
+    buf = np.empty((steps, k, width))
     root_dt = math.sqrt(dt)
-    for first in range(0, n_steps, steps):
-        block = buf[:, :min(steps, n_steps - first)]
-        for row, rng in zip(block, rngs):
-            row[...] = _noise_plan(spec, block.shape[1], rng)
-        if spec.is_diffusive:
-            block *= root_dt
-        yield block
+    for done in range(0, n_steps, steps):
+        block = buf[:min(steps, n_steps - done)]
+        for g, rng in enumerate(rngs):
+            block[..., g * _GROUP:(g + 1) * _GROUP] = _noise_plan(spec, len(block), rng)
+        block = block[..., offset:offset + stop - start]
+        block *= root_dt
+        yield block.transpose(2, 0, 1)
 
 
-def _drive(kernel, y, blocks, sample_pos, sink, clicks=None):
+def _drive(kernel, y, blocks, sample_pos, sink):
     """Step a batch through its streamed noise; the one stepping loop.
 
-    `blocks` yields (b, s, k) noise blocks of consecutive steps: Wiener
-    increments for diffusive kernels, or uniforms for the jump kernel,
-    whose local-oscillator signs start at +1.  sink(j, y) receives the
-    state after every step listed in `sample_pos` (step 0 is the start)
-    with j = sample_pos[step].  For a jump kernel, (step, sign after the
-    click) of every click of trajectory 0 is appended to `clicks` if given.
+    `blocks` yields (b, s, k) blocks of Wiener increments of consecutive
+    steps.  sink(j, y) receives the state after every step listed in
+    `sample_pos` (step 0 is the start) with j = sample_pos[step].
     """
-    counting = isinstance(kernel, _SuperopJumpKernel)
-    signs = np.ones(len(y))
     if 0 in sample_pos:
         sink(sample_pos[0], y)
     step = 0
     for block in blocks:
         for row in range(block.shape[1]):
             step += 1
-            if counting:
-                y, jumped = kernel.step(y, block[:, row, :], signs)
-                if clicks is not None and jumped[0]:
-                    clicks.append((step, float(signs[0])))
-            else:
-                y = kernel.step(y, block[:, row, :])
+            y = kernel.step(y, block[:, row, :])
             if step in sample_pos:
                 sink(sample_pos[step], y)
 
@@ -957,32 +937,35 @@ class TrajectoryResult:
 
 
 def run_trajectory(model, spec, rho0, config, traj_index=0):
-    """One conditional trajectory; a pure function of (inputs, seed, index)."""
+    """One conditional trajectory; a pure function of (inputs, seed, index).
+
+    It is member traj_index of any ensemble on the same seed, whose column
+    of its group's noise or click stream it reads.  The record holds the
+    Wiener increments of a diffusive scheme, or the click times and LO
+    signs of the event-driven counting run.
+    """
     n_steps, dt, sample_idx = config.grid()
     rho0_m = _as_matrix(rho0)
     states = [DensityMatrix(rho0_m)]
     if n_steps == 0:
         return TrajectoryResult(np.array([0.0]), tuple(states), InnovationRecord())
     kernel = _select_kernel(model, spec, rho0_m, dt, "trajectory")
-    increments = []
-
-    def recorded(blocks):
-        for block in blocks:
-            increments.append(block[0].copy())
-            yield block
+    y = kernel.initial(rho0_m[None, :, :])
+    sample_pos = {int(s): j for j, s in enumerate(sample_idx) if s}
+    noise = partial(_noise_blocks, spec, n_steps, dt, config.seed, traj_index, traj_index + 1)
 
     def sample(_j, y):
         states.append(DensityMatrix(kernel.to_matrices(y)[0],
                                     pos_tol=_sample_pos_tol(dt)))
 
-    clicks = []
-    _drive(kernel, kernel.initial(rho0_m[None, :, :]),
-           recorded(_noise_blocks(spec, n_steps, dt, config.seed,
-                                  traj_index, traj_index + 1)),
-           {int(s): j for j, s in enumerate(sample_idx) if s}, sample, clicks)
     if spec.is_diffusive:
-        record = InnovationRecord(wiener=np.concatenate(increments))
+        _drive(kernel, y, noise(), sample_pos, sample)
+        # the stream drawn again gives the same increments
+        record = InnovationRecord(wiener=np.concatenate([b[0].copy() for b in noise()]))
     else:
+        clicks = []
+        kernel.run(y, n_steps, sample_pos, sample,
+                   _click_uniforms(config.seed, traj_index, traj_index + 1), clicks)
         record = InnovationRecord(jump_times=tuple(step * dt for step, _ in clicks),
                                   lo_signs=tuple(sign for _, sign in clicks))
     return TrajectoryResult(sample_idx * dt, tuple(states), record)
@@ -1007,7 +990,8 @@ def _run_chunks(kernel, spec, rho0_m, config, n_traj, sample_pos, sink, n_eta=1)
     """
     n_steps, dt, _ = config.grid()
     rows = _MAX_DM_CHUNK if rho0_m.shape[0] > _SUPEROP_DIM_LIMIT else _MAX_SUPEROP_CHUNK
-    for start, stop in _iter_chunks(n_traj, max(1, rows // n_eta)):
+    # whole groups of _GROUP trajectories per chunk
+    for start, stop in _iter_chunks(n_traj, max(1, rows // n_eta // _GROUP) * _GROUP):
         mats = np.broadcast_to(rho0_m, (n_eta * (stop - start), *rho0_m.shape))
         chunk_sink = partial(sink, slice(start, stop))
         # the start state is passed inline so that no name here keeps it
@@ -1021,14 +1005,24 @@ def _run_chunks(kernel, spec, rho0_m, config, n_traj, sample_pos, sink, n_eta=1)
                    sample_pos, chunk_sink)
 
 
+def _add_by_group(total, values):
+    """total plus the sums of `values` over its groups of _GROUP rows, added
+    one group at a time in group order.  Chunks hold whole groups (only a
+    run's last group may be partial), so the sum does not depend on
+    chunking."""
+    whole = len(values) // _GROUP * _GROUP
+    groups = values[:whole].reshape(-1, _GROUP, *values.shape[1:]).sum(axis=1)
+    return np.cumsum([total, *groups, values[whole:].sum(axis=0)], axis=0)[-1]
+
+
 class _PurityCollector:
     def __init__(self, n_times):
         self.acc = np.zeros(n_times)
         self.acc_sq = np.zeros(n_times)
 
     def add(self, t_index, values):
-        self.acc[t_index] += values.sum()
-        self.acc_sq[t_index] += (values ** 2).sum()
+        self.acc[t_index] = _add_by_group(self.acc[t_index], values)
+        self.acc_sq[t_index] = _add_by_group(self.acc_sq[t_index], values ** 2)
 
     def finish(self, times, n):
         mean = self.acc / n
@@ -1053,7 +1047,7 @@ def _collect_static(statistic, mats, sink, j=0):
     if statistic == "purity":
         sink.add(j, _batch_purity(mats))
     else:
-        sink[j] += mats.sum(axis=0)
+        sink[j] = _add_by_group(sink[j], mats)
 
 
 def _emit(kernel, y, j, statistic, sink):
@@ -1069,12 +1063,12 @@ def run_ensemble(model, spec, rho0, config, n_traj, statistic="purity"):
 
     statistic = "purity" returns an EnsembleCurve of mean conditional
     purity; "mean_state" returns a MeanStateCurve of the ensemble-averaged
-    state (whose contract is to match unconditional propagation).  Per-
-    trajectory noise streams depend only on (config.seed, trajectory
-    index), so the result depends on chunking and thread count only
-    through rounding (chunked sums, batch-shaped GEMMs).  Direct detection
-    and AID run event-driven (`_EventJumpSampler`): one uniform per click,
-    from one stream per group of trajectories, in place of one per step.
+    state (whose contract is to match unconditional propagation).  A
+    trajectory's random numbers depend only on (config.seed, trajectory
+    index), and sums run group by group, so the result depends on chunking
+    and thread count only through batch-shaped GEMMs.  Direct detection
+    and AID run event-driven (`_EventJumpSampler`): one uniform per click
+    in place of one per step.
     """
     if statistic not in ("purity", "mean_state"):
         raise ValueError(f"unknown statistic {statistic!r}")
@@ -1129,7 +1123,8 @@ def run_final_states(model, spec, rho0, config, n_traj):
 
     This is the sampler behind the mixing- and survival-time estimates:
     condition to (near) stationarity, then hand the frozen states to the
-    deterministic propagator.
+    deterministic propagator.  Direct detection and AID run event-driven,
+    with the horizon as their one checkpoint.
     """
     if n_traj < 2:
         raise ValueError("n_traj must be at least 2")

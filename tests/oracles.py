@@ -1,9 +1,9 @@
 """Reference computations the tests check the package against.
 
 None of these is on a path the package runs: each is either a generic
-numerical route (adaptive ODE integration, scipy's Lyapunov solver) to a
-quantity the package computes in closed form, or a small helper the tests
-need to read states.
+numerical route (adaptive ODE integration, scipy's Lyapunov solver, the
+stepped jump kernel) to a quantity the package computes in closed form or
+event by event, or a small helper the tests need to read states.
 """
 
 import math
@@ -13,6 +13,7 @@ from scipy.integrate import cumulative_simpson, solve_ivp
 from scipy.linalg import expm, null_space, solve_continuous_lyapunov
 from scipy.optimize import brentq
 
+from unravel import trajectories as T
 from unravel.errors import ConvergenceError, DecompositionError
 from unravel.gaussian import CovarianceState
 from unravel.hilbert import DensityMatrix
@@ -265,6 +266,25 @@ def counting_step(model, eta, beta, rhos, uniforms, signs, dt):
                 signs[i] = -signs[i]
         out[i] = evolved / tr
     return out, clicked, signs
+
+
+def stepped_counting(model, spec, rho0, dt, n_steps, n_traj, seed, etas=None):
+    """The stepped reference of the event-driven counting runs: n_traj
+    trajectories of direct detection or AID from rho0, stepped one window at
+    a time by the jump kernel (`step_jump`'s step) with LO signs from +1.
+    Every step takes one uniform per trajectory from one numpy stream,
+    shared by the trajectory's rows at each efficiency of `etas`.  Yields
+    (step, rows) after every step: real coordinates, eta-major as in the
+    package."""
+    kernel = T._SuperopJumpKernel(model, spec, dt, etas)
+    n_eta = len(kernel.props[0])
+    rho0 = np.asarray(_matrix(rho0))
+    y = kernel.initial(np.broadcast_to(rho0, (n_eta * n_traj, *rho0.shape)))
+    signs = np.ones(len(y))
+    rng = np.random.default_rng(seed)
+    for step in range(1, n_steps + 1):
+        y, _ = kernel.step(y, rng.random((n_traj, 1)), signs)
+        yield step, y
 
 
 def purified_step(c, prop, zs, weights, dt, psi, dw_row):

@@ -49,6 +49,14 @@ class TestTypes:
             DiskPoint(1.2, 0.0)
         assert DiskPoint(1.0, 2 * math.pi + 0.5).phi == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_disk_point_rejects_non_finite_phi(self, phi):
+        # phi % 2 pi would turn each of these into nan
+        with pytest.raises(ValueError, match="phi"):
+            DiskPoint(1.0, phi)
+        with pytest.raises(ValueError, match="phi"):
+            DiskPoint(0.5, np.float64(phi))
+
     def test_disk_point_coerces_numpy_scalars(self):
         # optimizers hand back numpy scalars; the point must store plain floats
         u = DiskPoint(np.float64(1.0), np.float64(0.5))

@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 from scipy.linalg import expm
 
+from unravel import measures as M
 from unravel import trajectories as T
 from unravel.errors import InvariantViolationError, SimulationError, StepSizeError
 from unravel.gaussian import CovarianceState, DiskPoint, QbmParams
@@ -219,13 +220,13 @@ class TestRunEnsemble:
         cases = [(spec, statistic)
                  for spec in (T.heterodyne(1.0), T.aid(1.0), T.direct(0.7))
                  for statistic in ("purity", "mean_state")]
-        refs = [(T.run_ensemble(model, spec, EXCITED, cfg, 64, statistic),
-                 T.run_final_states(model, spec, EXCITED, cfg, 64))
+        refs = [(T.run_ensemble(model, spec, EXCITED, cfg, 256, statistic),
+                 T.run_final_states(model, spec, EXCITED, cfg, 256))
                 for spec, statistic in cases]
-        # force 16-trajectory chunks and noise blocks of 7 (heterodyne) or
-        # 14 steps, none of which divides the 250 steps
-        monkeypatch.setattr(T, "_MAX_SUPEROP_CHUNK", 16)
-        monkeypatch.setattr(T, "_NOISE_BLOCK_BYTES", 16 * 2 * 8 * 7)
+        # force 64-trajectory chunks and heterodyne noise blocks of 7 steps,
+        # which do not divide the 250 steps
+        monkeypatch.setattr(T, "_MAX_SUPEROP_CHUNK", 64)
+        monkeypatch.setattr(T, "_NOISE_BLOCK_BYTES", 64 * 2 * 8 * 7)
         chunks, draws = [], []
         iter_chunks, noise_plan = T._iter_chunks, T._noise_plan
 
@@ -241,11 +242,12 @@ class TestRunEnsemble:
         monkeypatch.setattr(T, "_iter_chunks", counted_chunks)
         monkeypatch.setattr(T, "_noise_plan", counted_plan)
         for (spec, statistic), (ref, ref_finals) in zip(cases, refs):
-            split = T.run_ensemble(model, spec, EXCITED, cfg, 64, statistic)
-            finals = T.run_final_states(model, spec, EXCITED, cfg, 64)
-            # heterodyne purities and final states agree to the bit; the rest
-            # only to rounding: mean states are summed per chunk, and AID steps
-            # its minus-sign rows in a sub-batch GEMM shaped by the chunk
+            split = T.run_ensemble(model, spec, EXCITED, cfg, 256, statistic)
+            finals = T.run_final_states(model, spec, EXCITED, cfg, 256)
+            # heterodyne states agree to the bit, and so do their purity
+            # means and mean states, which are summed group by group; the
+            # counting states only to rounding, since the sampler carries
+            # rows in GEMMs shaped by the chunk
             def close(a, b):
                 return np.abs(a - b).max() < 1e-12
             exact = np.array_equal if spec.kind == "heterodyne" else close
@@ -254,9 +256,23 @@ class TestRunEnsemble:
             if statistic == "purity":
                 assert exact(split.mean, ref.mean), case
             else:
-                assert close(split.states, ref.states), case
+                assert exact(split.states, ref.states), case
         assert chunks == [4] * 2 * len(cases)
-        assert max(draws) == 14 and min(draws) < 7
+        assert max(draws) == 7 and min(draws) < 7
+
+    @pytest.mark.parametrize("n", [256, 300])
+    def test_group_sums_do_not_depend_on_chunking(self, n):
+        # the sums of any chunking into whole groups, the last partial
+        # group included, are one sum to the bit
+        rng = np.random.default_rng(n)
+        for values in (rng.uniform(0.5, 1.0, n), rng.normal(size=(n, 2, 2)) * (1 + 1j)):
+            whole = T._add_by_group(np.zeros(values.shape[1:]), values)
+            for chunk in (64, 128, 192):
+                total = np.zeros(values.shape[1:])
+                for first in range(0, n, chunk):
+                    total = T._add_by_group(total, values[first:first + chunk])
+                assert np.array_equal(total, whole), chunk
+            assert np.abs(whole - values.sum(axis=0)).max() < 1e-12
 
     @pytest.mark.parametrize("kind,eta,dim", [
         (kind, eta, 2) for kind in ("direct", "aid", "homodyne_x", "heterodyne")
@@ -402,10 +418,10 @@ class TestEfficiencyStack:
         model = build_tla(tla())
         cfg = T.TrajectoryConfig(2e-3, 0.5, seed=8, sample_stride=50)
         specs = (T.heterodyne(), T.aid(), T.direct())
-        refs = [T.run_purity_averages(model, spec, EXCITED, cfg, 64, self.ETAS)
+        refs = [T.run_purity_averages(model, spec, EXCITED, cfg, 256, self.ETAS)
                 for spec in specs]
-        # 16 rows hold 4 trajectories at 4 efficiencies
-        monkeypatch.setattr(T, "_MAX_SUPEROP_CHUNK", 16)
+        # 256 rows hold one group of 64 trajectories at 4 efficiencies
+        monkeypatch.setattr(T, "_MAX_SUPEROP_CHUNK", 256)
         chunks = []
         iter_chunks = T._iter_chunks
 
@@ -416,14 +432,14 @@ class TestEfficiencyStack:
 
         monkeypatch.setattr(T, "_iter_chunks", counted_chunks)
         for spec, ref in zip(specs, refs):
-            split = T.run_purity_averages(model, spec, EXCITED, cfg, 64, self.ETAS)
+            split = T.run_purity_averages(model, spec, EXCITED, cfg, 256, self.ETAS)
             # the rules of test_chunking_does_not_change_result: heterodyne
             # to the bit, the counting schemes to rounding
             if spec.kind == "heterodyne":
                 assert np.array_equal(split, ref)
             else:
                 assert np.abs(split - ref).max() < 1e-12, spec.kind
-        assert chunks == [16] * len(specs)
+        assert chunks == [4] * len(specs)
 
     def test_window_is_the_last_quarter_of_the_purity_curve(self):
         model = build_tla(tla())
@@ -547,46 +563,149 @@ class TestEventSampler:
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         sampler.prepare(1000, 25)
 
-    def test_counting_ensembles_use_the_sampler(self):
+    def test_counting_runs_use_the_sampler(self):
         model = build_tla(tla())
-        for statistic in ("purity", "mean_state"):
+        for statistic in ("purity", "mean_state", "final_states", "trajectory"):
             assert isinstance(T._select_kernel(model, T.aid(), EXCITED.matrix, 1e-3, statistic),
                               T._EventJumpSampler)
-        kernel = T._select_kernel(model, T.aid(), EXCITED.matrix, 1e-3, "final_states")
-        assert not isinstance(kernel, T._EventJumpSampler)
+        # step_jump's one window is the stepped kernel's step
+        assert T._EventJumpSampler.step is T._SuperopJumpKernel.step
+
+    def test_trajectory_clicks_are_the_stepped_kernels(self):
+        # the sampler's click steps and LO signs for one AID trajectory
+        # against the stepped kernel fed the uniforms that reproduce them:
+        # a window clicks exactly when its uniform falls below its click
+        # probability, so u = 1 between the logged clicks and u = 0 at them
+        model = build_tla(tla(3.0))
+        cfg = T.TrajectoryConfig(1e-3, 10.0, seed=12, sample_stride=1000)
+        res = T.run_trajectory(model, T.aid(1.0), EXCITED, cfg)
+        steps = np.rint(np.array(res.record.jump_times) / 1e-3).astype(int)
+        assert len(steps) >= 2
+        n_steps, dt, sample_idx = cfg.grid()
+        kernel = T._SuperopJumpKernel(model, T.aid(1.0), dt)
+        y, signs = kernel.initial(EXCITED.matrix[None, :, :]), np.ones(1)
+        states, seen = [], []
+        for step in range(1, n_steps + 1):
+            y, jumped = kernel.step(y, np.array([[0.0 if step in steps else 1.0]]), signs)
+            if jumped[0]:
+                seen.append((step, signs[0]))
+            if step in sample_idx:
+                states.append(kernel.to_matrices(y)[0])
+        assert seen == list(zip(steps, res.record.lo_signs))
+        worst = max(np.abs(a.matrix - b).max() for a, b in zip(res.states[1:], states))
+        assert worst < 1e-10
+
+    def test_counting_tables_fit_the_block_budget(self):
+        # direct detection of a driven d = 8 oscillator over 8,000 steps,
+        # whose final states have the horizon as their one checkpoint:
+        # uncapped, the powers would hold 8,001 matrices of 64 x 64 (262 MB)
+        d = 8
+        a = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+        model = LindbladModel(0.5 * (a + a.T).astype(complex), (a.astype(complex),))
+        rho0 = np.diag([0.0, 1.0] + [0.0] * (d - 2))
+        cfg = T.TrajectoryConfig(1e-3, 8.0, seed=3)
+        T.run_final_states(model, T.direct(), rho0, cfg, 2)   # warm caches
+        tracemalloc.start()
+        try:
+            finals = T.run_final_states(model, T.direct(), rho0, cfg, 64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * T._NOISE_BLOCK_BYTES, peak
+        assert np.allclose(np.trace(finals, axis1=1, axis2=2), 1.0)
+
+    def test_carry_only_checkpoints_change_rounding_only(self, monkeypatch):
+        # a budget that caps the atom's powers at 99 steps adds carry-only
+        # checkpoints to a run over 2,000 steps
+        model = build_tla(tla(5.0))
+        cfg = T.TrajectoryConfig(1e-3, 2.0, seed=5, sample_stride=500)
+        cases = [(spec, statistic) for spec in (T.direct(0.7), T.aid())
+                 for statistic in ("purity", "mean_state")]
+        refs = [T.run_ensemble(model, spec, EXCITED, cfg, 128, statistic)
+                for spec, statistic in cases]
+        ref_finals = [T.run_final_states(model, spec, EXCITED, cfg, 128) for spec, _ in cases]
+        hops = []
+        prepare = T._EventJumpSampler.prepare
+
+        def recording(sampler, n_steps, hop):
+            hops.append(hop)
+            return prepare(sampler, n_steps, hop)
+
+        monkeypatch.setattr(T._EventJumpSampler, "prepare", recording)
+        monkeypatch.setattr(T, "_NOISE_BLOCK_BYTES", 4 * 4 * 8 * 100 * 2)
+        for (spec, statistic), ref, finals in zip(cases, refs, ref_finals):
+            capped = T.run_ensemble(model, spec, EXCITED, cfg, 128, statistic)
+            got = capped.mean if statistic == "purity" else capped.states
+            want = ref.mean if statistic == "purity" else ref.states
+            assert np.abs(got - want).max() < 1e-12, (spec.kind, statistic)
+            assert np.abs(T.run_final_states(model, spec, EXCITED, cfg, 128)
+                          - finals).max() < 1e-12, spec.kind
+        assert max(hops) <= 199 and min(hops) <= 99
 
     @pytest.mark.slow
     @pytest.mark.parametrize("kind", ["direct", "aid"])
-    def test_agrees_with_the_stepped_kernel(self, kind, monkeypatch):
+    def test_agrees_with_the_stepped_kernel(self, kind):
         # independent seeds, n = 20,000: long-run purities at four
-        # efficiencies (the threshold setting) and a purity curve
+        # efficiencies (the threshold setting) and a purity curve, against
+        # the same runs stepped one window at a time (oracles.stepped_counting)
         params = TlaParams(5.0, 1.0)
         model = build_tla(params)
         rho_ss = steady_state(model).matrix
         spec, n = T.named_scheme(kind), 20_000
-        long_cfg = lambda seed: T.TrajectoryConfig(4e-3, 20.0, seed=seed, sample_stride=20)
-        curve_cfg = lambda seed: T.TrajectoryConfig(4e-3, 4.0, seed=seed, sample_stride=100)
+        long_cfg = T.TrajectoryConfig(4e-3, 20.0, seed=31, sample_stride=20)
+        curve_cfg = T.TrajectoryConfig(4e-3, 4.0, seed=31, sample_stride=100)
         etas = (0.25, 0.5, 0.75, 1.0)
 
-        def summary(seed):
-            averages = T.run_purity_averages(model, spec, rho_ss, long_cfg(seed), n, etas)
-            curve = T.run_ensemble(model, spec, rho_ss, curve_cfg(seed), n)
-            return (np.concatenate([averages.mean(axis=1), curve.mean[1:]]),
-                    np.concatenate([averages.std(axis=1, ddof=1) / math.sqrt(n),
-                                    curve.stderr[1:]]))
+        def summary(averages, mean, stderr):
+            return (np.concatenate([averages.mean(axis=1), mean]),
+                    np.concatenate([averages.std(axis=1, ddof=1) / math.sqrt(n), stderr]))
 
-        event, event_err = summary(31)
-        # the same runs through the stepped jump kernel
-        monkeypatch.setattr(T, "_select_kernel",
-                            lambda model, spec, rho0, dt, statistic, etas=None:
-                            T._SuperopJumpKernel(model, spec, dt, etas))
-        stepped, stepped_err = summary(32)
+        curve = T.run_ensemble(model, spec, rho_ss, curve_cfg, n)
+        event, event_err = summary(
+            T.run_purity_averages(model, spec, rho_ss, long_cfg, n, etas),
+            curve.mean[1:], curve.stderr[1:])
+
+        n_steps, dt, sample_idx = long_cfg.grid()
+        window = set(sample_idx[-max(1, len(sample_idx) // 4):].tolist())
+        acc = np.zeros(len(etas) * n)
+        for step, y in oracles.stepped_counting(model, spec, rho_ss, dt, n_steps, n, 32, etas):
+            if step in window:
+                acc += T._coord_purity(y)
+        n_steps, dt, sample_idx = curve_cfg.grid()
+        curve = [T._coord_purity(y) for step, y in
+                 oracles.stepped_counting(model, spec, rho_ss, dt, n_steps, n, 33)
+                 if step in sample_idx]
+        stepped, stepped_err = summary(
+            (acc / len(window)).reshape(len(etas), n), [p.mean() for p in curve],
+            [p.std(ddof=1) / math.sqrt(n) for p in curve])
         z = (event - stepped) / np.hypot(event_err, stepped_err)
         assert np.abs(z).max() < 3.0, z
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("kind", ["direct", "aid"])
+    def test_final_states_agree_with_the_stepped_kernel(self, kind, monkeypatch):
+        # independent seeds, n = 20,000: mixing and survival times at
+        # Omega = 2 gamma from event-driven final states, against the same
+        # measures from final states stepped one window at a time
+        params, spec = TlaParams(2.0, 1.0), T.named_scheme(kind)
+        opts = M.McOptions(n_traj=20_000, seed=31)
+        event = M.mixing_and_survival_tla(params, spec, opts)
+
+        def stepped_final_states(model, spec, rho0, config, n_traj):
+            n_steps, dt, _ = config.grid()
+            for _, y in oracles.stepped_counting(model, spec, rho0, dt, n_steps, n_traj, 32):
+                pass
+            return T._from_coords(y, model.dim)
+
+        monkeypatch.setattr(T, "run_final_states", stepped_final_states)
+        stepped = M.mixing_and_survival_tla(params, spec, opts)
+        for a, b in zip(event, stepped):
+            z = (a.value - b.value) / math.hypot(a.uncertainty, b.uncertainty)
+            assert abs(z) < 3.0, (a.kind, a.value, b.value, z)
+
 
 class TestClickStreams:
-    """Click uniforms: one Philox stream per group of _CLICK_GROUP trajectories."""
+    """Click uniforms: one Philox stream per group of _GROUP trajectories."""
 
     def _reference(self, seed, n, k_max):
         draw = T._click_uniforms(seed, 0, n)
@@ -619,54 +738,82 @@ class TestClickStreams:
         etas = (0.25, 0.5, 0.75, 1.0)
         for n in (70, 200):
             T.run_purity_averages(model, T.aid(), EXCITED, cfg, n, etas)
-        # 16 rows hold 4 trajectories at 4 efficiencies: every chunk splits
-        # group 0, and the last (68, 70) is a partial group 1
-        monkeypatch.setattr(T, "_MAX_SUPEROP_CHUNK", 16)
+        # 256 rows hold one group at 4 efficiencies: chunks (0, 64) and the
+        # partial group (64, 70)
+        monkeypatch.setattr(T, "_MAX_SUPEROP_CHUNK", 256)
         T.run_purity_averages(model, T.aid(), EXCITED, cfg, 70, etas)
-        assert spans[:2] == [(0, 70), (0, 200)] and spans[-1] == (68, 70)
-        assert len(spans) == 2 + 18
+        # single trajectories draw their groups whole, each a split group
+        for index in (5, 67):
+            T.run_trajectory(model, T.aid(), EXCITED, cfg, traj_index=index)
+        assert spans == [(0, 70), (0, 200), (0, 64), (64, 70), (5, 6), (67, 68)]
         assert max(k for _, k in seen) > 0
         for (i, k), values in seen.items():
             assert values == {ref[i, k]}, (i, k)
 
-    def test_group_streams_are_not_trajectory_streams(self):
-        seed = 3
-        groups = [T._click_stream(seed, g).random(8) for g in range(4)]
-        members = [T.trajectory_rng(seed, i).random(8) for i in range(300)]
-        firsts = {u for draws in groups + members for u in draws}
-        assert len(firsts) == 8 * (len(groups) + len(members))
-
     def test_one_stream_per_group(self, monkeypatch):
         # 2,000 trajectories at two efficiencies fit one chunk
-        counts = {"group": 0, "trajectory": 0}
-        click_stream, trajectory_rng = T._click_stream, T.trajectory_rng
+        counts = {"click": 0, "noise": 0, "trajectory": 0}
+        group_stream, trajectory_rng = T._group_stream, T.trajectory_rng
 
-        def counted(key, fn):
-            def wrapper(*args):
-                counts[key] += 1
-                return fn(*args)
-            return wrapper
+        def counted_group(seed, group, *tag):
+            counts["noise" if tag else "click"] += 1
+            return group_stream(seed, group, *tag)
 
-        monkeypatch.setattr(T, "_click_stream", counted("group", click_stream))
-        monkeypatch.setattr(T, "trajectory_rng", counted("trajectory", trajectory_rng))
+        def counted_trajectory(*args):
+            counts["trajectory"] += 1
+            return trajectory_rng(*args)
+
+        monkeypatch.setattr(T, "_group_stream", counted_group)
+        monkeypatch.setattr(T, "trajectory_rng", counted_trajectory)
         cfg = T.TrajectoryConfig(4e-3, 0.4, seed=2, sample_stride=25)
         T.run_purity_averages(build_tla(tla(5.0)), T.direct(), EXCITED, cfg, 2000, (0.5, 1.0))
-        assert counts == {"group": 32, "trajectory": 0}
+        assert counts == {"click": 32, "noise": 0, "trajectory": 0}
+
+
+class TestStreamFamilies:
+    """Click, noise and trajectory_rng streams never share a key or a draw."""
+
+    SEED, GROUPS = 3, 40
+
+    def _families(self):
+        groups = range(self.GROUPS)
+        return {"click": [T._group_stream(self.SEED, g) for g in groups],
+                "noise": [T._group_stream(self.SEED, g, T._NOISE_TAG) for g in groups],
+                "trajectory": [T.trajectory_rng(self.SEED, i)
+                               for i in range(self.GROUPS * T._GROUP)]}
+
+    def test_families_never_share_a_spawn_key(self):
+        keys = {name: {rng.bit_generator.seed_seq.spawn_key for rng in rngs}
+                for name, rngs in self._families().items()}
+        assert [len(k) for k in keys.values()] == [self.GROUPS, self.GROUPS,
+                                                   self.GROUPS * T._GROUP]
+        assert not keys["click"] & keys["noise"]
+        assert not (keys["click"] | keys["noise"]) & keys["trajectory"]
+
+    def test_families_draw_different_numbers(self):
+        firsts = [u for rngs in self._families().values() for rng in rngs
+                  for u in rng.random(4)]
+        assert len(set(firsts)) == len(firsts)
 
 
 class TestNoiseStream:
+    """Diffusive noise: one Philox stream per group of _GROUP trajectories."""
+
     def _whole(self, spec, n_steps, dt, seed, rows):
-        draws = np.stack([T._noise_plan(spec, n_steps, T.trajectory_rng(seed, i))
-                          for i in rows])
-        return math.sqrt(dt) * draws if spec.is_diffusive else draws
+        # trajectory i: column i mod G of one whole-horizon draw of group i // G
+        groups = {g: T._noise_plan(spec, n_steps, T._group_stream(seed, g, T._NOISE_TAG))
+                  for g in {i // T._GROUP for i in rows}}
+        return math.sqrt(dt) * np.stack([groups[i // T._GROUP][..., i % T._GROUP]
+                                         for i in rows])
 
     def test_blocks_concatenate_to_whole_draw(self, monkeypatch):
-        n_steps, dt, seed, rows = 50, 2e-3, 9, range(4, 7)
-        for spec in (T.direct(1.0), T.heterodyne(1.0)):
+        # rows 60..69 straddle groups 0 and 1, so a block is 128 columns wide
+        n_steps, dt, seed, rows = 50, 2e-3, 9, range(60, 70)
+        for spec in (T.homodyne_x(1.0), T.heterodyne(1.0)):
             k = T.noise_width(spec)
             whole = self._whole(spec, n_steps, dt, seed, rows)
             for steps in (1, 7, 49, 50):
-                monkeypatch.setattr(T, "_NOISE_BLOCK_BYTES", len(rows) * k * 8 * steps)
+                monkeypatch.setattr(T, "_NOISE_BLOCK_BYTES", 2 * T._GROUP * k * 8 * steps)
                 # the blocks share one buffer, so each is copied as it comes
                 blocks = [b.copy() for b in T._noise_blocks(spec, n_steps, dt, seed,
                                                           rows.start, rows.stop)]
@@ -679,11 +826,33 @@ class TestNoiseStream:
         cfg = T.TrajectoryConfig(2e-3, 0.5, seed=13, sample_stride=50)
         n_steps, dt, _ = cfg.grid()
         spec = T.heterodyne(1.0)
-        whole = self._whole(spec, n_steps, dt, cfg.seed, [2])[0]
-        for block_bytes in (T._NOISE_BLOCK_BYTES, 2 * 8 * 11):
-            monkeypatch.setattr(T, "_NOISE_BLOCK_BYTES", block_bytes)
-            wiener = T.run_trajectory(model, spec, EXCITED, cfg, traj_index=2).record.wiener
-            assert np.array_equal(wiener, whole), block_bytes
+        for index in (2, 70):
+            whole = self._whole(spec, n_steps, dt, cfg.seed, [index])[0]
+            for block_bytes in (T._NOISE_BLOCK_BYTES, T._GROUP * 2 * 8 * 11):
+                monkeypatch.setattr(T, "_NOISE_BLOCK_BYTES", block_bytes)
+                record = T.run_trajectory(model, spec, EXCITED, cfg, traj_index=index).record
+                assert np.array_equal(record.wiener, whole), (index, block_bytes)
+
+    def test_a_chunk_builds_one_noise_stream_per_group(self, monkeypatch):
+        streams, spans = [], []
+        group_stream, iter_chunks = T._group_stream, T._iter_chunks
+
+        def counted_stream(seed, group, *tag):
+            streams.append(tag)
+            return group_stream(seed, group, *tag)
+
+        def counted_chunks(n_traj, chunk):
+            spans.extend(iter_chunks(n_traj, chunk))
+            return list(iter_chunks(n_traj, chunk))
+
+        monkeypatch.setattr(T, "_group_stream", counted_stream)
+        monkeypatch.setattr(T, "_iter_chunks", counted_chunks)
+        model, cfg = build_tla(tla()), T.TrajectoryConfig(2e-3, 0.1, seed=4)
+        monkeypatch.setattr(T, "_MAX_SUPEROP_CHUNK", 128)
+        T.run_final_states(model, T.heterodyne(1.0), EXCITED, cfg, 200)
+        assert spans == [(0, 128), (128, 200)]
+        # chunks of b rows build ceil(b / 64) streams each
+        assert streams == [(T._NOISE_TAG,)] * (2 + 2)
 
     def test_noise_memory_stays_within_block_budget(self, monkeypatch):
         # heterodyne final states of 256 trajectories over 1000 steps: a
