@@ -9,6 +9,7 @@ convergence failure.
 
 import argparse
 import concurrent.futures
+import csv
 import json
 import math
 import os
@@ -88,9 +89,10 @@ def _write_rows(path, command, config, columns, rows):
     try:
         for line in _header_lines(command, config):
             print(line, file=fh)
-        print(",".join(columns), file=fh)
-        for row in rows:
-            print(",".join(_fmt(v) for v in row), file=fh)
+        # csv quotes a field that holds a comma, as an error message may
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(columns)
+        out.writerows([_fmt(v) for v in row] for row in rows)
     finally:
         if close:
             fh.close()
@@ -162,6 +164,8 @@ def cmd_qbm_optimal(args):
     for kind in kinds:
         if kind not in M.MEASURE_KINDS:
             raise UsageError(f"unknown measure {kind!r}")
+    if args.threads < 1:
+        raise UsageError(f"--threads must be at least 1, got {args.threads}")
     jobs = [(t, k) for t in temps for k in kinds]
     results = _map_jobs(_optimal_point, jobs, args.threads)
     config = {"temps": temps, "measure": args.measure, "threads": args.threads}

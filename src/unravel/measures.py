@@ -5,8 +5,9 @@ all defined against the shared halfway threshold theta = (1 + Tr[rho_ss^2])/2.
 The Brownian-particle backend is deterministic (closed-form Riccati and
 Lyapunov curves, closed-form survival); the two-level-atom backend is Monte
 Carlo with explicit statistical uncertainties.  Each QBM measure has one
-body over a stack of disk points, which the detection-disk optimizer's
-coarse grid calls once; the module also hosts the unravelling ranking harness.
+body over a stack of disk points, which the detection-disk optimizer calls
+once for its coarse grid and once per compass-search iteration; the module
+also hosts the unravelling ranking harness.
 """
 
 import functools
@@ -30,23 +31,6 @@ from .systems import TlaParams, build_tla
 from .trajectories import TrajectoryConfig
 
 MEASURE_KINDS = ("purification", "efficiency_threshold", "mixing", "survival")
-
-
-# scipy.optimize loads on first use: only the disk optimizer and the
-# threshold's fallback call it, and importing it at module level costs every
-# command about 0.2 s
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported when first called."""
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(*args, **kwargs)
-
-
-def brentq(*args, **kwargs):
-    """scipy.optimize.brentq, imported when first called."""
-    from scipy.optimize import brentq as scipy_brentq
-
-    return scipy_brentq(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -263,6 +247,9 @@ def _efficiency_threshold_brentq(gen, lo, hi):
     fallback of efficiency_threshold_qbm's Newton solve and its test
     reference.  Each step only rescales gen's eta-dependent terms
     (GaussianGenerators.with_eta)."""
+    # loaded on first use: at module level it would cost every command 0.2 s
+    from scipy.optimize import brentq
+
     theta = QBM_THETA.theta
 
     def stationary_purity(eta):
@@ -508,88 +495,93 @@ def _dispatch(kind, system, spec, **kw):
 # ---------------------------------------------------------------------------
 # detection-disk optimizer (deterministic backend only)
 
-def optimize_disk(params, kind, r_grid=None, phi_points=24, refine=True):
+def optimize_disk(params, kind, r_grid=(0.0, 0.25, 0.5, 0.75, 1.0), phi_points=24):
     """Most robust general-dyne point for one robustness measure.
 
     Coarse grid over the disk, evaluated as one stacked call of the
-    measure's body (_qbm_values), followed by Nelder-Mead refinement
-    through the scalar measure, bounded to r in [0, 1]: scipy clips every
-    simplex vertex onto the disk, so no evaluation is spent outside it.
-    It starts from the best grid point, and from the runner-up only when
-    that is no grid neighbour of the best (one ring and one phi step away
-    at most; the centre neighbours the first ring), since only then can it
-    lie in another basin.  Robust means fast information gain (purification
-    time and efficiency threshold minimized) but slow degradation while
-    unobserved (mixing and survival times maximized).
+    measure's body (_qbm_values), followed by a compass search whose
+    stencils are stacked calls too (_compass_search).  It starts from the
+    best grid point, and from the runner-up only when that is no grid
+    neighbour of the best (one ring and one phi step away at most; the
+    centre neighbours the first ring), since only then can it lie in another
+    basin.  Robust means fast information gain (purification time and
+    efficiency threshold minimized) but slow degradation while unobserved
+    (mixing and survival times maximized).
     Points where the measure fails (e.g. pure momentum homodyne) are
     recorded, once each, and skipped.
     """
     if kind not in MEASURE_KINDS:
         raise ValueError(f"unknown measure kind {kind!r}")
-    measure = _QBM_MEASURES[kind]
     sign = -1.0 if kind in ("mixing", "survival") else 1.0
+    failures = {}       # failing disk point -> its fault
 
-    failures = []
+    def objective(points):
+        values, faults = _qbm_values(kind, params, points)
+        failures.update((u, fault) for u, fault in zip(points, faults) if fault is not None)
+        return np.where(faults.astype(bool), np.inf, sign * values)
 
-    @functools.lru_cache(maxsize=None)      # deterministic: each point once
-    def evaluate(u):
-        try:
-            return measure(params, u)
-        except SimulationError as exc:
-            failures.append((u.r, u.phi, str(exc)))
-            return None
-
-    def objective(x):
-        res = evaluate(DiskPoint(x[0], x[1]))
-        return np.inf if res is None else sign * res.value
-
-    if r_grid is None:
-        r_grid = (0.0, 0.25, 0.5, 0.75, 1.0)
     phis = np.linspace(0.0, 2.0 * math.pi, phi_points, endpoint=False)
     # grid points by (ring index, phi index); the centre has one phi
     grid = [(i, j) for i, r in enumerate(r_grid)
             for j in (range(phi_points) if r > 0 else (0,))]
-    points = [(r_grid[i], phis[j]) for i, j in grid]
-    values, faults = _qbm_values(kind, params, [DiskPoint(*x) for x in points])
-    # a failing grid point goes through the scalar measure again, which
-    # raises its error for the objective to record
-    evals = [(sign * float(value) if fault is None else objective(x), x, ij)
-             for x, ij, value, fault in zip(points, grid, values, faults)]
-    evals = [e for e in evals if np.isfinite(e[0])]
-    if not evals:
-        raise ConvergenceError("every grid point failed to converge")
-    evals.sort()
-    best_val, (best_r, best_phi), (i0, j0) = evals[0]
+    points = [DiskPoint(r_grid[i], phis[j]) for i, j in grid]
+    values = objective(points)
+    if len(failures) == len(points):
+        first = next(iter(failures.values()))
+        raise ConvergenceError(
+            f"every grid point failed to converge ({len(points)} of {len(points)}); "
+            f"the first raised {type(first).__name__}: {first}")
+    # a stable sort: ties go to the smaller ring, then the smaller phi
+    order = np.argsort(values, kind="stable")
+    i0, j0 = grid[order[0]]
 
-    def near_best(x, ij):
+    def near_best(n):
         # one ring and one phi step (wrapping at 2 pi) from the best point;
         # the centre is next to every point on the first ring
-        dj = abs(ij[1] - j0)
-        return abs(ij[0] - i0) <= 1 and (
-            min(dj, phi_points - dj) <= 1 or 0.0 in (x[0], best_r))
+        i, j = grid[n]
+        dj = abs(j - j0)
+        return abs(i - i0) <= 1 and (
+            min(dj, phi_points - dj) <= 1 or 0.0 in (r_grid[i], r_grid[i0]))
 
-    if refine:
-        starts = [x for n, (_, x, ij) in enumerate(evals[:2])
-                  if n == 0 or not near_best(x, ij)]
-        for r0, p0 in starts:
-            res = minimize(objective, x0=[r0, p0], method="Nelder-Mead",
-                           bounds=[(0.0, 1.0), (None, None)],
-                           options={"xatol": 1e-6, "fatol": 1e-12,
-                                    "initial_simplex": _simplex(r0, p0),
-                                    "maxfev": 400})
-            if res.fun < best_val:
-                best_val, best_r, best_phi = res.fun, res.x[0], res.x[1]
-
-    u = DiskPoint(best_r, best_phi)
-    result = evaluate(u)
-    meta = dict(result.metadata)
-    meta["grid_failures"] = len(failures)
+    starts = [(points[n], values[n]) for n in order[:2]
+              if n == order[0] or not (near_best(n) or np.isinf(values[n]))]
+    u = _compass_search(objective, starts)
+    result = _QBM_MEASURES[kind](params, u)
+    meta = dict(result.metadata, grid_failures=len(failures))
     return u, MeasureResult(result.kind, result.value, result.uncertainty, meta)
 
 
-def _simplex(r0, phi0):
-    base = np.array([r0, phi0])
-    return np.array([base, base + [-0.08, 0.0], base + [0.0, 0.12]])
+# the compass stencil's eight directions at the start steps (0.08 in r, 0.12
+# in phi), the scales of the current step that one iteration probes, the
+# step's shrink after an iteration that finds no better point, and the step
+# scale at which a search stops: a phi step of 1e-6
+_COMPASS = [(0.08 * dr, 0.12 * dp) for dr in (-1, 0, 1) for dp in (-1, 0, 1) if dr or dp]
+_COMPASS_SCALES = (1.0, 0.25)
+_COMPASS_SHRINK = 16.0
+_COMPASS_TOL = 1e-6 / 0.12
+
+
+def _compass_search(objective, starts):
+    """Best disk point found by compass searches (Hooke & Jeeves, J. ACM 8,
+    212, 1961; Torczon, SIAM J. Optim. 7, 1, 1997) from each (point, value)
+    of starts; objective maps a list of disk points to their values.  Each
+    iteration evaluates all live stencils, r clipped to [0, 1], as one list
+    that names each point once.  A search moves to its best stencil point
+    when that is better, taking on that point's step, and else shrinks it."""
+    seen = dict(starts)
+    searches = [[u, 1.0] for u, _ in starts]      # point, step scale
+    while live := [s for s in searches if s[1] >= _COMPASS_TOL]:
+        stencils = [[(DiskPoint(min(max(u.r + h * c * dr, 0.0), 1.0), u.phi + h * c * dp), c)
+                     for c in _COMPASS_SCALES for dr, dp in _COMPASS] for u, h in live]
+        new = list(dict.fromkeys(v for stencil in stencils for v, _ in stencil if v not in seen))
+        seen.update(zip(new, objective(new)))
+        for search, stencil in zip(live, stencils):
+            v, c = min(stencil, key=lambda vc: seen[vc[0]])
+            if seen[v] < seen[search[0]]:
+                search[:] = v, search[1] * c
+            else:
+                search[1] /= _COMPASS_SHRINK
+    return min((u for u, _ in searches), key=seen.get)
 
 
 # ---------------------------------------------------------------------------

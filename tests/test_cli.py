@@ -1,3 +1,4 @@
+import csv
 import json
 import warnings
 
@@ -67,6 +68,29 @@ class TestQbmOptimal:
         out = tmp_path / "x.csv"
         assert run_cli(["qbm-optimal", "--temps", temps, "--out", str(out)]) == 2
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_usage_error(self, tmp_path, monkeypatch, threads):
+        # no optimum runs, and no file records the bad value
+        monkeypatch.setattr(cli.M, "optimize_disk", _never_called)
+        out = tmp_path / "x.csv"
+        assert run_cli(["qbm-optimal", "--temps", "1", "--threads", threads,
+                        "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_failed_optimum_names_its_cause(self, tmp_path):
+        # at T = 1e-9 every grid point fails: the row says how many and why,
+        # quoted, since the cause holds commas, so the row keeps six fields
+        out = tmp_path / "x.csv"
+        assert run_cli(["qbm-optimal", "--temps", "1e-9", "--measure", "mixing",
+                        "--out", str(out)]) == 3
+        [row] = csv.DictReader(l for l in out.read_text().splitlines()
+                               if not l.startswith("#"))
+        assert None not in row and row["r_star"] == "nan"
+        assert row["error"].startswith(
+            "every grid point failed to converge (97 of 97); the first raised "
+            "ConvergenceError: stationary covariance is not attracting")
 
 
 class TestTlaCurves:

@@ -140,9 +140,12 @@ class TestQbmMeasures:
                 measure(params, u)
 
     def test_rejected_decomposition_is_a_grid_failure(self, monkeypatch):
+        # the error names how many points failed and the first one's cause
         monkeypatch.setattr(G, "_RADON_COND_MAX", 1.0)
-        with pytest.raises(ConvergenceError, match="every grid point failed"):
-            M.optimize_disk(QbmParams(1.0), "purification", phi_points=4, refine=False)
+        with pytest.raises(ConvergenceError, match=(
+                r"^every grid point failed to converge \(17 of 17\); the first raised "
+                r"ConvergenceError: ill-conditioned eigenbasis of the information flow$")):
+            M.optimize_disk(QbmParams(1.0), "purification", phi_points=4)
 
     def test_mixing_regression(self):
         res = M.mixing_time_qbm(QbmParams(1.0), DiskPoint(1.0, 2.086))
@@ -403,6 +406,30 @@ class TestTlaMeasures:
             M.purification_time(object(), T.direct())
 
 
+def _record_search(monkeypatch):
+    """Spy on optimize_disk: the disk points of each outermost _qbm_values
+    stack (the grid, one per compass iteration, then the reported value's
+    stack of one), and the (point, value) starts of each compass search."""
+    stacks, starts, depth = [], [], [0]
+    values, search = M._qbm_values, M._compass_search
+
+    def stacked(kind, params, points):
+        if not depth[0]:
+            stacks.append(list(points))
+        depth[0] += 1
+        try:
+            return values(kind, params, points)
+        finally:
+            depth[0] -= 1
+
+    def recorded(objective, run):
+        starts.append(list(run))
+        return search(objective, run)
+    monkeypatch.setattr(M, "_qbm_values", stacked)
+    monkeypatch.setattr(M, "_compass_search", recorded)
+    return stacks, starts
+
+
 class TestOptimizeDisk:
     def test_boundary_optimum_and_reproducible_value(self):
         u, res = M.optimize_disk(QbmParams(1.0), "mixing", phi_points=12)
@@ -432,23 +459,16 @@ class TestOptimizeDisk:
 
     @pytest.mark.parametrize("kind", M.MEASURE_KINDS)
     def test_refinement_stays_on_the_disk(self, kind, monkeypatch):
-        # bounded Nelder-Mead: every point it proposes already lies on the
-        # disk, so none is clamped back and none is wasted outside it.  At
-        # T = 1 the two best grid points are neighbours, so one run
-        proposed, runs = [], []
-        minimize = M.minimize
-
-        def recording(fun, *args, **kwargs):
-            def objective(x):
-                proposed.append(float(x[0]))
-                return fun(x)
-            runs.append(args)
-            return minimize(objective, *args, **kwargs)
-        monkeypatch.setattr(M, "minimize", recording)
+        # every point the compass search stacks lies on the disk (r clipped
+        # to [0, 1]), and none twice.  At T = 1 the two best grid points are
+        # neighbours, so one start
+        stacks, starts = _record_search(monkeypatch)
         M.optimize_disk(QbmParams(1.0), kind)
-        assert len(runs) == 1
-        assert len(proposed) > 20
-        assert all(0.0 <= r <= 1.0 for r in proposed)
+        refined = [u for stack in stacks[1:-1] for u in stack]
+        assert len(starts) == 1 and len(starts[0]) == 1
+        assert len(refined) > 20
+        assert all(0.0 <= u.r <= 1.0 for u in refined)
+        assert len(set(refined)) == len(refined)
 
     def test_optimum_matches_frozen_fixture(self):
         # qbm-optimal at T = 1 before the refinement was bounded (with the
@@ -483,6 +503,75 @@ class TestOptimizeDisk:
             assert min(gap, 2 * math.pi - gap) < 1e-5
             assert res.value == pytest.approx(value, rel=1e-10)
 
+    @pytest.mark.parametrize("temp, frozen", [
+        (0.01, {"purification": (6.282921014357674, 0.1438750084402216),
+                "efficiency_threshold": (6.282633323732292, 0.020432861443700677),
+                "mixing": (0.07955474853515626, 5.9943511094332065),
+                "survival": (0.011426136767689738, 11.986066142974584)}),
+        (0.1, {"purification": (6.280543062713508, 0.14385645157907312),
+               "efficiency_threshold": (6.27729287966365, 0.022795040377474783),
+               "mixing": (0.7539871661040246, 5.315558364954579),
+               "survival": (0.11102691650390623, 10.428362280192221)}),
+        (0.5, {"purification": (6.270000414098389, 0.14378496713789526),
+               "efficiency_threshold": (6.2444179839976215, 0.05572106568515569),
+               "mixing": (1.9386925163518587, 2.0631999948599504),
+               "survival": (0.4986909386842361, 2.9992170311062556)}),
+        (1.0, {"purification": (6.256946028290325, 0.14359838907037495),
+               "efficiency_threshold": (6.22075682740738, 0.09107604800001623),
+               "mixing": (2.085797366751671, 1.1641352074839881),
+               "survival": (1.0700958055911292, 1.3655343912134938)}),
+        (2.0, {"purification": (6.231808672976689, 0.14282185715276807),
+               "efficiency_threshold": (6.210016514007797, 0.128662861011161),
+               "mixing": (2.1118668418703095, 0.6892576302866826),
+               "survival": (1.6851942149784902, 0.6938838416063645)}),
+        (5.0, {"purification": (6.169524695803988, 0.13829179436585762),
+               "efficiency_threshold": (6.215799006114897, 0.16955625677906652),
+               "mixing": (2.107777244157937, 0.371416450534834),
+               "survival": (2.2236529148931954, 0.3218316931234052)}),
+        (10.0, {"purification": (6.112459832954654, 0.12775633511637124),
+                "efficiency_threshold": (6.22699251814541, 0.19215167116314014),
+                "mixing": (2.102356864904854, 0.24242343252331733),
+                "survival": (2.4682971513251575, 0.1899749818767539)}),
+        (100.0, {"purification": (6.0904066102984, 0.06123145432020953),
+                 "efficiency_threshold": (6.260567960616385, 0.2313547533760604),
+                 "mixing": (2.0951687821541647, 0.0672960494649747),
+                 "survival": (2.861631949872674, 0.03766712649442858)}),
+        (1000.0, {"purification": (6.129521600532783, 0.02138739966708174),
+                  "efficiency_threshold": (6.275520436964647, 0.24408004140986875),
+                  "mixing": (2.0943071130398536, 0.02043240478168208),
+                  "survival": (3.014678824872675, 0.00797769282089546)}),
+        (10000.0, {"purification": (6.145654107856998, 0.006954062085928852),
+                   "efficiency_threshold": (6.280709249648274, 0.24812589534138552),
+                   "mixing": (2.0941271010440365, 0.006379815528937095),
+                   "survival": (3.0829693203793536, 0.0017127243345417269)}),
+        (100000.0, {"purification": (6.150816766548405, 0.0022181086055000783),
+                    "efficiency_threshold": (6.282397480739413, 0.24940716134805205),
+                    "mixing": (2.0940419225390583, 0.002009497621739503),
+                    "survival": (3.114418204755488, 0.00036865453130417703)}),
+    ])
+    def test_wide_temperatures_match_frozen_fixture(self, temp, frozen):
+        # recorded with the scalar Nelder-Mead refinement this search
+        # replaced: each optimum lies on the rim, and only the grid's pure
+        # momentum homodyne point fails
+        for kind, (phi, value) in frozen.items():
+            u, res = M.optimize_disk(QbmParams(temp), kind)
+            assert u.r == 1.0
+            gap = abs(u.phi - phi) % (2 * math.pi)
+            assert min(gap, 2 * math.pi - gap) < 1e-5
+            assert res.value == pytest.approx(value, rel=1e-10)
+            assert res.metadata["grid_failures"] == 1
+
+    @pytest.mark.parametrize("temp", (0.5, 100.0))
+    @pytest.mark.parametrize("kind", M.MEASURE_KINDS)
+    def test_work_per_optimum_is_bounded(self, temp, kind, monkeypatch):
+        # stacked calls and disk points per optimum at the benchmark's two
+        # corners, the grid's 97 points and the reported value's one
+        # included; the scalar Nelder-Mead took about 55 calls
+        stacks, _ = _record_search(monkeypatch)
+        M.optimize_disk(QbmParams(temp), kind)
+        assert len(stacks) <= 20
+        assert sum(map(len, stacks)) <= 240
+
     def test_second_refinement_finds_the_deeper_basin(self, monkeypatch):
         # two narrow dips on the rim, nine phi steps apart: the shallow one
         # sits on a grid point and wins the grid, the deep one lies between
@@ -503,17 +592,12 @@ class TestOptimizeDisk:
 
         def measure(params, u):
             return M.MeasureResult("purification", float(f(u.r, u.phi)))
-        starts = []
-        minimize = M.minimize
-
-        def recording(fun, x0, *args, **kwargs):
-            starts.append(tuple(x0))
-            return minimize(fun, x0, *args, **kwargs)
-        monkeypatch.setattr(M, "minimize", recording)
         monkeypatch.setattr(M, "_qbm_values", values)
         monkeypatch.setitem(M._QBM_MEASURES, "purification", measure)
+        _, starts = _record_search(monkeypatch)
         u, res = M.optimize_disk(QbmParams(1.0), "purification")
-        assert starts == [(1.0, shallow), (1.0, 15 * step)]
+        assert [[(u.r, u.phi) for u, _ in run] for run in starts] == [
+            [(1.0, shallow), (1.0, 15 * step)]]
         assert u.r == 1.0
         assert abs(u.phi - deep) < 1e-4
         assert res.value == pytest.approx(0.3, abs=1e-9)
@@ -526,12 +610,12 @@ class TestOptimizeDisk:
             pytest.fail("an ODE solver ran on the QBM measure path")
         monkeypatch.setattr(G, "solve_ivp", no_ode)
         for kind in M.MEASURE_KINDS:
-            _, res = M.optimize_disk(QbmParams(temp), kind, refine=False)
+            _, res = M.optimize_disk(QbmParams(temp), kind)
             assert res.metadata["grid_failures"] >= 1
 
     def test_failures_recorded_not_fatal(self):
         u, res = M.optimize_disk(QbmParams(1.0), "purification",
-                                 r_grid=(1.0,), phi_points=8, refine=False)
+                                 r_grid=(1.0,), phi_points=8)
         # the phi = pi grid point cannot purify and must be skipped
         assert res.metadata["grid_failures"] >= 1
         assert u.r == 1.0
