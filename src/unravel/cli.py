@@ -33,13 +33,6 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-def _default_threads():
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 def read_config(path):
     """Plain key-value config: one `key = value` per line, '#' comments."""
     out = {}
@@ -164,16 +157,30 @@ def cmd_qbm_optimal(args):
     for kind in kinds:
         if kind not in M.MEASURE_KINDS:
             raise UsageError(f"unknown measure {kind!r}")
-    if args.threads < 1:
-        raise UsageError(f"--threads must be at least 1, got {args.threads}")
+    threads = _threads(args.threads)
     jobs = [(t, k) for t in temps for k in kinds]
-    results = _map_jobs(_optimal_point, jobs, args.threads)
-    config = {"temps": temps, "measure": args.measure, "threads": args.threads}
+    results = _map_jobs(_optimal_point, jobs, threads)
+    config = {"temps": temps, "measure": args.measure, "threads": threads}
     _write_rows(args.out, "qbm-optimal", config,
                 ["T", "measure", "r_star", "phi_star", "value", "error"],
                 results)
     n_failed = sum(1 for r in results if r[5])
     return EXIT_NUMERIC if n_failed == len(results) else EXIT_OK
+
+
+def _threads(flag):
+    """Worker count: --threads, else UNRAVEL_THREADS, else 1; a value that is
+    no integer of at least 1 is a usage error naming where it came from."""
+    source, value = "--threads", flag
+    if flag is None:
+        source, value = THREADS_ENV, os.environ.get(THREADS_ENV, "1")
+    try:
+        threads = int(value)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise UsageError(f"{source} must be an integer of at least 1, got {value!r}")
+    return threads
 
 
 def _map_jobs(fn, jobs, threads):
@@ -191,6 +198,8 @@ def _map_jobs(fn, jobs, threads):
 def cmd_tla_curves(args):
     params = TlaParams(rabi=args.omega, gamma=args.gamma)
     schemes = _schemes(args.schemes)
+    if args.dump_count < 1:
+        raise UsageError(f"--dump-count must be at least 1, got {args.dump_count}")
     model = build_tla(params)
     theta, rho_ss = M.tla_theta(params)
     cfg = T.TrajectoryConfig(dt=args.dt / params.gamma,
@@ -409,7 +418,8 @@ def build_parser():
                      help="comma-separated temperatures")
     qbm.add_argument("--measure", default="all",
                      help="purification|efficiency_threshold|mixing|survival|all")
-    qbm.add_argument("--threads", type=int, default=_default_threads())
+    qbm.add_argument("--threads", type=int, default=None,
+                     help=f"worker processes (default: {THREADS_ENV}, else 1)")
     qbm.add_argument("--out", default="-")
     qbm.add_argument("--config", default=None)
     qbm.set_defaults(fn=cmd_qbm_optimal)

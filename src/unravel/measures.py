@@ -23,7 +23,6 @@ from .errors import (
     BracketError,
     ConvergenceError,
     HorizonError,
-    SimulationError,
 )
 from .gaussian import DiskPoint, QbmParams, qbm_generators
 from .hilbert import propagate_matrices, purity, steady_state
@@ -126,11 +125,10 @@ def crossing_with_uncertainty(times, values, stderr, theta):
 # rate), on a log grid of this many points after t = 0
 _QBM_HORIZON = 200.0
 _QBM_GRID_POINTS = 400
-_QBM_ETA_XTOL = 1e-12
 # Reported error of the QBM efficiency threshold.  Newton solves the root to
-# rounding: it agrees with brentq to 2.4e-13 over T in [0.01, 1000] x the
-# default disk grid, and its brentq fallback stops at _QBM_ETA_XTOL.  Both
-# rest on the algebraic stationary solve, so 1e-9 is a conservative bound.
+# rounding: it agrees with the bracketed reference root of tests/oracles.py
+# (xtol 1e-12) to 1e-11 over T in [0.01, 1000] x the default disk grid.  It
+# rests on the algebraic stationary solve, so 1e-9 is a conservative bound.
 _QBM_ETA_UNCERTAINTY = 1e-9
 _QBM_STACK = 16     # disk points per stacked evaluation: keeps work arrays near 2 MB
 
@@ -213,8 +211,9 @@ def _threshold_values(params, points):
     The four probes of all points (monotonicity check and bracket) are one
     stacked stationary solve; one vectorised Newton on (V, eta)
     (G.stationary_efficiency, purity theta being det V = 1 / (4 theta^2))
-    from each bracket's upper probe solves the roots, and brentq on the
-    stationary purity each root it does not accept, one point at a time.
+    solves the roots, started at the secant point of each bracket's purities
+    and the stationary V of its upper probe.  A root Newton does not accept
+    is the point's ConvergenceError.
     """
     theta = QBM_THETA.theta
     gen = qbm_generators(params, points, eta=1.0)
@@ -228,37 +227,18 @@ def _threshold_values(params, points):
     G._flag(faults, vals[:, -1] < theta, lambda _i: BracketError(
         "even perfect efficiency stays below theta"))
     ok = ~faults.astype(bool)
-    i_hi = np.argmax(vals >= theta, axis=1)
+    rows, i_hi = np.arange(len(points)), np.argmax(vals >= theta, axis=1)
     hi, lo = probe[i_hi], np.where(i_hi > 0, probe[i_hi - 1], 0.0)
-    v_start = np.where(ok[:, None, None], covs[np.arange(len(points)), i_hi], np.nan)
-    eta, accepted = G.stationary_efficiency(gen, 0.25 / theta ** 2, v_start, hi, (lo, hi))
-    for i in np.flatnonzero(ok & ~accepted):
-        try:
-            eta[i] = _efficiency_threshold_brentq(
-                qbm_generators(params, points[i], 1.0), lo[i], hi[i])
-        except SimulationError as exc:
-            faults[i] = exc.with_traceback(None)  # its frames hold faults
+    p_hi = vals[rows, i_hi]
+    p_lo = np.where(i_hi > 0, vals[rows, i_hi - 1], QBM_THETA.rho_ss_purity)
+    eta_start = lo + (hi - lo) * (theta - p_lo) / np.where(ok, p_hi - p_lo, 1.0)
+    v_start = np.where(ok[:, None, None], covs[rows, i_hi], np.nan)
+    eta, accepted = G.stationary_efficiency(gen, 0.25 / theta ** 2, v_start, eta_start, (lo, hi))
+    G._flag(faults, ~accepted, lambda i: ConvergenceError(
+        f"no efficiency threshold accepted in the bracket [{lo[i]:g}, {hi[i]:g}]: "
+        f"Newton reached eta = {eta[i]:.6g}"))
     eta[faults.astype(bool)] = np.nan
     return eta, faults
-
-
-def _efficiency_threshold_brentq(gen, lo, hi):
-    """Root of the stationary purity at theta in [lo, hi] by brentq: the
-    fallback of efficiency_threshold_qbm's Newton solve and its test
-    reference.  Each step only rescales gen's eta-dependent terms
-    (GaussianGenerators.with_eta)."""
-    # loaded on first use: at module level it would cost every command 0.2 s
-    from scipy.optimize import brentq
-
-    theta = QBM_THETA.theta
-
-    def stationary_purity(eta):
-        if eta == 0.0:
-            return 0.0
-        return G.gaussian_purity(G.riccati_steady(gen.with_eta(eta)))
-
-    # a root to machine precision keeps the disk objective smooth in phi
-    return brentq(lambda e: stationary_purity(e) - theta, lo, hi, xtol=_QBM_ETA_XTOL)
 
 
 _QBM_MEASURES = {

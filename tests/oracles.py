@@ -2,8 +2,9 @@
 
 None of these is on a path the package runs: each is either a generic
 numerical route (adaptive ODE integration, scipy's Lyapunov solver, the
-stepped jump kernel) to a quantity the package computes in closed form or
-event by event, or a small helper the tests need to read states.
+stepped jump kernel, brentq) to a quantity the package computes in closed
+form, event by event or by Newton, or a small helper the tests need to read
+states.
 """
 
 import math
@@ -13,10 +14,12 @@ from scipy.integrate import cumulative_simpson, solve_ivp
 from scipy.linalg import expm, null_space, solve_continuous_lyapunov
 from scipy.optimize import brentq
 
+from unravel import gaussian as G
 from unravel import trajectories as T
 from unravel.errors import ConvergenceError, DecompositionError
 from unravel.gaussian import CovarianceState
 from unravel.hilbert import DensityMatrix
+from unravel.measures import QBM_THETA
 
 
 def tla_steady_bloch(params):
@@ -208,6 +211,26 @@ def direct_detection_threshold(omega, gamma=1.0, horizon=20.0, stride=0.08, h=0.
                              + _purity_times_trace(rest)))
 
     return brentq(lambda eta: long_run_purity(eta) - theta, 0.3, 1.0, xtol=1e-10)
+
+
+def qbm_efficiency_threshold(params, u):
+    """The QBM efficiency threshold at disk point u by brentq (xtol 1e-12) on
+    the stationary purity, one scalar stationary solve per step, inside the
+    package's bracket: the adjacent probes of 0, 0.25, 0.5, 0.75 and 1 whose
+    purities straddle theta.  Each step only rescales the eta-dependent
+    terms of the generators (GaussianGenerators.with_eta)."""
+    gen, theta = G.qbm_generators(params, u, 1.0), QBM_THETA.theta
+
+    def stationary_purity(eta):
+        if eta == 0.0:
+            return QBM_THETA.rho_ss_purity
+        return G.gaussian_purity(G.riccati_steady(gen.with_eta(eta)))
+
+    probe = [0.25, 0.5, 0.75, 1.0]
+    vals = [stationary_purity(e) for e in probe]
+    lo = max([0.0] + [e for e, v in zip(probe, vals) if v < theta])
+    hi = min(e for e, v in zip(probe, vals) if v >= theta)
+    return brentq(lambda e: stationary_purity(e) - theta, lo, hi, xtol=1e-12)
 
 
 def _column_superop(left, right):

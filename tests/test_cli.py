@@ -79,6 +79,35 @@ class TestQbmOptimal:
                         "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-4"])
+    def test_bad_threads_variable_is_usage_error(self, tmp_path, monkeypatch, capsys, value):
+        # as --threads below 1: no optimum runs, no file is written, and the
+        # message names the variable
+        monkeypatch.setenv(cli.THREADS_ENV, value)
+        monkeypatch.setattr(cli.M, "optimize_disk", _never_called)
+        out = tmp_path / "x.csv"
+        assert run_cli(["qbm-optimal", "--temps", "1", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"{cli.THREADS_ENV} must be an integer of at least 1, got {value!r}" in (
+            capsys.readouterr().err)
+
+    def test_threads_variable_is_the_flag_default(self, tmp_path, monkeypatch):
+        # a valid value writes the file its --threads writes; unset, one thread
+        args = ["qbm-optimal", "--temps", "0.5,1", "--measure", "efficiency_threshold"]
+        files = {}
+        for name, env, flag in [("flag1", None, "1"), ("env_unset", None, None),
+                                ("flag2", None, "2"), ("env2", "2", None)]:
+            if env is None:
+                monkeypatch.delenv(cli.THREADS_ENV, raising=False)
+            else:
+                monkeypatch.setenv(cli.THREADS_ENV, env)
+            files[name] = tmp_path / f"{name}.csv"
+            threads = ["--threads", flag] if flag else []
+            assert run_cli(args + threads + ["--out", str(files[name])]) == 0
+        assert files["env_unset"].read_bytes() == files["flag1"].read_bytes()
+        assert files["env2"].read_bytes() == files["flag2"].read_bytes()
+        assert '"threads": 2' in files["env2"].read_text()
+
     def test_failed_optimum_names_its_cause(self, tmp_path):
         # at T = 1e-9 every grid point fails: the row says how many and why,
         # quoted, since the cause holds commas, so the row keeps six fields
@@ -127,6 +156,23 @@ class TestTlaCurves:
         assert data[0] == "t,purity,trajectory"
         trajectories = {l.split(",")[2] for l in data[1:]}
         assert trajectories == {"0", "1"}
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_dump_count_below_one_is_usage_error(self, tmp_path, monkeypatch, count):
+        # no ensemble runs and neither file is written, not even a
+        # header-only dump
+        monkeypatch.setattr(cli.T, "run_ensemble", _never_called)
+        out, dump = tmp_path / "c.csv", tmp_path / "d.csv"
+        assert run_cli(["tla-curves", "--n-traj", "2", "--out", str(out),
+                        "--dump", str(dump), "--dump-count", count]) == 2
+        assert not out.exists() and not dump.exists()
+
+    def test_threads_variable_is_not_read(self, tmp_path, monkeypatch):
+        # only qbm-optimal fans out, so only it reads UNRAVEL_THREADS
+        monkeypatch.setenv(cli.THREADS_ENV, "abc")
+        assert run_cli(["tla-curves", "--schemes", "direct", "--n-traj", "2",
+                        "--horizon", "0.1", "--stride", "25",
+                        "--out", str(tmp_path / "c.csv")]) == 0
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"

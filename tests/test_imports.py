@@ -1,7 +1,6 @@
 """What a fresh interpreter loads: `import unravel`, the atom commands, the
-Fock oracle and the disk optimizer leave scipy.optimize, scipy.integrate,
-scipy.sparse.linalg and scipy.special unloaded; only the efficiency
-threshold's brentq fallback loads scipy.optimize, on first use."""
+Fock oracle and the disk optimizer, for every measure, leave scipy.optimize,
+scipy.integrate, scipy.sparse.linalg and scipy.special unloaded."""
 
 import json
 import os
@@ -43,7 +42,8 @@ def test_import_loads_none_of_the_deferred_modules(tmp_path):
     ["tla-rank", "--omega", "5", "--measure", "efficiency_threshold",
      "--schemes", "aid,direct", "--n-traj", "20", "--dt", "0.004", "--out", "t.json"],
     ["validate", "gaussian-oracle", "--n-traj", "4", "--out", "g.json"],
-], ids=["tla-rank-survival", "tla-rank-threshold", "gaussian-oracle"])
+    ["qbm-optimal", "--temps", "0.01", "--measure", "efficiency_threshold", "--out", "q.csv"],
+], ids=["tla-rank-survival", "tla-rank-threshold", "gaussian-oracle", "qbm-optimal-threshold"])
 def test_light_commands_load_none_of_the_deferred_modules(tmp_path, argv):
     assert _loaded_after(_cli(argv), tmp_path) == []
 

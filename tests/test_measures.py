@@ -17,7 +17,7 @@ from unravel.errors import (
 from unravel.gaussian import DiskPoint, QbmParams
 from unravel.systems import TlaParams
 
-from oracles import direct_detection_threshold
+from oracles import direct_detection_threshold, qbm_efficiency_threshold as _threshold_by_brentq
 
 FAST_MC = M.McOptions(n_traj=1500, dt=2e-3, seed=11)
 
@@ -173,16 +173,6 @@ def _disk_grid():
             yield DiskPoint(r, phi)
 
 
-def _threshold_by_brentq(params, u):
-    """The efficiency threshold through scalar stationary solves and brentq."""
-    gen = G.qbm_generators(params, u, 1.0)
-    probe = [0.25, 0.5, 0.75, 1.0]
-    vals = [G.gaussian_purity(G.riccati_steady(gen.with_eta(e))) for e in probe]
-    lo = max([0.0] + [e for e, v in zip(probe, vals) if v < 0.5])
-    hi = min(e for e, v in zip(probe, vals) if v >= 0.5)
-    return M._efficiency_threshold_brentq(gen, lo, hi)
-
-
 class TestStackedQbmMeasures:
     @pytest.mark.parametrize("temp", (0.5, 1.0, 100.0))
     @pytest.mark.parametrize("kind", M.MEASURE_KINDS)
@@ -218,23 +208,6 @@ class TestStackedQbmMeasures:
                 released = weakref.ref(exc)
             assert released() is None
 
-    def test_stored_fallback_failure_is_released(self, monkeypatch):
-        # a fault raised inside the threshold's brentq fallback is stored in
-        # the point's fault array; its traceback reaches that array too
-        made = []
-
-        def failing(*args):
-            made.append(ConvergenceError("fallback failed"))
-            raise made[-1]
-        newton = G.stationary_efficiency
-        monkeypatch.setattr(G, "stationary_efficiency",
-                            lambda *a: (newton(*a)[0], np.zeros(1, dtype=bool)))
-        monkeypatch.setattr(M, "_efficiency_threshold_brentq", failing)
-        with pytest.raises(ConvergenceError, match="fallback failed"):
-            M.efficiency_threshold_qbm(QbmParams(1.0), DiskPoint(0.5, 0.0))
-        stored = weakref.ref(made.pop())
-        assert stored() is None
-
 
 class TestQbmThresholdNewton:
     @pytest.mark.parametrize("temp", (0.01, 0.5, 1.0, 10.0, 100.0, 1000.0))
@@ -254,26 +227,6 @@ class TestQbmThresholdNewton:
             compared += 1
         assert compared == 96
 
-    def _counting_brentq(self, monkeypatch):
-        calls = []
-        reference = M._efficiency_threshold_brentq
-
-        def counted(*args):
-            calls.append(args)
-            return reference(*args)
-        monkeypatch.setattr(M, "_efficiency_threshold_brentq", counted)
-        return calls
-
-    def test_forced_fallback_is_the_brentq_root(self, monkeypatch):
-        params, u = QbmParams(1.0), DiskPoint(1.0, 1.07)
-        want = _threshold_by_brentq(params, u)
-        calls = self._counting_brentq(monkeypatch)
-        assert M.efficiency_threshold_qbm(params, u).value == pytest.approx(want, abs=1e-11)
-        assert calls == []
-        monkeypatch.setattr(G, "_NEWTON_MAX_ITER", 0)
-        assert M.efficiency_threshold_qbm(params, u).value == want
-        assert len(calls) == 1
-
     def test_singular_member_fails_alone(self):
         # a zero start zeroes that member's det row, so its Jacobian is
         # exactly singular; the other member runs as in a stack of one
@@ -287,15 +240,56 @@ class TestQbmThresholdNewton:
         assert alone[1].tolist() == [True] and accepted.tolist() == [False, True]
         assert eta[1] == alone[0][0]
 
-    def test_root_outside_the_bracket_falls_back(self, monkeypatch):
-        # at this point Newton from the upper probe converges to eta = 0.668,
-        # outside the bracket [0, 0.25]; the root is rejected, brentq finds it
-        params, u = QbmParams(0.01), DiskPoint(0.75, 2.0 * math.pi * 7 / 24)
-        calls = self._counting_brentq(monkeypatch)
-        got = M.efficiency_threshold_qbm(params, u).value
-        assert len(calls) == 1
-        assert 0.0 < got <= 0.25
-        assert got == _threshold_by_brentq(params, u)
+    def test_newton_accepts_every_disk_point_it_starts(self, monkeypatch):
+        # every stacked threshold solve of the disk optimizer over eleven
+        # decades of temperature: Newton accepts each member it starts (pure
+        # momentum homodyne fails its probes and never starts).  Started at
+        # the upper probe instead of the secant point, it left the bracket
+        # [0, 0.25] at two T = 0.01 grid points, converging to eta = 0.668
+        newton, counts = G.stationary_efficiency, []
+
+        def spied(gen, target, v_start, eta_start, eta_range):
+            eta, accepted = newton(gen, target, v_start, eta_start, eta_range)
+            started = np.isfinite(v_start).all(axis=(1, 2)) & np.isfinite(eta_start)
+            counts.append((started.sum(), (started & ~accepted).sum()))
+            return eta, accepted
+        monkeypatch.setattr(G, "stationary_efficiency", spied)
+        for temp in (0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0, 1e3, 1e4, 1e5):
+            M.optimize_disk(QbmParams(temp), "efficiency_threshold")
+        n_started, n_rejected = np.sum(counts, axis=0)
+        assert n_started > 1800 and n_rejected == 0
+        params = QbmParams(0.01)
+        for phi in (2.0 * math.pi * 7 / 24, 2.0 * math.pi * 17 / 24):
+            u = DiskPoint(0.75, phi)
+            got = M.efficiency_threshold_qbm(params, u).value
+            assert 0.0 < got <= 0.25
+            assert abs(got - _threshold_by_brentq(params, u)) <= 1e-11
+
+    def test_rejected_member_fails_typed_and_is_released(self, monkeypatch):
+        # with no Newton iteration no member converges: each holds a
+        # ConvergenceError naming its bracket in its fault slot, and the
+        # faults are freed with their stack.  numpy object arrays are
+        # invisible to the garbage collector, so a fault whose traceback
+        # reached its own array would never be freed
+        monkeypatch.setattr(G, "_NEWTON_MAX_ITER", 0)
+        stored, values = [], M._threshold_values
+
+        def spied(params, points):
+            eta, faults = values(params, points)
+            stored.extend(weakref.ref(fault) for fault in faults if fault is not None)
+            return eta, faults
+        monkeypatch.setattr(M, "_threshold_values", spied)
+        with pytest.raises(ConvergenceError, match=(
+                r"^no efficiency threshold accepted in the bracket \[0, 0.25\]: "
+                r"Newton reached eta = ")):
+            M.efficiency_threshold_qbm(QbmParams(1.0), DiskPoint(0.5, 0.0))
+        assert len(stored) == 1 and stored[0]() is None
+        # 96 rejected roots, and pure momentum homodyne with its own fault
+        with pytest.raises(ConvergenceError, match=(
+                r"^every grid point failed to converge \(97 of 97\); the first raised "
+                r"ConvergenceError: no efficiency threshold accepted in the bracket ")):
+            M.optimize_disk(QbmParams(1.0), "efficiency_threshold")
+        assert len(stored) == 98 and all(ref() is None for ref in stored)
 
     def test_monotonicity_message_lists_plain_floats(self, monkeypatch):
         # the probes' purities come as one (points, probes) array
