@@ -207,7 +207,7 @@ def cmd_tla_curves(args):
                              seed=args.seed, sample_stride=args.stride)
     rows = []
     for name in schemes:
-        curve = T.run_ensemble(model, T.named_scheme(name), rho_ss, cfg,
+        curve = T.run_ensemble(model, T.UnravellingSpec(name), rho_ss, cfg,
                                args.n_traj, "purity")
         for t, mean, err in zip(curve.times, curve.mean, curve.stderr):
             rows.append((float(t * params.gamma), name, float(mean), float(err)))
@@ -228,7 +228,7 @@ def _dump_trajectories(model, scheme, rho0, cfg, count, path, config):
 
     rows = []
     for index in range(count):
-        res = T.run_trajectory(model, T.named_scheme(scheme), rho0, cfg,
+        res = T.run_trajectory(model, T.UnravellingSpec(scheme), rho0, cfg,
                                traj_index=index)
         for t, state in zip(res.times, res.states):
             rows.append((float(t), float(purity(state)), index))
@@ -281,7 +281,7 @@ def _suite_invariance(args):
     refs = [DensityMatrix(m) for _, m in propagate_matrices(model, rho0.matrix, sample_idx * dt)]
     checks = []
     for name in TLA_SCHEMES:
-        spec = T.named_scheme(name, eta=1.0 if name == "aid" else 0.7)
+        spec = T.UnravellingSpec(name, eta=1.0 if name == "aid" else 0.7)
         curve = T.run_ensemble(model, spec, rho0, cfg, n, "mean_state")
         worst = max(trace_distance(DensityMatrix(m, pos_tol=1e-2), ref)
                     for m, ref in zip(curve.states, refs))
@@ -300,7 +300,7 @@ def _suite_gaussian_oracle(args):
     model, ws = build_qbm_oracle(params, 60)
     v0 = CovarianceState(1.0, 1.0, 0.0)
     rho0 = gaussian_density_matrix(ws, v0)
-    spec = T.general_dyne(DiskPoint(1.0, 0.0), eta=1.0)
+    spec = T.UnravellingSpec("general_dyne", 1.0, DiskPoint(1.0, 0.0))
     cfg = T.TrajectoryConfig(dt=2e-3, horizon=2.0, seed=args.seed,
                              sample_stride=200)
     curve = T.run_ensemble(model, spec, rho0, cfg, args.n_traj, "purity")
@@ -318,6 +318,8 @@ def _suite_properties(args):
     import unravel.gaussian as G
     from unravel.gaussian import CovarianceState
 
+    # the trajectory check's config first: a bad seed stops the suite at once
+    cfg = T.TrajectoryConfig(dt=1e-3, horizon=0.5, seed=args.seed)
     checks = []
     params = QbmParams(1.0)
     grid = np.linspace(0.0, 2.0, 21)
@@ -364,9 +366,8 @@ def _suite_properties(args):
 
     model = build_tla(TlaParams(2.0, 1.0))
     rho0 = DensityMatrix(np.diag([1.0, 0.0]))
-    cfg = T.TrajectoryConfig(dt=1e-3, horizon=0.5, seed=args.seed)
-    r1 = T.run_trajectory(model, T.heterodyne(0.7), rho0, cfg)
-    r2 = T.run_trajectory(model, T.heterodyne(0.7), rho0, cfg)
+    r1 = T.run_trajectory(model, T.UnravellingSpec("heterodyne", 0.7), rho0, cfg)
+    r2 = T.run_trajectory(model, T.UnravellingSpec("heterodyne", 0.7), rho0, cfg)
     same = all(np.array_equal(a.matrix, b.matrix)
                for a, b in zip(r1.states, r2.states))
     checks.append({"check": "same_seed_bit_identical", "value": float(same),

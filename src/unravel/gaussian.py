@@ -37,7 +37,7 @@ properties` checks the closed forms against it.
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -163,19 +163,10 @@ class GaussianGenerators:
             raise InvariantViolationError("diffusion matrix must be symmetric PSD")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        f, g, q = self.meas_gain, self.meas_offset, self.dyne_matrix
-        # eta-independent pieces of care_form, shared by with_eta copies
-        object.__setattr__(self, "_care_pieces", (g @ q @ f.T, g @ q @ g.T, f @ q @ f.T))
 
     def with_eta(self, eta):
-        """The same model at efficiency eta, sharing the validated matrices
-        and care_form's eta-independent products, so a root-find over eta
-        pays for neither again."""
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {eta}")
-        other = copy.copy(self)
-        object.__setattr__(other, "eta", float(eta))
-        return other
+        """The same model at efficiency eta."""
+        return replace(self, eta=eta)
 
     def correction(self, v):
         """Measurement back-action term of the covariance flow (symmetric)."""
@@ -191,7 +182,8 @@ class GaussianGenerators:
         with a trailing stack axis over them ((k,) or (n, k) on (n, 2, 2)
         generators give (n, k, 2, 2)).
         """
-        two_eta, pieces = 2.0 * self.eta, self._care_pieces
+        f, g, q = self.meas_gain, self.meas_offset, self.dyne_matrix
+        two_eta, pieces = 2.0 * self.eta, (g @ q @ f.T, g @ q @ g.T, f @ q @ f.T)
         if etas is not None:
             two_eta = 2.0 * np.asarray(etas, dtype=float)[..., None, None]
             pieces = [p[..., None, :, :] for p in pieces]

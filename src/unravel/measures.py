@@ -261,6 +261,9 @@ class McOptions:
     dt: float = 1e-3
     seed: int = 2024
 
+    def __post_init__(self):
+        T._check_seed(self.seed)
+
 
 # run lengths of the Monte Carlo measures, in units of 1/gamma: the
 # purification curve, the conditioning run before freezing states, the
@@ -276,6 +279,16 @@ _TLA_SAMPLE_STRIDE = 20
 def tla_theta(params):
     rho_ss = steady_state(build_tla(params))
     return ThetaThreshold.from_purity(purity(rho_ss)), rho_ss
+
+
+def _mixed_steady_state(params, degenerate):
+    """tla_theta, or, for an undriven atom's pure steady state (theta = 1),
+    an AssumptionError that the measure is `degenerate`."""
+    theta, rho_ss = tla_theta(params)
+    if theta.rho_ss_purity >= 1.0 - 1e-9:
+        raise AssumptionError(
+            f"steady state is already pure (theta = 1): {degenerate} for an undriven atom")
+    return theta, rho_ss
 
 
 def _scaled(params, value):
@@ -331,7 +344,7 @@ def mixing_and_survival_tla(params, spec, opts=McOptions()):
     average purity (mixing) and frozen-against-evolved overlap (survival)
     across the ensemble at each delay.
     """
-    theta, _ = tla_theta(params)
+    theta, _ = _mixed_steady_state(params, "the mixing and survival times are degenerate")
     model = build_tla(params)
     frozen = conditioned_stationary_states(params, spec, opts)
     n = frozen.shape[0]
@@ -398,11 +411,7 @@ def efficiency_threshold_tla(params, spec, opts=McOptions()):
     trajectories.  The error is a jackknife over _JACKKNIFE_BLOCKS blocks of
     trajectories (Efron & Stein, Ann. Stat. 9, 586, 1981).
     """
-    theta, _ = tla_theta(params)
-    if theta.rho_ss_purity >= 1.0 - 1e-9:
-        raise AssumptionError(
-            "steady state is already pure (theta = 1): the efficiency "
-            "threshold is degenerate for an undriven atom")
+    theta, _ = _mixed_steady_state(params, "the efficiency threshold is degenerate")
     probe = np.array([0.25, 0.5, 0.75, 1.0])
     first = _long_run_purity(params, spec, probe, opts)
     n = first.shape[1]
@@ -475,20 +484,26 @@ def _dispatch(kind, system, spec, **kw):
 # ---------------------------------------------------------------------------
 # detection-disk optimizer (deterministic backend only)
 
-def optimize_disk(params, kind, r_grid=(0.0, 0.25, 0.5, 0.75, 1.0), phi_points=24):
+# the optimizer's coarse grid: these rings, each but the centre at this
+# many equally spaced phi (97 points)
+_DISK_RINGS = (0.0, 0.25, 0.5, 0.75, 1.0)
+_DISK_PHI_POINTS = 24
+
+
+def optimize_disk(params, kind):
     """Most robust general-dyne point for one robustness measure.
 
-    Coarse grid over the disk, evaluated as one stacked call of the
-    measure's body (_qbm_values), followed by a compass search whose
-    stencils are stacked calls too (_compass_search).  It starts from the
-    best grid point, and from the runner-up only when that is no grid
-    neighbour of the best (one ring and one phi step away at most; the
-    centre neighbours the first ring), since only then can it lie in another
-    basin.  Robust means fast information gain (purification time and
-    efficiency threshold minimized) but slow degradation while unobserved
-    (mixing and survival times maximized).
-    Points where the measure fails (e.g. pure momentum homodyne) are
-    recorded, once each, and skipped.
+    Coarse grid over the disk (_DISK_RINGS x _DISK_PHI_POINTS), evaluated
+    as one stacked call of the measure's body (_qbm_values), followed by a
+    compass search whose stencils are stacked calls too (_compass_search).
+    It starts from the best grid point, and from the runner-up only when
+    that is no grid neighbour of the best (one ring and one phi step away at
+    most; the centre neighbours the first ring), since only then can it lie
+    in another basin.  Robust means fast information gain (purification
+    time and efficiency threshold minimized) but slow degradation while
+    unobserved (mixing and survival times maximized).  Points where the
+    measure fails (e.g. pure momentum homodyne) are recorded, once each,
+    and skipped.
     """
     if kind not in MEASURE_KINDS:
         raise ValueError(f"unknown measure kind {kind!r}")
@@ -500,11 +515,11 @@ def optimize_disk(params, kind, r_grid=(0.0, 0.25, 0.5, 0.75, 1.0), phi_points=2
         failures.update((u, fault) for u, fault in zip(points, faults) if fault is not None)
         return np.where(faults.astype(bool), np.inf, sign * values)
 
-    phis = np.linspace(0.0, 2.0 * math.pi, phi_points, endpoint=False)
+    rings, n_phi = _DISK_RINGS, _DISK_PHI_POINTS
+    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
     # grid points by (ring index, phi index); the centre has one phi
-    grid = [(i, j) for i, r in enumerate(r_grid)
-            for j in (range(phi_points) if r > 0 else (0,))]
-    points = [DiskPoint(r_grid[i], phis[j]) for i, j in grid]
+    grid = [(i, j) for i, r in enumerate(rings) for j in (range(n_phi) if r > 0 else (0,))]
+    points = [DiskPoint(rings[i], phis[j]) for i, j in grid]
     values = objective(points)
     if len(failures) == len(points):
         first = next(iter(failures.values()))
@@ -521,7 +536,7 @@ def optimize_disk(params, kind, r_grid=(0.0, 0.25, 0.5, 0.75, 1.0), phi_points=2
         i, j = grid[n]
         dj = abs(j - j0)
         return abs(i - i0) <= 1 and (
-            min(dj, phi_points - dj) <= 1 or 0.0 in (r_grid[i], r_grid[i0]))
+            min(dj, n_phi - dj) <= 1 or 0.0 in (rings[i], rings[i0]))
 
     starts = [(points[n], values[n]) for n in order[:2]
               if n == order[0] or not (near_best(n) or np.isinf(values[n]))]
@@ -592,7 +607,7 @@ def rank_unravellings(params, kind, schemes, opts=McOptions()):
     """
     results = {}
     for name in schemes:
-        spec = T.named_scheme(name)
+        spec = T.UnravellingSpec(name)
         results[name] = _TLA_MEASURES[kind](params, spec, opts=opts)
     reverse = kind in ("mixing", "survival")
     ordered = sorted(results.items(), key=lambda kv: kv[1].value, reverse=reverse)

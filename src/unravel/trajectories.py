@@ -8,21 +8,22 @@ keyed by (master seed, group) (`_group_stream`).  Trajectory i reads
 column i mod _GROUP of group i // _GROUP, and chunks hold whole groups, so
 results depend neither on chunking nor on the ensemble size.
 
-Diffusive runs step through one driver, `_drive`, over noise drawn a block
-of steps at a time (`_noise_blocks`, at most _NOISE_BLOCK_BYTES per chunk
-whatever the horizon), with one of three Kraus-form kernels after Rouchon
-& Ralph, PRA 91, 012118 (2015): `_KrausDiffusiveKernel` on real
-superoperators at small dimension (the atom), `_MatrixDiffusiveKernel` on
-raw matrices at large dimension, and `_PurifiedKernel`, a bundle of pure
-states, for efficient runs at large dimension (the Fock oracle).  Every
-counting run (purity curves, mean states, long-run purities, final states
-and single trajectories) goes through `_EventJumpSampler` instead: the
-exact no-click propagator of `_SuperopJumpKernel`, but one uniform per
-click rather than per step, with the waiting time to each click drawn from
-the no-click survival, which is the stepped kernel's law exactly.  Only
-`step_jump` still takes one step of `_SuperopJumpKernel`.  Both hand
-sampled states to a sink (purity collector, mean-state sum, final states,
-or one trajectory's states and record).
+Every run, an ensemble or one trajectory, enters through one function,
+`_run_chunks`, which picks the kernel, maps the sample steps and pairs the
+kernel with its random numbers.  Diffusive runs step through one loop,
+`_drive`, over noise drawn a block of steps at a time (`_noise_blocks`, at
+most _NOISE_BLOCK_BYTES per chunk whatever the horizon), with one of three
+Kraus-form kernels after Rouchon & Ralph, PRA 91, 012118 (2015):
+`_KrausDiffusiveKernel` on real superoperators at small dimension (the
+atom), `_MatrixDiffusiveKernel` on raw matrices at large dimension, and
+`_PurifiedKernel`, a bundle of pure states, for efficient runs at large
+dimension (the Fock oracle).  Every counting run goes through
+`_EventJumpSampler` instead: the exact no-click propagator of
+`_SuperopJumpKernel`, but one uniform per click rather than per step, with
+the waiting time to each click drawn from the no-click survival, which is
+the stepped kernel's law exactly.  `step_diffusive` and `step_jump` share
+one single-step body, `_single_step`, the only user of
+`_SuperopJumpKernel.step`.
 
 Up to dimension 8 the kernels and the sampler hold each state as its d^2
 real coordinates in an orthonormal Hermitian basis (`_coords`), so every
@@ -32,8 +33,9 @@ column-major, (b, d^2) with y.T contiguous, so each GEMM and each
 per-trajectory scaling runs along the contiguous batch axis, and the noise
 blocks are laid out step-major to match.  `_select_kernel` alone chooses
 the kernel or sampler, from the scheme, the dimension, eta and what the
-run records.  The Kraus kernel and the sampler also run stacks of
-efficiencies on shared random numbers (`run_purity_averages`).
+run records; only `_run_chunks` and `_single_step` call it.  The Kraus
+kernel and the sampler also run stacks of efficiencies on shared random
+numbers (`run_purity_averages`).
 """
 
 import math
@@ -100,32 +102,10 @@ class UnravellingSpec:
         raise ValueError(f"{self.kind} is not diffusive")
 
 
-def direct(eta=1.0):
-    return UnravellingSpec("direct", eta)
-
-
-def homodyne_x(eta=1.0):
-    return UnravellingSpec("homodyne_x", eta)
-
-
-def homodyne_y(eta=1.0):
-    return UnravellingSpec("homodyne_y", eta)
-
-
-def heterodyne(eta=1.0):
-    return UnravellingSpec("heterodyne", eta)
-
-
-def aid(eta=1.0):
-    return UnravellingSpec("aid", eta)
-
-
-def general_dyne(disk, eta=1.0):
-    return UnravellingSpec("general_dyne", eta, disk=disk)
-
-
-def named_scheme(name, eta=1.0):
-    return UnravellingSpec(name, eta)
+def _check_seed(seed):
+    """A master seed is a non-negative integer, as numpy's SeedSequence takes it."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -136,6 +116,7 @@ class TrajectoryConfig:
     sample_stride: int = 1
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.horizon < 0:
@@ -646,7 +627,7 @@ class _EventJumpSampler(_SuperopJumpKernel):
         out[moved] = self._carry(y[moved], table[moved], step - held[moved])
         return self._normalized(out, "no-click")
 
-    def run(self, y, n_steps, sample_pos, sink, draw, log=None):
+    def run(self, y, n_steps, sample_pos, sink, draw, log):
         """Drive rows y to n_steps steps and hand them to sink(j, y) after
         every step of sample_pos, as _drive does.  Rows are carried and
         renormalized only at those steps, the horizon and, where the gap
@@ -654,8 +635,8 @@ class _EventJumpSampler(_SuperopJumpKernel):
         carry-only steps (the checkpoints); in between, a row moves only
         when it clicks.  Row e * b + i is trajectory i at the e-th
         efficiency and takes its uniforms from draw(i, k).  (step, LO sign
-        after the click) of every click of row 0 is appended to `log` if
-        given."""
+        after the click) of every click of row 0 is appended to `log` if it
+        is not None."""
         n_eta, n = len(self.props[0]), y.shape[1]
         cap = max(1, int(_NOISE_BLOCK_BYTES // (len(self.props) * n_eta * n * n * 8)) - 1)
         stops = sorted({*sample_pos, n_steps, *range(cap, n_steps, cap)} - {0})
@@ -832,6 +813,21 @@ def _sample_pos_tol(dt):
     return max(1e-6, min(0.05, 100.0 * dt))
 
 
+def _single_step(model, spec, rho, dt, *draws):
+    """One step of one state by the kernel `_select_kernel` picks, fed the
+    kernel's step inputs `draws`: (DensityMatrix, the step's further output
+    or None).  A state stepped off the manifold is a StepSizeError."""
+    m = _as_matrix(rho)
+    kernel = _select_kernel(model, spec, m, dt, "trajectory")
+    out = kernel.step(kernel.initial(m[None, :, :]), *draws)
+    y, extra = out if isinstance(out, tuple) else (out, None)
+    try:
+        return DensityMatrix(kernel.to_matrices(y)[0], pos_tol=_sample_pos_tol(dt)), extra
+    except InvariantViolationError as exc:
+        kind = "diffusive" if spec.is_diffusive else "jump"
+        raise StepSizeError(f"{kind} step left the state manifold: {exc}") from exc
+
+
 def step_diffusive(model, spec, rho, noise, dt):
     """One conditional update of length dt for a diffusive scheme.
 
@@ -845,15 +841,7 @@ def step_diffusive(model, spec, rho, noise, dt):
     k = len(spec.channel_coefficients())
     if noise.shape != (k,):
         raise ValueError(f"expected {k} noise increments, got shape {noise.shape}")
-    m = _as_matrix(rho)
-    kernel = _select_kernel(model, spec, m, dt, "trajectory")
-    y = kernel.initial(m[None, :, :])
-    y = kernel.step(y, noise[None, :])
-    out = kernel.to_matrices(y)[0]
-    try:
-        return DensityMatrix(out, pos_tol=_sample_pos_tol(dt))
-    except InvariantViolationError as exc:
-        raise StepSizeError(f"diffusive step left the state manifold: {exc}") from exc
+    return _single_step(model, spec, rho, dt, noise[None, :])[0]
 
 
 def step_jump(model, spec, rho, uniform, dt, lo_sign=1.0):
@@ -868,16 +856,9 @@ def step_jump(model, spec, rho, uniform, dt, lo_sign=1.0):
     """
     if spec.is_diffusive:
         raise ValueError(f"{spec.kind} is not a counting scheme")
-    m = _as_matrix(rho)
-    kernel = _select_kernel(model, spec, m, dt, "trajectory")
-    y = kernel.initial(m[None, :, :])
-    signs = np.array([float(lo_sign)])
-    y, jumped = kernel.step(y, np.array([[float(uniform)]]), signs)
-    out = kernel.to_matrices(y)[0]
-    try:
-        return DensityMatrix(out, pos_tol=_sample_pos_tol(dt)), bool(jumped[0])
-    except InvariantViolationError as exc:
-        raise StepSizeError(f"jump step left the state manifold: {exc}") from exc
+    state, jumped = _single_step(model, spec, rho, dt, np.array([[float(uniform)]]),
+                                 np.array([float(lo_sign)]))
+    return state, bool(jumped[0])
 
 
 # ---------------------------------------------------------------------------
@@ -911,22 +892,64 @@ def _noise_blocks(spec, n_steps, dt, seed, start, stop):
         yield block.transpose(2, 0, 1)
 
 
-def _drive(kernel, y, blocks, sample_pos, sink):
+def _drive(kernel, y, blocks, sample_pos, sink, log):
     """Step a batch through its streamed noise; the one stepping loop.
 
     `blocks` yields (b, s, k) blocks of Wiener increments of consecutive
     steps.  sink(j, y) receives the state after every step listed in
-    `sample_pos` (step 0 is the start) with j = sample_pos[step].
+    `sample_pos` (step 0 is the start) with j = sample_pos[step].  `log`,
+    if not None, receives a copy of each block's first row.
     """
     if 0 in sample_pos:
         sink(sample_pos[0], y)
     step = 0
     for block in blocks:
+        if log is not None:
+            log.append(block[0].copy())
         for row in range(block.shape[1]):
             step += 1
             y = kernel.step(y, block[:, row, :])
             if step in sample_pos:
                 sink(sample_pos[step], y)
+
+
+def _iter_chunks(n_traj, chunk):
+    start = 0
+    while start < n_traj:
+        stop = min(start + chunk, n_traj)
+        yield start, stop
+        start = stop
+
+
+def _run_chunks(model, spec, rho0_m, config, trajs, statistic, sample_steps, sink, etas, log):
+    """Drive trajectories `trajs` (a range) from rho0 in chunks sized by the
+    dimension, on the kernel `_select_kernel` picks for `statistic` and the
+    efficiency stack `etas` (None: spec.eta alone), fed each chunk's noise
+    blocks or click uniforms.  sink(kernel, rows, j, y) receives the state
+    after the j-th step of `sample_steps` of the chunk holding trajectories
+    `rows` (a slice); a trajectory takes one row per efficiency.  `log`, if
+    not None, receives the record of each chunk's first row: its Wiener
+    increments block by block, or (step, LO sign) of each of its clicks.
+    """
+    n_steps, dt, _ = config.grid()
+    kernel = _select_kernel(model, spec, rho0_m, dt, statistic, etas)
+    sample_pos = {int(s): j for j, s in enumerate(sample_steps)}
+    n_eta = 1 if etas is None else len(etas)
+    rows = _MAX_DM_CHUNK if rho0_m.shape[0] > _SUPEROP_DIM_LIMIT else _MAX_SUPEROP_CHUNK
+    # whole groups of _GROUP trajectories per chunk
+    for start, stop in _iter_chunks(len(trajs), max(1, rows // n_eta // _GROUP) * _GROUP):
+        start, stop = trajs.start + start, trajs.start + stop
+        mats = np.broadcast_to(rho0_m, (n_eta * (stop - start), *rho0_m.shape))
+        chunk_sink = partial(sink, kernel, slice(start, stop))
+        # the start state is passed inline so that no name here keeps it
+        # alive through the steps
+        if spec.is_diffusive:
+            _drive(kernel, kernel.initial(mats),
+                   _noise_blocks(spec, n_steps, dt, config.seed, start, stop),
+                   sample_pos, chunk_sink, log)
+        else:
+            kernel.run(kernel.initial(mats), n_steps, sample_pos, chunk_sink,
+                       _click_uniforms(config.seed, start, stop), log)
 
 
 @dataclass(frozen=True)
@@ -939,71 +962,35 @@ class TrajectoryResult:
 def run_trajectory(model, spec, rho0, config, traj_index=0):
     """One conditional trajectory; a pure function of (inputs, seed, index).
 
-    It is member traj_index of any ensemble on the same seed, whose column
-    of its group's noise or click stream it reads.  The record holds the
-    Wiener increments of a diffusive scheme, or the click times and LO
-    signs of the event-driven counting run.
+    It is member traj_index of any ensemble on the same seed: the span
+    [traj_index, traj_index + 1) of `_run_chunks`, which reads its column
+    of its group's noise or click stream.  The record holds the Wiener
+    increments of a diffusive scheme, or the click times and LO signs of
+    the event-driven counting run.
     """
     n_steps, dt, sample_idx = config.grid()
     rho0_m = _as_matrix(rho0)
     states = [DensityMatrix(rho0_m)]
     if n_steps == 0:
         return TrajectoryResult(np.array([0.0]), tuple(states), InnovationRecord())
-    kernel = _select_kernel(model, spec, rho0_m, dt, "trajectory")
-    y = kernel.initial(rho0_m[None, :, :])
-    sample_pos = {int(s): j for j, s in enumerate(sample_idx) if s}
-    noise = partial(_noise_blocks, spec, n_steps, dt, config.seed, traj_index, traj_index + 1)
 
-    def sample(_j, y):
+    def sample(kernel, _rows, _j, y):
         states.append(DensityMatrix(kernel.to_matrices(y)[0],
                                     pos_tol=_sample_pos_tol(dt)))
 
+    log = []
+    _run_chunks(model, spec, rho0_m, config, range(traj_index, traj_index + 1),
+                "trajectory", sample_idx[1:], sample, None, log)
     if spec.is_diffusive:
-        _drive(kernel, y, noise(), sample_pos, sample)
-        # the stream drawn again gives the same increments
-        record = InnovationRecord(wiener=np.concatenate([b[0].copy() for b in noise()]))
+        record = InnovationRecord(wiener=np.concatenate(log))
     else:
-        clicks = []
-        kernel.run(y, n_steps, sample_pos, sample,
-                   _click_uniforms(config.seed, traj_index, traj_index + 1), clicks)
-        record = InnovationRecord(jump_times=tuple(step * dt for step, _ in clicks),
-                                  lo_signs=tuple(sign for _, sign in clicks))
+        record = InnovationRecord(jump_times=tuple(step * dt for step, _ in log),
+                                  lo_signs=tuple(sign for _, sign in log))
     return TrajectoryResult(sample_idx * dt, tuple(states), record)
 
 
 # ---------------------------------------------------------------------------
 # ensemble runner
-
-def _iter_chunks(n_traj, chunk):
-    start = 0
-    while start < n_traj:
-        stop = min(start + chunk, n_traj)
-        yield start, stop
-        start = stop
-
-
-def _run_chunks(kernel, spec, rho0_m, config, n_traj, sample_pos, sink, n_eta=1):
-    """Drive n_traj trajectories from rho0 in chunks sized by the dimension.
-
-    sink(rows, j, y) receives every sampled state of the chunk holding
-    trajectories `rows` (a slice); a trajectory takes one row per efficiency.
-    """
-    n_steps, dt, _ = config.grid()
-    rows = _MAX_DM_CHUNK if rho0_m.shape[0] > _SUPEROP_DIM_LIMIT else _MAX_SUPEROP_CHUNK
-    # whole groups of _GROUP trajectories per chunk
-    for start, stop in _iter_chunks(n_traj, max(1, rows // n_eta // _GROUP) * _GROUP):
-        mats = np.broadcast_to(rho0_m, (n_eta * (stop - start), *rho0_m.shape))
-        chunk_sink = partial(sink, slice(start, stop))
-        # the start state is passed inline so that no name here keeps it
-        # alive through the steps
-        if isinstance(kernel, _EventJumpSampler):
-            kernel.run(kernel.initial(mats), n_steps, sample_pos, chunk_sink,
-                       _click_uniforms(config.seed, start, stop))
-        else:
-            _drive(kernel, kernel.initial(mats),
-                   _noise_blocks(spec, n_steps, dt, config.seed, start, stop),
-                   sample_pos, chunk_sink)
-
 
 def _add_by_group(total, values):
     """total plus the sums of `values` over its groups of _GROUP rows, added
@@ -1083,10 +1070,9 @@ def run_ensemble(model, spec, rho0, config, n_traj, statistic="purity"):
     if n_steps == 0:
         _collect_static(statistic, np.broadcast_to(rho0_m, (n_traj, *rho0_m.shape)), sink)
     else:
-        kernel = _select_kernel(model, spec, rho0_m, dt, statistic)
-        _run_chunks(kernel, spec, rho0_m, config, n_traj,
-                    {int(s): j for j, s in enumerate(sample_idx)},
-                    lambda _rows, j, y: _emit(kernel, y, j, statistic, sink))
+        _run_chunks(model, spec, rho0_m, config, range(n_traj), statistic, sample_idx,
+                    lambda kernel, _rows, j, y: _emit(kernel, y, j, statistic, sink),
+                    None, None)
 
     times = sample_idx * dt
     if statistic == "mean_state":
@@ -1104,17 +1090,15 @@ def run_purity_averages(model, spec, rho0, config, n_traj, etas):
     uniform.  Needs dimension <= _SUPEROP_DIM_LIMIT (real coordinates)."""
     if n_traj < 2:
         raise ValueError("n_traj must be at least 2")
-    _, dt, sample_idx = config.grid()
+    sample_idx = config.grid()[2]
     window = sample_idx[-max(1, len(sample_idx) // 4):]
-    rho0_m = _as_matrix(rho0)
-    kernel = _select_kernel(model, spec, rho0_m, dt, "purity", etas)
     acc = np.zeros((len(etas), n_traj))
 
-    def add(rows, _j, y):
+    def add(_kernel, rows, _j, y):
         acc[:, rows] += _coord_purity(y).reshape(len(etas), -1)
 
-    _run_chunks(kernel, spec, rho0_m, config, n_traj,
-                {int(s): j for j, s in enumerate(window)}, add, len(etas))
+    _run_chunks(model, spec, _as_matrix(rho0), config, range(n_traj), "purity", window, add,
+                etas, None)
     return acc / len(window)
 
 
@@ -1128,15 +1112,15 @@ def run_final_states(model, spec, rho0, config, n_traj):
     """
     if n_traj < 2:
         raise ValueError("n_traj must be at least 2")
-    n_steps, dt, _ = config.grid()
+    n_steps = config.grid()[0]
     rho0_m = _as_matrix(rho0)
     if n_steps == 0:
         return np.broadcast_to(rho0_m, (n_traj, *rho0_m.shape)).copy()
     out = np.empty((n_traj, model.dim, model.dim), dtype=complex)
-    kernel = _select_kernel(model, spec, rho0_m, dt, "final_states")
 
-    def keep(rows, _j, y):
+    def keep(kernel, rows, _j, y):
         out[rows] = kernel.to_matrices(y)
 
-    _run_chunks(kernel, spec, rho0_m, config, n_traj, {n_steps: 0}, keep)
+    _run_chunks(model, spec, rho0_m, config, range(n_traj), "final_states", [n_steps], keep,
+                None, None)
     return out

@@ -64,7 +64,7 @@ def tla_mix_sur():
     out = {}
     start = time.time()
     for name in ("direct", "homodyne_x", "homodyne_y", "heterodyne", "aid"):
-        out[name] = M.mixing_and_survival_tla(params, T.named_scheme(name), opts)
+        out[name] = M.mixing_and_survival_tla(params, T.UnravellingSpec(name), opts)
     out["elapsed"] = time.time() - start
     return out
 
@@ -92,7 +92,7 @@ def test_criterion_1_unravelling_invariance():
     worst_overall = 0.0
     for name in ("direct", "homodyne_x", "homodyne_y", "heterodyne", "aid"):
         for eta in (0.5, 1.0):
-            curve = T.run_ensemble(model, T.named_scheme(name, eta), rho0, cfg,
+            curve = T.run_ensemble(model, T.UnravellingSpec(name, eta), rho0, cfg,
                                    5000, "mean_state")
             worst = 0.0
             for t, m in zip(curve.times, curve.states):
@@ -122,7 +122,7 @@ def test_criterion_2_gaussian_fock_equivalence():
     model, ws = build_qbm_oracle(params, 60)
     v0 = CovarianceState(1.0, 1.0, 0.0)
     rho0 = gaussian_density_matrix(ws, v0)
-    spec = T.general_dyne(DiskPoint(1.0, 0.0), eta=1.0)
+    spec = T.UnravellingSpec("general_dyne", 1.0, DiskPoint(1.0, 0.0))
     cfg = T.TrajectoryConfig(dt=2e-3, horizon=5.0, seed=SEED, sample_stride=100)
     curve = T.run_ensemble(model, spec, rho0, cfg, 2000, "purity")
     gen = qbm_generators(params, DiskPoint(1.0, 0.0), 1.0)
@@ -249,8 +249,8 @@ def test_criterion_6b_purification_ranking():
     pairs = [(0.4, "homodyne_x", "homodyne_y"), (5.0, "heterodyne", "direct")]
     for omega, top_name, bottom_name in pairs:
         params = TlaParams(omega, 1.0)
-        top = M.purification_time_tla(params, T.named_scheme(top_name), opts)
-        bottom = M.purification_time_tla(params, T.named_scheme(bottom_name), opts)
+        top = M.purification_time_tla(params, T.UnravellingSpec(top_name), opts)
+        bottom = M.purification_time_tla(params, T.UnravellingSpec(bottom_name), opts)
         assert _disjoint(top, bottom), (omega, top, bottom)
         assert top.value < bottom.value, (omega, top.value, bottom.value)
     elapsed = time.time() - start
@@ -273,8 +273,8 @@ def test_criterion_6c_efficiency_threshold_ranking():
                                          (5.0, "aid", "direct"),
                                          (20.0, "direct", "homodyne_y")):
         params = TlaParams(omega, 1.0)
-        top = M.efficiency_threshold_tla(params, T.named_scheme(top_name), opts)
-        bottom = M.efficiency_threshold_tla(params, T.named_scheme(bottom_name), opts)
+        top = M.efficiency_threshold_tla(params, T.UnravellingSpec(top_name), opts)
+        bottom = M.efficiency_threshold_tla(params, T.UnravellingSpec(bottom_name), opts)
         resolved = _disjoint(top, bottom)
         ordered = top.value < bottom.value
         verdicts.append((omega, top_name, top.value, bottom_name, bottom.value,
@@ -301,10 +301,10 @@ def test_criterion_7_degenerate_cases():
     identical seeds give identical trajectories."""
     start = time.time()
     params = TlaParams(0.0, 1.0)
-    res = M.purification_time(params, T.direct())
+    res = M.purification_time(params, T.UnravellingSpec("direct"))
     assert res.value == 0.0
     with pytest.raises(AssumptionError):
-        M.efficiency_threshold_tla(params, T.direct(),
+        M.efficiency_threshold_tla(params, T.UnravellingSpec("direct"),
                                    M.McOptions(n_traj=100, dt=2e-3, seed=SEED))
 
     gen0 = qbm_generators(QbmParams(1.0), DiskPoint(0.6, 0.9), 0.0)
@@ -317,8 +317,8 @@ def test_criterion_7_degenerate_cases():
     model = build_tla(TlaParams(2.0, 1.0))
     rho0 = DensityMatrix(np.diag([1.0, 0.0]))
     cfg = T.TrajectoryConfig(dt=1e-3, horizon=0.5, seed=SEED)
-    r1 = T.run_trajectory(model, T.heterodyne(0.7), rho0, cfg)
-    r2 = T.run_trajectory(model, T.heterodyne(0.7), rho0, cfg)
+    r1 = T.run_trajectory(model, T.UnravellingSpec("heterodyne", 0.7), rho0, cfg)
+    r2 = T.run_trajectory(model, T.UnravellingSpec("heterodyne", 0.7), rho0, cfg)
     assert all(np.array_equal(a.matrix, b.matrix)
                for a, b in zip(r1.states, r2.states))
     elapsed = time.time() - start
@@ -338,7 +338,7 @@ def test_backend_agreement_mixing_time():
 
     model, ws = build_qbm_oracle(params, 48)
     rho0 = gaussian_density_matrix(ws, CovarianceState(1.0, 1.0, 0.0))
-    spec = T.general_dyne(u, eta=1.0)
+    spec = T.UnravellingSpec("general_dyne", 1.0, u)
     n = 160
     cond_cfg = T.TrajectoryConfig(dt=2e-3, horizon=4.0, seed=SEED)
     frozen = T.run_final_states(model, spec, rho0, cond_cfg, n)

@@ -300,6 +300,40 @@ def test_non_finite_parameter_is_usage_error(tmp_path, capsys, argv, field):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("argv", [
+    ["tla-curves", "--seed", "-1"],
+    ["tla-rank", "--seed", "-2"],
+    ["validate", "properties", "--seed", "-3"],
+    ["validate", "invariance", "--seed", "-4"],
+])
+def test_negative_seed_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    # rejected when the run's configuration is built, before any run or check
+    for owner, name in ((cli.T, "run_ensemble"), (cli.T, "run_trajectory"),
+                        (cli.M, "rank_unravellings"), (G, "covariance_ode")):
+        monkeypatch.setattr(owner, name, _never_called)
+    out = tmp_path / "x"
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+class TestUndrivenAtom:
+    @pytest.mark.parametrize("measure, schemes", [
+        ("survival", "aid,direct"), ("mixing", "homodyne_x,direct"),
+        ("efficiency_threshold", "aid,direct")])
+    def test_degenerate_measure_is_a_numeric_failure(self, tmp_path, monkeypatch, capsys,
+                                                     measure, schemes):
+        # the pure steady state (theta = 1) stops the ranking before any
+        # ensemble runs, and no report with an infinite uncertainty is written
+        for name in ("run_final_states", "run_purity_averages"):
+            monkeypatch.setattr(T, name, _never_called)
+        out = tmp_path / "rank.json"
+        assert run_cli(["tla-rank", "--omega", "0", "--measure", measure,
+                        "--schemes", schemes, "--n-traj", "50", "--out", str(out)]) == 3
+        assert "steady state is already pure" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestValidate:
     def test_unknown_suite_usage_error(self, tmp_path):
         assert run_cli(["validate", "nonsense",

@@ -143,9 +143,9 @@ class TestQbmMeasures:
         # the error names how many points failed and the first one's cause
         monkeypatch.setattr(G, "_RADON_COND_MAX", 1.0)
         with pytest.raises(ConvergenceError, match=(
-                r"^every grid point failed to converge \(17 of 17\); the first raised "
+                r"^every grid point failed to converge \(97 of 97\); the first raised "
                 r"ConvergenceError: ill-conditioned eigenbasis of the information flow$")):
-            M.optimize_disk(QbmParams(1.0), "purification", phi_points=4)
+            M.optimize_disk(QbmParams(1.0), "purification")
 
     def test_mixing_regression(self):
         res = M.mixing_time_qbm(QbmParams(1.0), DiskPoint(1.0, 2.086))
@@ -166,10 +166,10 @@ class TestQbmMeasures:
 
 
 def _disk_grid():
-    """The default coarse grid of optimize_disk: 97 points."""
-    yield DiskPoint(0.0, 0.0)
-    for r in (0.25, 0.5, 0.75, 1.0):
-        for phi in np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False):
+    """The coarse grid of optimize_disk: 97 points."""
+    for r in M._DISK_RINGS:
+        phis = np.linspace(0.0, 2.0 * math.pi, M._DISK_PHI_POINTS, endpoint=False)
+        for phi in (phis if r > 0 else phis[:1]):
             yield DiskPoint(r, phi)
 
 
@@ -333,7 +333,7 @@ class TestSyntheticBisection:
         # p(eta) = p0 + (1 - p0) eta with theta = (1 + p0)/2 gives eta_thr = 1/2
         calls = []
         self._fake(monkeypatch, lambda eta: self.P0 + (1.0 - self.P0) * eta, calls)
-        res = M.efficiency_threshold_tla(TlaParams(1.0, 1.0), T.homodyne_x(),
+        res = M.efficiency_threshold_tla(TlaParams(1.0, 1.0), T.UnravellingSpec("homodyne_x"),
                                          M.McOptions())
         assert res.value == pytest.approx(0.5, abs=1e-9)
         # two passes: the probes, then the interior of the bracket [0.25, 0.5]
@@ -350,13 +350,13 @@ class TestSyntheticBisection:
     def test_monotonicity_violation_detected(self, monkeypatch):
         self._fake(monkeypatch, lambda eta: 1.0 - 0.5 * eta)   # decreasing: unphysical
         with pytest.raises(AssumptionError):
-            M.efficiency_threshold_tla(TlaParams(1.0, 1.0), T.homodyne_x(),
+            M.efficiency_threshold_tla(TlaParams(1.0, 1.0), T.UnravellingSpec("homodyne_x"),
                                        M.McOptions())
 
     def test_unit_efficiency_below_theta_has_no_bracket(self, monkeypatch):
         self._fake(monkeypatch, lambda eta: self.P0 + 0.2 * eta)   # p(1) < theta = 0.7
         with pytest.raises(BracketError):
-            M.efficiency_threshold_tla(TlaParams(1.0, 1.0), T.homodyne_x(),
+            M.efficiency_threshold_tla(TlaParams(1.0, 1.0), T.UnravellingSpec("homodyne_x"),
                                        M.McOptions())
 
 
@@ -368,7 +368,7 @@ class TestThresholdCoverage:
         assert exact == pytest.approx(0.7551, abs=1e-4)
         z = []
         for seed in range(1, 11):
-            res = M.efficiency_threshold_tla(TlaParams(5.0, 1.0), T.direct(),
+            res = M.efficiency_threshold_tla(TlaParams(5.0, 1.0), T.UnravellingSpec("direct"),
                                              M.McOptions(n_traj=1000, dt=4e-3, seed=seed))
             z.append((res.value - exact) / res.uncertainty)
         assert sum(abs(v) <= 2.0 for v in z) >= 8, z
@@ -376,20 +376,36 @@ class TestThresholdCoverage:
 
 class TestTlaMeasures:
     def test_undriven_atom_purifies_instantly(self):
-        res = M.purification_time(TlaParams(0.0, 1.0), T.direct())
+        res = M.purification_time(TlaParams(0.0, 1.0), T.UnravellingSpec("direct"))
         assert res.value == 0.0
         assert res.metadata.get("degenerate") is True
 
+    @pytest.mark.parametrize("measure", [M.mixing_time, M.survival_time,
+                                         M.mixing_and_survival_tla])
+    def test_undriven_atom_mixing_and_survival_are_degenerate(self, measure, monkeypatch):
+        # a pure steady state (theta = 1) raises before any ensemble runs,
+        # as the efficiency threshold does, instead of reading 0 +- inf
+        def never(*args, **kwargs):
+            raise AssertionError("an ensemble ran for a pure steady state")
+        monkeypatch.setattr(T, "run_final_states", never)
+        with pytest.raises(AssumptionError, match="steady state is already pure"):
+            measure(TlaParams(0.0, 1.0), T.UnravellingSpec("aid"), opts=FAST_MC)
+
+    @pytest.mark.parametrize("seed", [-2, 1.5, True, "3"])
+    def test_options_reject_a_seed_that_is_no_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            M.McOptions(n_traj=100, dt=1e-3, seed=seed)
+
     def test_weak_driving_homodyne_x_beats_heterodyne(self):
         params = TlaParams(0.4, 1.0)
-        hx = M.purification_time(params, T.homodyne_x(), opts=FAST_MC)
-        het = M.purification_time(params, T.heterodyne(), opts=FAST_MC)
+        hx = M.purification_time(params, T.UnravellingSpec("homodyne_x"), opts=FAST_MC)
+        het = M.purification_time(params, T.UnravellingSpec("heterodyne"), opts=FAST_MC)
         gap = het.value - hx.value
         assert gap > 3.0 * math.hypot(hx.uncertainty, het.uncertainty)
 
     def test_mixing_and_survival_share_ensemble(self):
         params = TlaParams(2.0, 1.0)
-        mix, sur = M.mixing_and_survival_tla(params, T.direct(), FAST_MC)
+        mix, sur = M.mixing_and_survival_tla(params, T.UnravellingSpec("direct"), FAST_MC)
         assert mix.kind == "mixing" and sur.kind == "survival"
         assert mix.value > 0 and sur.value > 0
         # direct detection moves states fast: survival shorter than mixing
@@ -397,7 +413,7 @@ class TestTlaMeasures:
 
     def test_dispatch_rejects_unknown_system(self):
         with pytest.raises(TypeError):
-            M.purification_time(object(), T.direct())
+            M.purification_time(object(), T.UnravellingSpec("direct"))
 
 
 def _record_search(monkeypatch):
@@ -425,25 +441,26 @@ def _record_search(monkeypatch):
 
 
 class TestOptimizeDisk:
-    def test_boundary_optimum_and_reproducible_value(self):
-        u, res = M.optimize_disk(QbmParams(1.0), "mixing", phi_points=12)
+    def test_boundary_optimum_and_reproducible_value(self, monkeypatch):
+        monkeypatch.setattr(M, "_DISK_PHI_POINTS", 12)
+        u, res = M.optimize_disk(QbmParams(1.0), "mixing")
         assert u.r >= 0.98
         again = M.mixing_time_qbm(QbmParams(1.0), u)
         assert again.value == res.value  # deterministic backend, same point
 
-    def test_efficiency_threshold_minimized_near_position(self):
-        u, res = M.optimize_disk(QbmParams(1.0), "efficiency_threshold",
-                                 phi_points=12)
+    def test_efficiency_threshold_minimized_near_position(self, monkeypatch):
+        monkeypatch.setattr(M, "_DISK_PHI_POINTS", 12)
+        u, res = M.optimize_disk(QbmParams(1.0), "efficiency_threshold")
         assert u.r >= 0.98
         assert min(u.phi, 2 * math.pi - u.phi) < 0.3
         worse = M.efficiency_threshold_qbm(QbmParams(1.0), DiskPoint(1.0, 1.5))
         assert res.value < worse.value
 
-    def test_efficiency_threshold_optimum_off_grid(self):
+    def test_efficiency_threshold_optimum_off_grid(self, monkeypatch):
         # the threshold is a smooth function of phi, so the refinement must
         # leave the coarse grid point phi = 0 for the true optimum
-        u, _ = M.optimize_disk(QbmParams(1.0), "efficiency_threshold",
-                               phi_points=12)
+        monkeypatch.setattr(M, "_DISK_PHI_POINTS", 12)
+        u, _ = M.optimize_disk(QbmParams(1.0), "efficiency_threshold")
         gap = abs(u.phi - 6.2208) % (2 * math.pi)
         assert min(gap, 2 * math.pi - gap) < 0.005
 
@@ -607,9 +624,10 @@ class TestOptimizeDisk:
             _, res = M.optimize_disk(QbmParams(temp), kind)
             assert res.metadata["grid_failures"] >= 1
 
-    def test_failures_recorded_not_fatal(self):
-        u, res = M.optimize_disk(QbmParams(1.0), "purification",
-                                 r_grid=(1.0,), phi_points=8)
+    def test_failures_recorded_not_fatal(self, monkeypatch):
+        monkeypatch.setattr(M, "_DISK_RINGS", (1.0,))
+        monkeypatch.setattr(M, "_DISK_PHI_POINTS", 8)
+        u, res = M.optimize_disk(QbmParams(1.0), "purification")
         # the phi = pi grid point cannot purify and must be skipped
         assert res.metadata["grid_failures"] >= 1
         assert u.r == 1.0

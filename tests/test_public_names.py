@@ -28,7 +28,7 @@ def test_public_names_are_pinned():
 
 # Parameters with a default plus dataclass fields with a default, over
 # src/unravel.  A change to this number adds or removes a knob on purpose.
-SETTABLE_VALUES = 49
+SETTABLE_VALUES = 38
 
 
 def _settable_values(tree):

@@ -42,23 +42,30 @@ class TestSpecTypes:
 
     def test_eta_range(self):
         with pytest.raises(ValueError):
-            T.homodyne_x(1.2)
+            T.UnravellingSpec("homodyne_x", 1.2)
+
+    @pytest.mark.parametrize("seed", [-1, 2.0, False, None])
+    def test_config_rejects_a_seed_that_is_no_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            T.TrajectoryConfig(1e-3, 1.0, seed=seed)
+        T.TrajectoryConfig(1e-3, 1.0, seed=np.int64(3))
 
     def test_general_dyne_needs_disk(self):
         with pytest.raises(ValueError):
             T.UnravellingSpec("general_dyne", 1.0)
 
     def test_channel_weights_resolve_emission(self):
-        for spec in (T.homodyne_x(), T.homodyne_y(), T.heterodyne(),
-                     T.general_dyne(DiskPoint(0.6, 1.1))):
+        for spec in (T.UnravellingSpec("homodyne_x"), T.UnravellingSpec("homodyne_y"),
+                     T.UnravellingSpec("heterodyne"),
+                     T.UnravellingSpec("general_dyne", disk=DiskPoint(0.6, 1.1))):
             total = sum(abs(z) ** 2 for z in spec.channel_coefficients())
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_general_dyne_limits_match_named(self):
-        hom = T.general_dyne(DiskPoint(1.0, 0.0)).channel_coefficients()
+        hom = T.UnravellingSpec("general_dyne", disk=DiskPoint(1.0, 0.0)).channel_coefficients()
         assert hom == pytest.approx([1.0 + 0.0j])
-        het = T.general_dyne(DiskPoint(0.0, 0.0)).channel_coefficients()
-        assert het == pytest.approx(T.heterodyne().channel_coefficients())
+        het = T.UnravellingSpec("general_dyne", disk=DiskPoint(0.0, 0.0)).channel_coefficients()
+        assert het == pytest.approx(T.UnravellingSpec("heterodyne").channel_coefficients())
 
     def test_record_invariants(self):
         with pytest.raises(InvariantViolationError):
@@ -70,7 +77,7 @@ class TestSpecTypes:
 class TestStepDiffusive:
     def test_eta_zero_ignores_noise(self):
         model = build_tla(tla())
-        spec = T.homodyne_x(0.0)
+        spec = T.UnravellingSpec("homodyne_x", 0.0)
         rho = DensityMatrix(np.array([[0.7, 0.2], [0.2, 0.3]]))
         out1 = T.step_diffusive(model, spec, rho, [3.0 * math.sqrt(1e-3)], 1e-3)
         out2 = T.step_diffusive(model, spec, rho, [-2.0 * math.sqrt(1e-3)], 1e-3)
@@ -80,7 +87,7 @@ class TestStepDiffusive:
 
     def test_one_step_mean_matches_deterministic(self):
         model = build_tla(tla())
-        spec = T.heterodyne(0.8)
+        spec = T.UnravellingSpec("heterodyne", 0.8)
         rho = DensityMatrix(np.array([[0.6, 0.1j], [-0.1j, 0.4]]))
         dt = 1e-3
         rng = np.random.default_rng(0)
@@ -98,19 +105,20 @@ class TestStepDiffusive:
         model = build_tla(tla())
         rho = EXCITED
         for _ in range(20):
-            rho = T.step_diffusive(model, T.homodyne_x(1.0), rho, [0.7 * math.sqrt(1e-4)], 1e-4)
+            rho = T.step_diffusive(model, T.UnravellingSpec("homodyne_x", 1.0), rho,
+                                   [0.7 * math.sqrt(1e-4)], 1e-4)
         assert purity(rho) == pytest.approx(1.0, abs=1e-10)
 
     def test_wrong_channel_count(self):
         model = build_tla(tla())
         with pytest.raises(ValueError):
-            T.step_diffusive(model, T.heterodyne(1.0), EXCITED, [0.1], 1e-3)
+            T.step_diffusive(model, T.UnravellingSpec("heterodyne", 1.0), EXCITED, [0.1], 1e-3)
 
 
 class TestStepJump:
     def test_ground_state_never_clicks(self):
         model = build_tla(TlaParams(rabi=0.0, gamma=1.0))
-        out, jumped = T.step_jump(model, T.direct(1.0), GROUND, 0.0001, 1e-3)
+        out, jumped = T.step_jump(model, T.UnravellingSpec("direct", 1.0), GROUND, 0.0001, 1e-3)
         assert not jumped
         assert trace_distance(out, GROUND) < 1e-12
 
@@ -118,7 +126,7 @@ class TestStepJump:
         gamma = 1.0
         model = build_tla(TlaParams(rabi=0.0, gamma=gamma))
         dt = 1e-3
-        kernel = T._SuperopJumpKernel(model, T.direct(1.0), dt)
+        kernel = T._SuperopJumpKernel(model, T.UnravellingSpec("direct", 1.0), dt)
         y = kernel.initial(EXCITED.matrix[None, :, :])
         y_prop = kernel.props[0][0] @ y[0]   # sign +1, first (only) efficiency
         p = 1.0 - float(y_prop @ kernel.tr_vec)
@@ -126,25 +134,25 @@ class TestStepJump:
 
     def test_click_projects_to_ground(self):
         model = build_tla(TlaParams(rabi=0.0, gamma=1.0))
-        out, jumped = T.step_jump(model, T.direct(1.0), EXCITED, 0.0, 1e-3)
+        out, jumped = T.step_jump(model, T.UnravellingSpec("direct", 1.0), EXCITED, 0.0, 1e-3)
         assert jumped
         assert trace_distance(out, GROUND) < 1e-12
 
     def test_oversized_step_rejected(self):
         model = build_tla(TlaParams(rabi=0.0, gamma=1.0))
         with pytest.raises(StepSizeError):
-            T.step_jump(model, T.direct(1.0), EXCITED, 0.5, 0.2)
+            T.step_jump(model, T.UnravellingSpec("direct", 1.0), EXCITED, 0.5, 0.2)
 
     def test_diffusive_spec_rejected(self):
         model = build_tla(tla())
         with pytest.raises(ValueError):
-            T.step_jump(model, T.homodyne_x(1.0), EXCITED, 0.5, 1e-3)
+            T.step_jump(model, T.UnravellingSpec("homodyne_x", 1.0), EXCITED, 0.5, 1e-3)
 
 
 class TestRunTrajectory:
     def test_zero_horizon(self):
         model = build_tla(tla())
-        res = T.run_trajectory(model, T.homodyne_x(1.0), EXCITED,
+        res = T.run_trajectory(model, T.UnravellingSpec("homodyne_x", 1.0), EXCITED,
                                T.TrajectoryConfig(1e-3, 0.0, seed=1))
         assert len(res.states) == 1
         assert trace_distance(res.states[0], EXCITED) == 0.0
@@ -152,8 +160,8 @@ class TestRunTrajectory:
     def test_same_seed_identical(self):
         model = build_tla(tla())
         cfg = T.TrajectoryConfig(1e-3, 0.5, seed=9, sample_stride=50)
-        r1 = T.run_trajectory(model, T.heterodyne(0.7), EXCITED, cfg)
-        r2 = T.run_trajectory(model, T.heterodyne(0.7), EXCITED, cfg)
+        r1 = T.run_trajectory(model, T.UnravellingSpec("heterodyne", 0.7), EXCITED, cfg)
+        r2 = T.run_trajectory(model, T.UnravellingSpec("heterodyne", 0.7), EXCITED, cfg)
         assert all(np.array_equal(a.matrix, b.matrix)
                    for a, b in zip(r1.states, r2.states))
         assert np.array_equal(r1.record.wiener, r2.record.wiener)
@@ -162,14 +170,14 @@ class TestRunTrajectory:
         model = build_tla(tla())
         cfg1 = T.TrajectoryConfig(1e-3, 0.5, seed=9)
         cfg2 = T.TrajectoryConfig(1e-3, 0.5, seed=10)
-        r1 = T.run_trajectory(model, T.homodyne_x(1.0), EXCITED, cfg1)
-        r2 = T.run_trajectory(model, T.homodyne_x(1.0), EXCITED, cfg2)
+        r1 = T.run_trajectory(model, T.UnravellingSpec("homodyne_x", 1.0), EXCITED, cfg1)
+        r2 = T.run_trajectory(model, T.UnravellingSpec("homodyne_x", 1.0), EXCITED, cfg2)
         assert trace_distance(r1.states[-1], r2.states[-1]) > 1e-6
 
     def test_efficient_trajectory_stays_pure(self):
         model = build_tla(tla())
         cfg = T.TrajectoryConfig(1e-4, 1.0, seed=3, sample_stride=200)
-        res = T.run_trajectory(model, T.homodyne_x(1.0), EXCITED, cfg)
+        res = T.run_trajectory(model, T.UnravellingSpec("homodyne_x", 1.0), EXCITED, cfg)
         assert min(purity(s) for s in res.states) > 0.999
 
     def test_aid_record_tracks_flips(self):
@@ -177,7 +185,7 @@ class TestRunTrajectory:
         # AID clicks are rare (a few per 10/gamma here), so run long
         # enough for several flips
         cfg = T.TrajectoryConfig(1e-3, 30.0, seed=12, sample_stride=1000)
-        res = T.run_trajectory(model, T.aid(1.0), EXCITED, cfg)
+        res = T.run_trajectory(model, T.UnravellingSpec("aid", 1.0), EXCITED, cfg)
         signs = res.record.lo_signs
         assert len(signs) == len(res.record.jump_times)
         assert len(signs) >= 2
@@ -192,7 +200,7 @@ class TestRunEnsemble:
         model = build_tla(tla())
         cfg = T.TrajectoryConfig(1e-3, 2.0, seed=21, sample_stride=250)
         for name in ALL_SCHEMES:
-            spec = T.named_scheme(name, eta=0.8 if name != "aid" else 1.0)
+            spec = T.UnravellingSpec(name, eta=0.8 if name != "aid" else 1.0)
             curve = T.run_ensemble(model, spec, EXCITED, cfg, 400,
                                    statistic="mean_state")
             for t, m in zip(curve.times, curve.states):
@@ -207,8 +215,8 @@ class TestRunEnsemble:
         # eta < 1 so per-trajectory purities actually spread out
         model = build_tla(tla())
         cfg = T.TrajectoryConfig(2e-3, 1.0, seed=5, sample_stride=250)
-        small = T.run_ensemble(model, T.homodyne_x(0.6), EXCITED, cfg, 200)
-        large = T.run_ensemble(model, T.homodyne_x(0.6), EXCITED, cfg, 800)
+        small = T.run_ensemble(model, T.UnravellingSpec("homodyne_x", 0.6), EXCITED, cfg, 200)
+        large = T.run_ensemble(model, T.UnravellingSpec("homodyne_x", 0.6), EXCITED, cfg, 800)
         ratio = small.stderr[1:] / large.stderr[1:]
         # quadrupling N halves the standard error within 25 percent slack
         assert np.all(ratio > 1.5)
@@ -218,7 +226,8 @@ class TestRunEnsemble:
         model = build_tla(tla())
         cfg = T.TrajectoryConfig(2e-3, 0.5, seed=8, sample_stride=50)
         cases = [(spec, statistic)
-                 for spec in (T.heterodyne(1.0), T.aid(1.0), T.direct(0.7))
+                 for spec in (T.UnravellingSpec("heterodyne", 1.0), T.UnravellingSpec("aid", 1.0),
+                              T.UnravellingSpec("direct", 0.7))
                  for statistic in ("purity", "mean_state")]
         refs = [(T.run_ensemble(model, spec, EXCITED, cfg, 256, statistic),
                  T.run_final_states(model, spec, EXCITED, cfg, 256))
@@ -286,7 +295,7 @@ class TestRunEnsemble:
         else:
             model, ws = build_qbm_oracle(QbmParams(1.0), dim)
             rho0 = gaussian_density_matrix(ws, CovarianceState(1.0, 1.0, 0.0))
-        spec = T.named_scheme(kind, eta)
+        spec = T.UnravellingSpec(kind, eta)
         cfg = T.TrajectoryConfig(2e-3, 0.2, seed=4, sample_stride=25)
         if dim > 8:
             kernel = T._select_kernel(model, spec, rho0.matrix, 2e-3, "mean_state")
@@ -298,7 +307,8 @@ class TestRunEnsemble:
     def test_member_matches_run_trajectory(self):
         model = build_tla(tla())
         cfg = T.TrajectoryConfig(2e-3, 0.4, seed=17, sample_stride=100)
-        for spec in (T.homodyne_y(1.0), T.aid(1.0), T.direct(0.7)):
+        for spec in (T.UnravellingSpec("homodyne_y", 1.0), T.UnravellingSpec("aid", 1.0),
+                     T.UnravellingSpec("direct", 0.7)):
             single = T.run_trajectory(model, spec, EXCITED, cfg, traj_index=3)
             finals = T.run_final_states(model, spec, EXCITED, cfg, 5)
             assert np.abs(finals[3] - single.states[-1].matrix).max() < 1e-12, spec.kind
@@ -307,7 +317,7 @@ class TestRunEnsemble:
         model = build_tla(tla())
         cfg = T.TrajectoryConfig(1e-3, 0.1, seed=1)
         with pytest.raises(ValueError):
-            T.run_ensemble(model, T.homodyne_x(1.0), EXCITED, cfg, 1)
+            T.run_ensemble(model, T.UnravellingSpec("homodyne_x", 1.0), EXCITED, cfg, 1)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_final_states_need_two(self, n):
@@ -315,7 +325,7 @@ class TestRunEnsemble:
         model = build_tla(tla())
         cfg = T.TrajectoryConfig(1e-3, 0.1, seed=1)
         with pytest.raises(ValueError, match="at least 2"):
-            T.run_final_states(model, T.direct(1.0), EXCITED, cfg, n)
+            T.run_final_states(model, T.UnravellingSpec("direct", 1.0), EXCITED, cfg, n)
 
 
 class TestKernelReferences:
@@ -329,7 +339,7 @@ class TestKernelReferences:
         a = rng.uniform(-1, 1, (5, dim, dim)) + 1j * rng.uniform(-1, 1, (5, dim, dim))
         herm = 0.5 * (a + np.conj(np.swapaxes(a, 1, 2)))
         model = build_tla(tla()) if dim == 2 else build_qbm_oracle(QbmParams(1.0), dim)[0]
-        kernel = T._KrausDiffusiveKernel(model, T.heterodyne(), 1e-3)
+        kernel = T._KrausDiffusiveKernel(model, T.UnravellingSpec("heterodyne"), 1e-3)
         y = kernel.initial(herm)
         assert y.shape == (5, dim * dim) and y.T.flags.c_contiguous
         back = kernel.to_matrices(y)
@@ -341,7 +351,7 @@ class TestKernelReferences:
     def test_kraus_kernel_matches_the_matrix_kernel(self, kind, eta):
         # the matrix kernel builds the same M rho M^dag plus leak on
         # complex matrices, trajectory by trajectory
-        model, spec, dt, n = build_tla(tla(5.0)), T.named_scheme(kind, eta), 4e-3, 64
+        model, spec, dt, n = build_tla(tla(5.0)), T.UnravellingSpec(kind, eta), 4e-3, 64
         kraus = T._KrausDiffusiveKernel(model, spec, dt)
         matrix = T._MatrixDiffusiveKernel(model, spec, dt)
         start = np.broadcast_to(self.RHO, (n, 2, 2))
@@ -361,7 +371,7 @@ class TestKernelReferences:
     @pytest.mark.parametrize("gamma", [1.0, 2.0])
     def test_jump_kernel_matches_the_matrix_reference(self, kind, eta, gamma):
         # at gamma = 2 the kernel's local oscillator must scale as sqrt(gamma)
-        model, spec, dt, n = build_tla(tla(5.0, gamma)), T.named_scheme(kind, eta), 4e-3, 64
+        model, spec, dt, n = build_tla(tla(5.0, gamma)), T.UnravellingSpec(kind, eta), 4e-3, 64
         beta = 0.5 * math.sqrt(gamma) if kind == "aid" else 0.0
         kernel = T._SuperopJumpKernel(model, spec, dt)
         start = np.broadcast_to(self.RHO, (n, 2, 2))
@@ -404,7 +414,8 @@ class TestEfficiencyStack:
             return advance(sampler, y, table, *args)
 
         monkeypatch.setattr(T._EventJumpSampler, "_advance", recording)
-        for spec in (T.direct(), T.aid(), T.heterodyne()):
+        for spec in (T.UnravellingSpec("direct"), T.UnravellingSpec("aid"),
+                     T.UnravellingSpec("heterodyne")):
             mixed.clear()
             stacked = T.run_purity_averages(model, spec, EXCITED, cfg, 48, self.ETAS)
             assert stacked.shape == (len(self.ETAS), 48)
@@ -417,7 +428,8 @@ class TestEfficiencyStack:
     def test_chunking_does_not_change_averages(self, monkeypatch):
         model = build_tla(tla())
         cfg = T.TrajectoryConfig(2e-3, 0.5, seed=8, sample_stride=50)
-        specs = (T.heterodyne(), T.aid(), T.direct())
+        specs = (T.UnravellingSpec("heterodyne"), T.UnravellingSpec("aid"),
+                 T.UnravellingSpec("direct"))
         refs = [T.run_purity_averages(model, spec, EXCITED, cfg, 256, self.ETAS)
                 for spec in specs]
         # 256 rows hold one group of 64 trajectories at 4 efficiencies
@@ -444,7 +456,7 @@ class TestEfficiencyStack:
     def test_window_is_the_last_quarter_of_the_purity_curve(self):
         model = build_tla(tla())
         cfg = T.TrajectoryConfig(2e-3, 1.0, seed=4, sample_stride=25)
-        spec = T.homodyne_x(0.6)
+        spec = T.UnravellingSpec("homodyne_x", 0.6)
         curve = T.run_ensemble(model, spec, EXCITED, cfg, 40)
         averages = T.run_purity_averages(model, spec, EXCITED, cfg, 40, (0.6,))
         k = len(curve.times) // 4
@@ -454,10 +466,11 @@ class TestEfficiencyStack:
         model, _ = build_qbm_oracle(QbmParams(1.0), 12)
         rho0 = np.diag([1.0] + [0.0] * 11)
         with pytest.raises(ValueError):
-            T._select_kernel(model, T.heterodyne(), rho0, 1e-3, "purity", (0.5, 1.0))
+            T._select_kernel(model, T.UnravellingSpec("heterodyne"), rho0, 1e-3, "purity",
+                             (0.5, 1.0))
         # a stack of one too: the averages read purities off real coordinates
         with pytest.raises(ValueError):
-            T.run_purity_averages(model, T.heterodyne(), rho0,
+            T.run_purity_averages(model, T.UnravellingSpec("heterodyne"), rho0,
                                   T.TrajectoryConfig(1e-3, 0.01), 2, (1.0,))
 
     @pytest.mark.parametrize("dim", [2, 8])
@@ -485,7 +498,7 @@ class TestEventSampler:
         # eta in {0.25, 1}, both LO signs for AID
         model = build_tla(tla(5.0))
         etas, n_steps = (0.25, 1.0), 1000
-        sampler = T._EventJumpSampler(model, T.named_scheme(kind), 4e-3, etas)
+        sampler = T._EventJumpSampler(model, T.UnravellingSpec(kind), 4e-3, etas)
         sampler.prepare(n_steps, 1)
         n = sampler.tr_vec.size
         traces = sampler.traces.reshape(-1, n_steps + 1, n)
@@ -510,7 +523,7 @@ class TestEventSampler:
                               ("aid", 1.0, 1.0), ("aid", 0.25, -1.0)])
     def test_forced_click_is_the_post_click_state_of_step_jump(self, kind, eta, lo_sign):
         model = build_tla(tla(5.0))
-        spec, dt = T.named_scheme(kind, eta), 4e-3
+        spec, dt = T.UnravellingSpec(kind, eta), 4e-3
         ref, jumped = T.step_jump(model, spec, DensityMatrix(self.RHO), 0.0, dt, lo_sign)
         assert jumped
         sampler = T._EventJumpSampler(model, spec, dt)
@@ -523,7 +536,7 @@ class TestEventSampler:
     def test_click_without_emission_raises(self):
         # an undriven atom in its ground state has nothing to emit
         model = build_tla(TlaParams(rabi=0.0, gamma=1.0))
-        sampler = T._EventJumpSampler(model, T.direct(), 1e-3)
+        sampler = T._EventJumpSampler(model, T.UnravellingSpec("direct"), 1e-3)
         sampler.prepare(1, 1)
         with pytest.raises(SimulationError, match="post-click trace"):
             sampler._click(sampler.initial(GROUND.matrix[None, :, :]), np.array([0]),
@@ -532,7 +545,7 @@ class TestEventSampler:
     def test_rising_survival_raises(self):
         # a no-click map that gains trace makes S(m) rise: no waiting-time law
         model = build_tla(tla(5.0))
-        sampler = T._EventJumpSampler(model, T.aid(), 4e-3)
+        sampler = T._EventJumpSampler(model, T.UnravellingSpec("aid"), 4e-3)
         sampler.props = [1.01 * p for p in sampler.props]
         with pytest.raises(SimulationError, match="survival rises"):
             sampler.prepare(100, 1)
@@ -555,7 +568,8 @@ class TestEventSampler:
         assert np.array_equal(verdict, spectrum[:, 0] > -tol)
 
     def test_passing_prepare_calls_no_eigvalsh(self, monkeypatch):
-        sampler = T._EventJumpSampler(build_tla(tla(5.0)), T.aid(), 4e-3, (0.25, 1.0))
+        sampler = T._EventJumpSampler(build_tla(tla(5.0)), T.UnravellingSpec("aid"), 4e-3,
+                                      (0.25, 1.0))
 
         def eigvalsh(*args, **kwargs):
             raise AssertionError("eigvalsh ran although every table passed the screen")
@@ -566,8 +580,9 @@ class TestEventSampler:
     def test_counting_runs_use_the_sampler(self):
         model = build_tla(tla())
         for statistic in ("purity", "mean_state", "final_states", "trajectory"):
-            assert isinstance(T._select_kernel(model, T.aid(), EXCITED.matrix, 1e-3, statistic),
-                              T._EventJumpSampler)
+            kernel = T._select_kernel(model, T.UnravellingSpec("aid"), EXCITED.matrix, 1e-3,
+                                      statistic)
+            assert isinstance(kernel, T._EventJumpSampler)
         # step_jump's one window is the stepped kernel's step
         assert T._EventJumpSampler.step is T._SuperopJumpKernel.step
 
@@ -578,11 +593,11 @@ class TestEventSampler:
         # probability, so u = 1 between the logged clicks and u = 0 at them
         model = build_tla(tla(3.0))
         cfg = T.TrajectoryConfig(1e-3, 10.0, seed=12, sample_stride=1000)
-        res = T.run_trajectory(model, T.aid(1.0), EXCITED, cfg)
+        res = T.run_trajectory(model, T.UnravellingSpec("aid", 1.0), EXCITED, cfg)
         steps = np.rint(np.array(res.record.jump_times) / 1e-3).astype(int)
         assert len(steps) >= 2
         n_steps, dt, sample_idx = cfg.grid()
-        kernel = T._SuperopJumpKernel(model, T.aid(1.0), dt)
+        kernel = T._SuperopJumpKernel(model, T.UnravellingSpec("aid", 1.0), dt)
         y, signs = kernel.initial(EXCITED.matrix[None, :, :]), np.ones(1)
         states, seen = [], []
         for step in range(1, n_steps + 1):
@@ -604,10 +619,10 @@ class TestEventSampler:
         model = LindbladModel(0.5 * (a + a.T).astype(complex), (a.astype(complex),))
         rho0 = np.diag([0.0, 1.0] + [0.0] * (d - 2))
         cfg = T.TrajectoryConfig(1e-3, 8.0, seed=3)
-        T.run_final_states(model, T.direct(), rho0, cfg, 2)   # warm caches
+        T.run_final_states(model, T.UnravellingSpec("direct"), rho0, cfg, 2)   # warm caches
         tracemalloc.start()
         try:
-            finals = T.run_final_states(model, T.direct(), rho0, cfg, 64)
+            finals = T.run_final_states(model, T.UnravellingSpec("direct"), rho0, cfg, 64)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -619,7 +634,8 @@ class TestEventSampler:
         # checkpoints to a run over 2,000 steps
         model = build_tla(tla(5.0))
         cfg = T.TrajectoryConfig(1e-3, 2.0, seed=5, sample_stride=500)
-        cases = [(spec, statistic) for spec in (T.direct(0.7), T.aid())
+        cases = [(spec, statistic)
+                 for spec in (T.UnravellingSpec("direct", 0.7), T.UnravellingSpec("aid"))
                  for statistic in ("purity", "mean_state")]
         refs = [T.run_ensemble(model, spec, EXCITED, cfg, 128, statistic)
                 for spec, statistic in cases]
@@ -651,7 +667,7 @@ class TestEventSampler:
         params = TlaParams(5.0, 1.0)
         model = build_tla(params)
         rho_ss = steady_state(model).matrix
-        spec, n = T.named_scheme(kind), 20_000
+        spec, n = T.UnravellingSpec(kind), 20_000
         long_cfg = T.TrajectoryConfig(4e-3, 20.0, seed=31, sample_stride=20)
         curve_cfg = T.TrajectoryConfig(4e-3, 4.0, seed=31, sample_stride=100)
         etas = (0.25, 0.5, 0.75, 1.0)
@@ -687,7 +703,7 @@ class TestEventSampler:
         # independent seeds, n = 20,000: mixing and survival times at
         # Omega = 2 gamma from event-driven final states, against the same
         # measures from final states stepped one window at a time
-        params, spec = TlaParams(2.0, 1.0), T.named_scheme(kind)
+        params, spec = TlaParams(2.0, 1.0), T.UnravellingSpec(kind)
         opts = M.McOptions(n_traj=20_000, seed=31)
         event = M.mixing_and_survival_tla(params, spec, opts)
 
@@ -737,14 +753,14 @@ class TestClickStreams:
         cfg = T.TrajectoryConfig(4e-3, 2.0, seed=seed, sample_stride=50)
         etas = (0.25, 0.5, 0.75, 1.0)
         for n in (70, 200):
-            T.run_purity_averages(model, T.aid(), EXCITED, cfg, n, etas)
+            T.run_purity_averages(model, T.UnravellingSpec("aid"), EXCITED, cfg, n, etas)
         # 256 rows hold one group at 4 efficiencies: chunks (0, 64) and the
         # partial group (64, 70)
         monkeypatch.setattr(T, "_MAX_SUPEROP_CHUNK", 256)
-        T.run_purity_averages(model, T.aid(), EXCITED, cfg, 70, etas)
+        T.run_purity_averages(model, T.UnravellingSpec("aid"), EXCITED, cfg, 70, etas)
         # single trajectories draw their groups whole, each a split group
         for index in (5, 67):
-            T.run_trajectory(model, T.aid(), EXCITED, cfg, traj_index=index)
+            T.run_trajectory(model, T.UnravellingSpec("aid"), EXCITED, cfg, traj_index=index)
         assert spans == [(0, 70), (0, 200), (0, 64), (64, 70), (5, 6), (67, 68)]
         assert max(k for _, k in seen) > 0
         for (i, k), values in seen.items():
@@ -766,7 +782,8 @@ class TestClickStreams:
         monkeypatch.setattr(T, "_group_stream", counted_group)
         monkeypatch.setattr(T, "trajectory_rng", counted_trajectory)
         cfg = T.TrajectoryConfig(4e-3, 0.4, seed=2, sample_stride=25)
-        T.run_purity_averages(build_tla(tla(5.0)), T.direct(), EXCITED, cfg, 2000, (0.5, 1.0))
+        T.run_purity_averages(build_tla(tla(5.0)), T.UnravellingSpec("direct"), EXCITED, cfg, 2000,
+                              (0.5, 1.0))
         assert counts == {"click": 32, "noise": 0, "trajectory": 0}
 
 
@@ -809,7 +826,7 @@ class TestNoiseStream:
     def test_blocks_concatenate_to_whole_draw(self, monkeypatch):
         # rows 60..69 straddle groups 0 and 1, so a block is 128 columns wide
         n_steps, dt, seed, rows = 50, 2e-3, 9, range(60, 70)
-        for spec in (T.homodyne_x(1.0), T.heterodyne(1.0)):
+        for spec in (T.UnravellingSpec("homodyne_x", 1.0), T.UnravellingSpec("heterodyne", 1.0)):
             k = T.noise_width(spec)
             whole = self._whole(spec, n_steps, dt, seed, rows)
             for steps in (1, 7, 49, 50):
@@ -825,7 +842,7 @@ class TestNoiseStream:
         model = build_tla(tla())
         cfg = T.TrajectoryConfig(2e-3, 0.5, seed=13, sample_stride=50)
         n_steps, dt, _ = cfg.grid()
-        spec = T.heterodyne(1.0)
+        spec = T.UnravellingSpec("heterodyne", 1.0)
         for index in (2, 70):
             whole = self._whole(spec, n_steps, dt, cfg.seed, [index])[0]
             for block_bytes in (T._NOISE_BLOCK_BYTES, T._GROUP * 2 * 8 * 11):
@@ -849,7 +866,7 @@ class TestNoiseStream:
         monkeypatch.setattr(T, "_iter_chunks", counted_chunks)
         model, cfg = build_tla(tla()), T.TrajectoryConfig(2e-3, 0.1, seed=4)
         monkeypatch.setattr(T, "_MAX_SUPEROP_CHUNK", 128)
-        T.run_final_states(model, T.heterodyne(1.0), EXCITED, cfg, 200)
+        T.run_final_states(model, T.UnravellingSpec("heterodyne", 1.0), EXCITED, cfg, 200)
         assert spans == [(0, 128), (128, 200)]
         # chunks of b rows build ceil(b / 64) streams each
         assert streams == [(T._NOISE_TAG,)] * (2 + 2)
@@ -861,10 +878,11 @@ class TestNoiseStream:
         cfg = T.TrajectoryConfig(2e-3, 2.0, seed=4)
         budget = 2 ** 18
         monkeypatch.setattr(T, "_NOISE_BLOCK_BYTES", budget)
-        T.run_final_states(model, T.heterodyne(1.0), EXCITED, cfg, 8)  # warm caches
+        # warm caches
+        T.run_final_states(model, T.UnravellingSpec("heterodyne", 1.0), EXCITED, cfg, 8)
         tracemalloc.start()
         try:
-            T.run_final_states(model, T.heterodyne(1.0), EXCITED, cfg, 256)
+            T.run_final_states(model, T.UnravellingSpec("heterodyne", 1.0), EXCITED, cfg, 256)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -878,7 +896,7 @@ class TestJumpStatistics:
         model = build_tla(TlaParams(rabi=0.0, gamma=gamma))
         dt = 1e-3
         n = 10_000
-        kernel = T._SuperopJumpKernel(model, T.direct(1.0), dt)
+        kernel = T._SuperopJumpKernel(model, T.UnravellingSpec("direct", 1.0), dt)
         y = kernel.initial(np.broadcast_to(EXCITED.matrix, (n, 2, 2)))
         signs = np.ones(n)
         first = np.full(n, np.nan)
@@ -899,7 +917,7 @@ class TestPurifiedPath:
         params = QbmParams(0.5)
         model, ws = build_qbm_oracle(params, 30)
         rho0 = gaussian_density_matrix(ws, CovarianceState(0.8, 0.8, 0.0)).matrix
-        spec = T.general_dyne(DiskPoint(1.0, 0.0), eta=1.0)
+        spec = T.UnravellingSpec("general_dyne", 1.0, DiskPoint(1.0, 0.0))
         cfg = T.TrajectoryConfig(2e-3, 0.6, seed=7, sample_stride=100)
         _, dt, _ = cfg.grid()
         assert isinstance(T._select_kernel(model, spec, rho0, dt, "purity"),
@@ -925,8 +943,8 @@ class TestPurifiedPath:
         return ref
 
     @pytest.mark.parametrize("shift, spec, sizes", [
-        (0.0, T.general_dyne(DiskPoint(1.0, 0.0), eta=1.0), [30, 30]),
-        (0.3, T.heterodyne(1.0), [60]),
+        (0.0, T.UnravellingSpec("general_dyne", 1.0, DiskPoint(1.0, 0.0)), [30, 30]),
+        (0.3, T.UnravellingSpec("heterodyne", 1.0), [60]),
     ], ids=["oracle-parity", "parity-broken"])
     def test_block_step_matches_dense_reference(self, shift, spec, sizes):
         # the oracle's generator conserves Fock parity (two blocks); a
@@ -952,7 +970,7 @@ class TestPurifiedPath:
         rng = np.random.default_rng(5)
         vecs = np.linalg.qr(rng.standard_normal((30, 4)) + 1j * rng.standard_normal((30, 4)))[0]
         rho0 = (vecs * [0.4, 0.3, 0.2, 0.1]) @ vecs.conj().T
-        spec = T.general_dyne(DiskPoint(1.0, 0.0), eta=1.0)
+        spec = T.UnravellingSpec("general_dyne", 1.0, DiskPoint(1.0, 0.0))
         kernel = T._PurifiedKernel(model, spec, rho0, 2e-3)
         assert len(kernel.blocks) == 2
         psi = kernel.initial(np.broadcast_to(rho0, (3, 30, 30)))
@@ -970,7 +988,7 @@ class TestPurifiedPath:
         params = QbmParams(0.5)
         model, ws = build_qbm_oracle(params, 20)
         rho0 = gaussian_density_matrix(ws, CovarianceState(0.8, 0.8, 0.0)).matrix
-        spec = T.general_dyne(DiskPoint(1.0, 0.0), eta=0.5)
+        spec = T.UnravellingSpec("general_dyne", 0.5, DiskPoint(1.0, 0.0))
         with pytest.raises(ValueError):
             T._PurifiedKernel(model, spec, rho0, 2e-3)
         assert isinstance(T._select_kernel(model, spec, rho0, 2e-3, "purity"),
