@@ -196,22 +196,21 @@ def _map_jobs(fn, jobs, threads):
 # tla-curves
 
 def cmd_tla_curves(args):
-    params = TlaParams(rabi=args.omega, gamma=args.gamma)
+    params = TlaParams(rabi=args.omega)
     schemes = _schemes(args.schemes)
     if args.dump_count < 1:
         raise UsageError(f"--dump-count must be at least 1, got {args.dump_count}")
     model = build_tla(params)
     theta, rho_ss = M.tla_theta(params)
-    cfg = T.TrajectoryConfig(dt=args.dt / params.gamma,
-                             horizon=args.horizon / params.gamma,
-                             seed=args.seed, sample_stride=args.stride)
+    cfg = T.TrajectoryConfig(dt=args.dt, horizon=args.horizon, seed=args.seed,
+                             sample_stride=args.stride)
     rows = []
     for name in schemes:
         curve = T.run_ensemble(model, T.UnravellingSpec(name), rho_ss, cfg,
                                args.n_traj, "purity")
         for t, mean, err in zip(curve.times, curve.mean, curve.stderr):
-            rows.append((float(t * params.gamma), name, float(mean), float(err)))
-    config = {"omega": args.omega, "gamma": args.gamma, "schemes": schemes,
+            rows.append((float(t), name, float(mean), float(err)))
+    config = {"omega": args.omega, "schemes": schemes,
               "n_traj": args.n_traj, "dt": args.dt, "horizon": args.horizon,
               "seed": args.seed, "stride": args.stride,
               "theta": theta.theta}
@@ -240,7 +239,7 @@ def _dump_trajectories(model, scheme, rho0, cfg, count, path, config):
 # tla-rank
 
 def cmd_tla_rank(args):
-    params = TlaParams(rabi=args.omega, gamma=args.gamma)
+    params = TlaParams(rabi=args.omega)
     if args.measure not in M.MEASURE_KINDS:
         raise UsageError(f"unknown measure {args.measure!r}")
     schemes = _schemes(args.schemes)
@@ -250,7 +249,7 @@ def cmd_tla_rank(args):
     report = {
         "measure": args.measure,
         "system": "two_level_atom",
-        "params": {"omega": args.omega, "gamma": args.gamma},
+        "params": {"omega": args.omega},
         "n_traj": args.n_traj,
         "dt": args.dt,
         "seed": args.seed,
@@ -270,8 +269,7 @@ def cmd_tla_rank(args):
 # validate
 
 def _suite_invariance(args):
-    params = TlaParams(rabi=2.0, gamma=1.0)
-    model = build_tla(params)
+    model = build_tla(TlaParams(2.0))
     rho0 = DensityMatrix(np.diag([1.0, 0.0]))
     cfg = T.TrajectoryConfig(dt=1e-3, horizon=2.0, seed=args.seed,
                              sample_stride=400)
@@ -364,7 +362,7 @@ def _suite_properties(args):
     checks.append({"check": "closed_form_curves_match_ode", "value": diff,
                    "tolerance": 1e-9, "passed": bool(diff < 1e-9)})
 
-    model = build_tla(TlaParams(2.0, 1.0))
+    model = build_tla(TlaParams(2.0))
     rho0 = DensityMatrix(np.diag([1.0, 0.0]))
     r1 = T.run_trajectory(model, T.UnravellingSpec("heterodyne", 0.7), rho0, cfg)
     r2 = T.run_trajectory(model, T.UnravellingSpec("heterodyne", 0.7), rho0, cfg)
@@ -426,8 +424,8 @@ def build_parser():
     qbm.set_defaults(fn=cmd_qbm_optimal)
 
     curves = sub.add_parser("tla-curves", help="atom purification curves")
-    curves.add_argument("--omega", type=float, default=2.0)
-    curves.add_argument("--gamma", type=float, default=1.0)
+    curves.add_argument("--omega", type=float, default=2.0,
+                        help="Rabi frequency, units of gamma")
     curves.add_argument("--schemes", default=",".join(TLA_SCHEMES))
     curves.add_argument("--n-traj", type=int, default=2000)
     curves.add_argument("--dt", type=float, default=1e-3,
@@ -444,8 +442,8 @@ def build_parser():
     curves.set_defaults(fn=cmd_tla_curves)
 
     rank = sub.add_parser("tla-rank", help="rank unravellings by one measure")
-    rank.add_argument("--omega", type=float, default=2.0)
-    rank.add_argument("--gamma", type=float, default=1.0)
+    rank.add_argument("--omega", type=float, default=2.0,
+                      help="Rabi frequency, units of gamma")
     rank.add_argument("--measure", default="survival")
     rank.add_argument("--schemes", default=",".join(TLA_SCHEMES))
     rank.add_argument("--n-traj", type=int, default=10_000)

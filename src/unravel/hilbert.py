@@ -93,7 +93,7 @@ class LindbladModel:
     """
 
     hamiltonian: np.ndarray
-    jump_operators: tuple = ()
+    jump_operators: tuple
 
     def __init__(self, hamiltonian, jump_operators=()):
         h = _as_complex_matrix(hamiltonian)

@@ -4,10 +4,11 @@ Purification time, efficiency threshold, mixing time and survival time,
 all defined against the shared halfway threshold theta = (1 + Tr[rho_ss^2])/2.
 The Brownian-particle backend is deterministic (closed-form Riccati and
 Lyapunov curves, closed-form survival); the two-level-atom backend is Monte
-Carlo with explicit statistical uncertainties.  Each QBM measure has one
-body over a stack of disk points, which the detection-disk optimizer calls
-once for its coarse grid and once per compass-search iteration; the module
-also hosts the unravelling ranking harness.
+Carlo with explicit statistical uncertainties, in the atom's unit gamma
+(times in 1/gamma, so Omega alone sets a result).  Each QBM measure has
+one body over a stack of disk points, which the detection-disk optimizer
+calls once for its coarse grid and once per compass-search iteration; the
+module also hosts the unravelling ranking harness.
 """
 
 import functools
@@ -291,33 +292,27 @@ def _mixed_steady_state(params, degenerate):
     return theta, rho_ss
 
 
-def _scaled(params, value):
-    # internal times are in 1/gamma units already when gamma = 1; rescale
-    return value / params.gamma
-
-
 def purification_time_tla(params, spec, opts=McOptions()):
     """First crossing of the mean conditional purity up through theta,
     conditioning from the unconditional steady state at unit efficiency."""
     theta, rho_ss = tla_theta(params)
     if theta.rho_ss_purity >= 1.0 - 1e-12:
         return MeasureResult("purification", 0.0,
-                             metadata={"rabi": params.rabi, "gamma": params.gamma,
-                                       "scheme": spec.kind, "degenerate": True})
+                             metadata={"rabi": params.rabi, "scheme": spec.kind,
+                                       "degenerate": True})
     spec1 = replace(spec, eta=1.0)
     model = build_tla(params)
-    cfg = TrajectoryConfig(dt=_scaled(params, opts.dt),
-                           horizon=_scaled(params, _TLA_PUR_HORIZON),
-                           seed=opts.seed, sample_stride=_TLA_SAMPLE_STRIDE)
+    cfg = TrajectoryConfig(dt=opts.dt, horizon=_TLA_PUR_HORIZON, seed=opts.seed,
+                           sample_stride=_TLA_SAMPLE_STRIDE)
     curve = T.run_ensemble(model, spec1, rho_ss, cfg, opts.n_traj, "purity")
     tau, err = crossing_with_uncertainty(curve.times, curve.mean, curve.stderr,
                                          theta.theta)
-    return MeasureResult("purification", tau * params.gamma, err * params.gamma,
+    return MeasureResult("purification", tau, err,
                          metadata=_mc_meta(params, spec, opts, curve.n))
 
 
 def _mc_meta(params, spec, opts, n):
-    return {"rabi": params.rabi, "gamma": params.gamma, "scheme": spec.kind,
+    return {"rabi": params.rabi, "scheme": spec.kind,
             "n_traj": n, "dt": opts.dt, "seed": opts.seed}
 
 
@@ -331,9 +326,7 @@ def conditioned_stationary_states(params, spec, opts):
     """Sample stationary conditioned states from long unit-efficiency runs."""
     model = build_tla(params)
     _, rho_ss = tla_theta(params)
-    cfg = TrajectoryConfig(dt=_scaled(params, opts.dt),
-                           horizon=_scaled(params, _TLA_RELAX_TIME),
-                           seed=opts.seed)
+    cfg = TrajectoryConfig(dt=opts.dt, horizon=_TLA_RELAX_TIME, seed=opts.seed)
     return T.run_final_states(model, replace(spec, eta=1.0), rho_ss, cfg, opts.n_traj)
 
 
@@ -348,7 +341,7 @@ def mixing_and_survival_tla(params, spec, opts=McOptions()):
     model = build_tla(params)
     frozen = conditioned_stationary_states(params, spec, opts)
     n = frozen.shape[0]
-    tau_grid = np.linspace(0.0, _scaled(params, _TLA_TAU_HORIZON), 241)
+    tau_grid = np.linspace(0.0, _TLA_TAU_HORIZON, 241)
     # mean and standard error of the purity and the overlap at each delay
     stats, root_n = [], math.sqrt(n)
     for _, states in _superop_steps(model, frozen, tau_grid):
@@ -359,10 +352,8 @@ def mixing_and_survival_tla(params, spec, opts=McOptions()):
     meta = _mc_meta(params, spec, opts, n)
     t_mix, e_mix = crossing_with_uncertainty(tau_grid, pur_mean, pur_err, theta.theta)
     t_sur, e_sur = crossing_with_uncertainty(tau_grid, ov_mean, ov_err, theta.theta)
-    return (MeasureResult("mixing", t_mix * params.gamma, e_mix * params.gamma,
-                          metadata=meta),
-            MeasureResult("survival", t_sur * params.gamma, e_sur * params.gamma,
-                          metadata=meta))
+    return (MeasureResult("mixing", t_mix, e_mix, metadata=meta),
+            MeasureResult("survival", t_sur, e_sur, metadata=meta))
 
 
 def mixing_time_tla(params, spec, opts=McOptions()):
@@ -378,9 +369,8 @@ def _long_run_purity(params, spec, etas, opts):
     at every efficiency in `etas` from one pass on shared noise: (E, n_traj)."""
     model = build_tla(params)
     _, rho_ss = tla_theta(params)
-    cfg = TrajectoryConfig(dt=_scaled(params, opts.dt),
-                           horizon=_scaled(params, _TLA_ETA_TIME),
-                           seed=opts.seed, sample_stride=_TLA_SAMPLE_STRIDE)
+    cfg = TrajectoryConfig(dt=opts.dt, horizon=_TLA_ETA_TIME, seed=opts.seed,
+                           sample_stride=_TLA_SAMPLE_STRIDE)
     return T.run_purity_averages(model, spec, rho_ss, cfg, opts.n_traj, etas)
 
 
@@ -587,7 +577,7 @@ class RankingEntry:
     scheme: str
     value: float
     uncertainty: float
-    resolved_vs_next: bool = True
+    resolved_vs_next: bool
 
 
 # adjacent ranked schemes are resolved when their gap exceeds this many

@@ -1,8 +1,10 @@
 """The two benchmark systems: driven two-level atom and monitored Brownian particle.
 
 Single source of truth for their operators, parameters and allowed
-unravelling sets.  The Brownian particle gets a Fock-space twin that acts
-as the brute-force oracle for the Gaussian backend.
+unravelling sets.  The atom is in units of its emission rate gamma, so
+the Rabi frequency is its one parameter.  The Brownian particle gets a
+Fock-space twin that acts as the brute-force oracle for the Gaussian
+backend.
 """
 
 import math
@@ -25,17 +27,14 @@ from .hilbert import (
 
 @dataclass(frozen=True)
 class TlaParams:
-    """Rabi frequency and spontaneous emission rate; times are reported in 1/gamma."""
+    """Rabi frequency in units of the spontaneous emission rate gamma, which
+    is the atom's unit: every rate is in gamma, every time in 1/gamma."""
 
     rabi: float
-    gamma: float = 1.0
 
     def __post_init__(self):
-        for name, value in (("rabi", self.rabi), ("gamma", self.gamma)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not math.isfinite(self.rabi):
+            raise ValueError(f"rabi must be finite, got {self.rabi}")
         if self.rabi < 0:
             raise ValueError("rabi must be non-negative")
 
@@ -44,9 +43,10 @@ TLA_SCHEMES = ("direct", "homodyne_x", "homodyne_y", "heterodyne", "aid")
 
 
 def build_tla(params):
-    """Resonance-fluorescence model: H = (Omega/2) sigma_x, jump sqrt(gamma) sigma_-."""
-    h = 0.5 * params.rabi * PAULI_X
-    return LindbladModel(h, [math.sqrt(params.gamma) * SIGMA_MINUS])
+    """Resonance-fluorescence model in units of gamma: H = (Omega/2) sigma_x,
+    jump sigma_-."""
+    # a copy: LindbladModel marks its operators read-only
+    return LindbladModel(0.5 * params.rabi * PAULI_X, [SIGMA_MINUS.copy()])
 
 
 def qbm_coupling_operator(params, workspace):

@@ -640,7 +640,7 @@ class _EventJumpSampler(_SuperopJumpKernel):
         n_eta, n = len(self.props[0]), y.shape[1]
         cap = max(1, int(_NOISE_BLOCK_BYTES // (len(self.props) * n_eta * n * n * 8)) - 1)
         stops = sorted({*sample_pos, n_steps, *range(cap, n_steps, cap)} - {0})
-        self.prepare(n_steps, int(np.diff([0, *stops]).max()))
+        self.prepare(n_steps, int(max(np.diff([0, *stops]), default=0)))
         b = len(y) // n_eta
         traj = np.arange(len(y)) % b
         table = np.repeat(np.arange(n_eta), b)
@@ -779,15 +779,16 @@ class _PurifiedKernel:
 _SUPEROP_DIM_LIMIT = 8
 
 
-def _select_kernel(model, spec, rho0, dt, statistic, etas=None):
+def _select_kernel(model, spec, rho0, dt, statistic, etas):
     """The stepping kernel or sampler for one run; no other code chooses one.
 
     Counting schemes run event-driven whatever the statistic (`step_jump`
     takes the sampler's stepped step).  Diffusive schemes use the Kraus
     superoperators up to dimension _SUPEROP_DIM_LIMIT.  Above it, eta = 1
-    runs that need only purities or final states use the purified bundle,
-    and the rest the matrix kernel.  Neither takes `etas`, so any
-    efficiency stack, even of one, needs dimension <= _SUPEROP_DIM_LIMIT.
+    runs of a single jump operator that need only purities or final states
+    use the purified bundle, and the rest the matrix kernel.  Neither takes
+    `etas` (None: spec.eta alone), so any efficiency stack, even of one,
+    needs dimension <= _SUPEROP_DIM_LIMIT.
     """
     if not spec.is_diffusive:
         return _EventJumpSampler(model, spec, dt, etas)
@@ -795,7 +796,8 @@ def _select_kernel(model, spec, rho0, dt, statistic, etas=None):
         return _KrausDiffusiveKernel(model, spec, dt, etas)
     if etas is not None:
         raise ValueError(f"efficiency stacks need dimension <= {_SUPEROP_DIM_LIMIT}")
-    if spec.eta == 1.0 and statistic in ("purity", "final_states"):
+    if (spec.eta == 1.0 and len(model.jump_operators) == 1
+            and statistic in ("purity", "final_states")):
         return _PurifiedKernel(model, spec, rho0, dt)
     return _MatrixDiffusiveKernel(model, spec, dt)
 
@@ -818,7 +820,7 @@ def _single_step(model, spec, rho, dt, *draws):
     kernel's step inputs `draws`: (DensityMatrix, the step's further output
     or None).  A state stepped off the manifold is a StepSizeError."""
     m = _as_matrix(rho)
-    kernel = _select_kernel(model, spec, m, dt, "trajectory")
+    kernel = _select_kernel(model, spec, m, dt, "trajectory", None)
     out = kernel.step(kernel.initial(m[None, :, :]), *draws)
     y, extra = out if isinstance(out, tuple) else (out, None)
     try:
@@ -1029,7 +1031,7 @@ def _coord_purity(y):
     return np.einsum("ij,ij->i", y, y)
 
 
-def _collect_static(statistic, mats, sink, j=0):
+def _collect_static(statistic, mats, sink, j):
     """Add states `mats` at sample index j to a purity collector or mean-state sum."""
     if statistic == "purity":
         sink.add(j, _batch_purity(mats))
@@ -1068,7 +1070,7 @@ def run_ensemble(model, spec, rho0, config, n_traj, statistic="purity"):
     else:
         sink = np.zeros((len(sample_idx), model.dim, model.dim), dtype=complex)
     if n_steps == 0:
-        _collect_static(statistic, np.broadcast_to(rho0_m, (n_traj, *rho0_m.shape)), sink)
+        _collect_static(statistic, np.broadcast_to(rho0_m, (n_traj, *rho0_m.shape)), sink, 0)
     else:
         _run_chunks(model, spec, rho0_m, config, range(n_traj), statistic, sample_idx,
                     lambda kernel, _rows, j, y: _emit(kernel, y, j, statistic, sink),

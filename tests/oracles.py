@@ -23,10 +23,11 @@ from unravel.measures import QBM_THETA
 
 
 def tla_steady_bloch(params):
-    """Closed-form stationary Bloch vector of the resonance-fluorescence equation."""
-    omega, gamma = params.rabi, params.gamma
-    denom = 2.0 * omega ** 2 + gamma ** 2
-    return 0.0, 2.0 * omega * gamma / denom, -gamma ** 2 / denom
+    """Closed-form stationary Bloch vector of the resonance-fluorescence
+    equation, in units of gamma."""
+    omega = params.rabi
+    denom = 2.0 * omega ** 2 + 1.0
+    return 0.0, 2.0 * omega / denom, -1.0 / denom
 
 
 def fock_covariance(workspace, rho):

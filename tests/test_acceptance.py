@@ -60,7 +60,7 @@ def qbm_optima():
 def tla_mix_sur():
     """Mixing and survival for all five schemes at Omega = 2 gamma, N = 1e4."""
     opts = M.McOptions(n_traj=10_000, dt=2e-3, seed=SEED)
-    params = TlaParams(2.0, 1.0)
+    params = TlaParams(2.0)
     out = {}
     start = time.time()
     for name in ("direct", "homodyne_x", "homodyne_y", "heterodyne", "aid"):
@@ -84,7 +84,7 @@ def test_criterion_1_unravelling_invariance():
     """Ensemble mean matches unconditional propagation for every scheme and
     efficiency: TLA at Omega = 2 gamma, N = 5000, dt = 1e-3, horizon 5."""
     start = time.time()
-    params = TlaParams(2.0, 1.0)
+    params = TlaParams(2.0)
     model = build_tla(params)
     rho0 = DensityMatrix(np.diag([1.0, 0.0]))
     cfg = T.TrajectoryConfig(dt=1e-3, horizon=5.0, seed=SEED, sample_stride=500)
@@ -248,7 +248,7 @@ def test_criterion_6b_purification_ranking():
     opts = M.McOptions(n_traj=10_000, dt=2e-3, seed=SEED)
     pairs = [(0.4, "homodyne_x", "homodyne_y"), (5.0, "heterodyne", "direct")]
     for omega, top_name, bottom_name in pairs:
-        params = TlaParams(omega, 1.0)
+        params = TlaParams(omega)
         top = M.purification_time_tla(params, T.UnravellingSpec(top_name), opts)
         bottom = M.purification_time_tla(params, T.UnravellingSpec(bottom_name), opts)
         assert _disjoint(top, bottom), (omega, top, bottom)
@@ -272,7 +272,7 @@ def test_criterion_6c_efficiency_threshold_ranking():
     for omega, top_name, bottom_name in ((0.5, "aid", "homodyne_y"),
                                          (5.0, "aid", "direct"),
                                          (20.0, "direct", "homodyne_y")):
-        params = TlaParams(omega, 1.0)
+        params = TlaParams(omega)
         top = M.efficiency_threshold_tla(params, T.UnravellingSpec(top_name), opts)
         bottom = M.efficiency_threshold_tla(params, T.UnravellingSpec(bottom_name), opts)
         resolved = _disjoint(top, bottom)
@@ -300,7 +300,7 @@ def test_criterion_7_degenerate_cases():
     threshold; eta = 0 conditioning equals the unconditional flow to 1e-10;
     identical seeds give identical trajectories."""
     start = time.time()
-    params = TlaParams(0.0, 1.0)
+    params = TlaParams(0.0)
     res = M.purification_time(params, T.UnravellingSpec("direct"))
     assert res.value == 0.0
     with pytest.raises(AssumptionError):
@@ -314,7 +314,7 @@ def test_criterion_7_degenerate_cases():
                   - G.unconditional_covariance_curve(gen0, v0, t)).max()
     assert diff < 1e-10, diff
 
-    model = build_tla(TlaParams(2.0, 1.0))
+    model = build_tla(TlaParams(2.0))
     rho0 = DensityMatrix(np.diag([1.0, 0.0]))
     cfg = T.TrajectoryConfig(dt=1e-3, horizon=0.5, seed=SEED)
     r1 = T.run_trajectory(model, T.UnravellingSpec("heterodyne", 0.7), rho0, cfg)
@@ -390,7 +390,7 @@ def test_criterion_6_full_table():
     for (kind, omega), want in expected.items():
         start = time.time()
         opts = M.McOptions(n_traj=n_by_kind[kind], dt=2e-3, seed=SEED)
-        entries = M.rank_unravellings(TlaParams(omega, 1.0), kind, schemes, opts)
+        entries = M.rank_unravellings(TlaParams(omega), kind, schemes, opts)
         got = [e.scheme for e in entries]
         for i, entry in enumerate(entries[:-1]):
             all_pairs += 1

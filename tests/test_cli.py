@@ -157,6 +157,32 @@ class TestTlaCurves:
         trajectories = {l.split(",")[2] for l in data[1:]}
         assert trajectories == {"0", "1"}
 
+    def test_dump_times_are_the_curve_times(self, tmp_path):
+        # the curves and the dump of their first scheme share one clock in
+        # 1/gamma, which ends at --horizon
+        out, dump = tmp_path / "c.csv", tmp_path / "d.csv"
+        assert run_cli(["tla-curves", "--schemes", "homodyne_x,direct", "--n-traj", "2",
+                        "--horizon", "0.2", "--stride", "50", "--out", str(out),
+                        "--dump", str(dump), "--dump-count", "2"]) == 0
+        curves, dumped = (list(csv.DictReader(l for l in path.read_text().splitlines()
+                                              if not l.startswith("#")))
+                          for path in (out, dump))
+        times = [row["t"] for row in curves if row["scheme"] == "homodyne_x"]
+        for index in ("0", "1"):
+            assert [row["t"] for row in dumped if row["trajectory"] == index] == times
+        assert float(times[-1]) == 0.2
+
+    @pytest.mark.parametrize("command", ["tla-curves", "tla-rank"])
+    def test_gamma_is_no_flag(self, tmp_path, monkeypatch, command):
+        # the atom's unit is gamma, so neither a flag nor a config key sets it
+        monkeypatch.setattr(cli.M, "rank_unravellings", _never_called)
+        monkeypatch.setattr(cli.T, "run_ensemble", _never_called)
+        out, cfg = tmp_path / "x", tmp_path / "run.cfg"
+        cfg.write_text("gamma = 2\n")
+        assert run_cli([command, "--gamma", "2", "--out", str(out)]) == 2
+        assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_dump_count_below_one_is_usage_error(self, tmp_path, monkeypatch, count):
         # no ensemble runs and neither file is written, not even a
@@ -286,7 +312,6 @@ class TestTlaRank:
     (["qbm-optimal", "--temps", "inf"], "temperature"),
     (["qbm-optimal", "--temps", "1,nan"], "temperature"),
     (["tla-rank", "--omega", "nan"], "rabi"),
-    (["tla-rank", "--gamma", "inf"], "gamma"),
     (["tla-curves", "--omega", "nan"], "rabi"),
 ])
 def test_non_finite_parameter_is_usage_error(tmp_path, capsys, argv, field):

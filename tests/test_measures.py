@@ -32,7 +32,7 @@ class TestThetaThreshold:
         assert th.theta == pytest.approx(8.0 / 9.0)
 
     def test_tla_theta_matches_bloch_solution(self):
-        th, _ = M.tla_theta(TlaParams(1.0, 1.0))
+        th, _ = M.tla_theta(TlaParams(1.0))
         assert th.rho_ss_purity == pytest.approx(7.0 / 9.0, abs=1e-9)
 
 
@@ -333,7 +333,7 @@ class TestSyntheticBisection:
         # p(eta) = p0 + (1 - p0) eta with theta = (1 + p0)/2 gives eta_thr = 1/2
         calls = []
         self._fake(monkeypatch, lambda eta: self.P0 + (1.0 - self.P0) * eta, calls)
-        res = M.efficiency_threshold_tla(TlaParams(1.0, 1.0), T.UnravellingSpec("homodyne_x"),
+        res = M.efficiency_threshold_tla(TlaParams(1.0), T.UnravellingSpec("homodyne_x"),
                                          M.McOptions())
         assert res.value == pytest.approx(0.5, abs=1e-9)
         # two passes: the probes, then the interior of the bracket [0.25, 0.5]
@@ -350,13 +350,13 @@ class TestSyntheticBisection:
     def test_monotonicity_violation_detected(self, monkeypatch):
         self._fake(monkeypatch, lambda eta: 1.0 - 0.5 * eta)   # decreasing: unphysical
         with pytest.raises(AssumptionError):
-            M.efficiency_threshold_tla(TlaParams(1.0, 1.0), T.UnravellingSpec("homodyne_x"),
+            M.efficiency_threshold_tla(TlaParams(1.0), T.UnravellingSpec("homodyne_x"),
                                        M.McOptions())
 
     def test_unit_efficiency_below_theta_has_no_bracket(self, monkeypatch):
         self._fake(monkeypatch, lambda eta: self.P0 + 0.2 * eta)   # p(1) < theta = 0.7
         with pytest.raises(BracketError):
-            M.efficiency_threshold_tla(TlaParams(1.0, 1.0), T.UnravellingSpec("homodyne_x"),
+            M.efficiency_threshold_tla(TlaParams(1.0), T.UnravellingSpec("homodyne_x"),
                                        M.McOptions())
 
 
@@ -368,7 +368,7 @@ class TestThresholdCoverage:
         assert exact == pytest.approx(0.7551, abs=1e-4)
         z = []
         for seed in range(1, 11):
-            res = M.efficiency_threshold_tla(TlaParams(5.0, 1.0), T.UnravellingSpec("direct"),
+            res = M.efficiency_threshold_tla(TlaParams(5.0), T.UnravellingSpec("direct"),
                                              M.McOptions(n_traj=1000, dt=4e-3, seed=seed))
             z.append((res.value - exact) / res.uncertainty)
         assert sum(abs(v) <= 2.0 for v in z) >= 8, z
@@ -376,7 +376,7 @@ class TestThresholdCoverage:
 
 class TestTlaMeasures:
     def test_undriven_atom_purifies_instantly(self):
-        res = M.purification_time(TlaParams(0.0, 1.0), T.UnravellingSpec("direct"))
+        res = M.purification_time(TlaParams(0.0), T.UnravellingSpec("direct"))
         assert res.value == 0.0
         assert res.metadata.get("degenerate") is True
 
@@ -389,7 +389,7 @@ class TestTlaMeasures:
             raise AssertionError("an ensemble ran for a pure steady state")
         monkeypatch.setattr(T, "run_final_states", never)
         with pytest.raises(AssumptionError, match="steady state is already pure"):
-            measure(TlaParams(0.0, 1.0), T.UnravellingSpec("aid"), opts=FAST_MC)
+            measure(TlaParams(0.0), T.UnravellingSpec("aid"), opts=FAST_MC)
 
     @pytest.mark.parametrize("seed", [-2, 1.5, True, "3"])
     def test_options_reject_a_seed_that_is_no_non_negative_integer(self, seed):
@@ -397,14 +397,14 @@ class TestTlaMeasures:
             M.McOptions(n_traj=100, dt=1e-3, seed=seed)
 
     def test_weak_driving_homodyne_x_beats_heterodyne(self):
-        params = TlaParams(0.4, 1.0)
+        params = TlaParams(0.4)
         hx = M.purification_time(params, T.UnravellingSpec("homodyne_x"), opts=FAST_MC)
         het = M.purification_time(params, T.UnravellingSpec("heterodyne"), opts=FAST_MC)
         gap = het.value - hx.value
         assert gap > 3.0 * math.hypot(hx.uncertainty, het.uncertainty)
 
     def test_mixing_and_survival_share_ensemble(self):
-        params = TlaParams(2.0, 1.0)
+        params = TlaParams(2.0)
         mix, sur = M.mixing_and_survival_tla(params, T.UnravellingSpec("direct"), FAST_MC)
         assert mix.kind == "mixing" and sur.kind == "survival"
         assert mix.value > 0 and sur.value > 0
@@ -636,21 +636,21 @@ class TestOptimizeDisk:
 class TestRanking:
     def test_tiny_ensembles_unresolved(self):
         opts = M.McOptions(n_traj=12, dt=2e-3, seed=3)
-        entries = M.rank_unravellings(TlaParams(2.0, 1.0), "mixing",
+        entries = M.rank_unravellings(TlaParams(2.0), "mixing",
                                       ("homodyne_x", "heterodyne"), opts)
         assert len(entries) == 2
         assert not entries[0].resolved_vs_next
 
     def test_survival_orders_aid_above_direct(self):
         opts = M.McOptions(n_traj=1200, dt=2e-3, seed=5)
-        entries = M.rank_unravellings(TlaParams(2.0, 1.0), "survival",
+        entries = M.rank_unravellings(TlaParams(2.0), "survival",
                                       ("direct", "aid"), opts)
         assert entries[0].scheme == "aid"
         assert entries[0].resolved_vs_next
 
     def test_purification_ranks_fastest_first(self):
         opts = M.McOptions(n_traj=1200, dt=2e-3, seed=5)
-        entries = M.rank_unravellings(TlaParams(0.4, 1.0), "purification",
+        entries = M.rank_unravellings(TlaParams(0.4), "purification",
                                       ("homodyne_x", "homodyne_y"), opts)
         assert entries[0].scheme == "homodyne_x"
         assert entries[0].value < entries[1].value

@@ -8,7 +8,10 @@ import unravel.gaussian as G
 from unravel.errors import InvariantViolationError, TruncationError
 from unravel.gaussian import CovarianceState, DiskPoint, QbmParams, qbm_generators
 from unravel.hilbert import (
+    PAULI_X,
+    SIGMA_MINUS,
     DensityMatrix,
+    LindbladModel,
     overlap,
     propagate,
     purity,
@@ -27,32 +30,33 @@ from oracles import bloch, displaced, fock_covariance, gaussian_overlap, tla_ste
 
 class TestTla:
     def test_no_driving_decays_to_ground(self):
-        rho = steady_state(build_tla(TlaParams(rabi=0.0, gamma=1.0)))
+        rho = steady_state(build_tla(TlaParams(rabi=0.0)))
         assert bloch(rho)[2] == pytest.approx(-1.0, abs=1e-10)
 
     def test_steady_state_bloch_solution(self):
-        params = TlaParams(rabi=1.0, gamma=1.0)
+        params = TlaParams(rabi=1.0)
         rho = steady_state(build_tla(params))
         assert bloch(rho) == pytest.approx((0.0, 2 / 3, -1 / 3), abs=1e-10)
         assert tla_steady_bloch(params) == pytest.approx((0.0, 2 / 3, -1 / 3))
 
     def test_strong_driving_purity_approaches_half(self):
-        rho = steady_state(build_tla(TlaParams(rabi=200.0, gamma=1.0)))
+        rho = steady_state(build_tla(TlaParams(rabi=200.0)))
         assert purity(rho) == pytest.approx(0.5, abs=1e-4)
         assert purity(rho) > 0.5
 
     @pytest.mark.parametrize("field, kwargs", [
-        ("rabi", {"rabi": math.nan}), ("rabi", {"rabi": math.inf}),
-        ("gamma", {"rabi": 1.0, "gamma": math.inf}), ("gamma", {"rabi": 1.0, "gamma": math.nan})])
+        ("rabi", {"rabi": math.nan}), ("rabi", {"rabi": math.inf})])
     def test_parameters_must_be_finite(self, field, kwargs):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             TlaParams(**kwargs)
 
     def test_dynamics_depend_only_on_ratio(self):
-        # (Omega, gamma) and (2 Omega, 2 gamma) give the same Bloch curve vs gamma*t
+        # the model in units of gamma at Omega against (2 Omega, 2 gamma) in
+        # absolute units: the same Bloch curve against gamma * t
         excited = DensityMatrix(np.diag([1.0, 0.0]))
-        rho_a = propagate(build_tla(TlaParams(1.3, 1.0)), excited, 2.0)
-        rho_b = propagate(build_tla(TlaParams(2.6, 2.0)), excited, 1.0)
+        doubled = LindbladModel(0.5 * 2.6 * PAULI_X, [math.sqrt(2.0) * SIGMA_MINUS])
+        rho_a = propagate(build_tla(TlaParams(1.3)), excited, 2.0)
+        rho_b = propagate(doubled, excited, 1.0)
         assert trace_distance(rho_a, rho_b) < 1e-8
 
 

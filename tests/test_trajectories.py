@@ -11,9 +11,13 @@ from unravel import trajectories as T
 from unravel.errors import InvariantViolationError, SimulationError, StepSizeError
 from unravel.gaussian import CovarianceState, DiskPoint, QbmParams
 from unravel.hilbert import (
+    PAULI_X,
+    SIGMA_MINUS,
     DensityMatrix,
+    FockWorkspace,
     LindbladModel,
     _no_jump_generator,
+    dag,
     lindblad_rhs,
     propagate,
     purity,
@@ -28,8 +32,8 @@ EXCITED = DensityMatrix(np.diag([1.0, 0.0]))
 GROUND = DensityMatrix(np.diag([0.0, 1.0]))
 
 
-def tla(omega=2.0, gamma=1.0):
-    return TlaParams(rabi=omega, gamma=gamma)
+def tla(omega=2.0):
+    return TlaParams(rabi=omega)
 
 
 ALL_SCHEMES = ["homodyne_x", "homodyne_y", "heterodyne", "direct", "aid"]
@@ -117,29 +121,28 @@ class TestStepDiffusive:
 
 class TestStepJump:
     def test_ground_state_never_clicks(self):
-        model = build_tla(TlaParams(rabi=0.0, gamma=1.0))
+        model = build_tla(TlaParams(rabi=0.0))
         out, jumped = T.step_jump(model, T.UnravellingSpec("direct", 1.0), GROUND, 0.0001, 1e-3)
         assert not jumped
         assert trace_distance(out, GROUND) < 1e-12
 
     def test_excited_click_probability_first_order(self):
-        gamma = 1.0
-        model = build_tla(TlaParams(rabi=0.0, gamma=gamma))
+        model = build_tla(TlaParams(rabi=0.0))
         dt = 1e-3
         kernel = T._SuperopJumpKernel(model, T.UnravellingSpec("direct", 1.0), dt)
         y = kernel.initial(EXCITED.matrix[None, :, :])
         y_prop = kernel.props[0][0] @ y[0]   # sign +1, first (only) efficiency
         p = 1.0 - float(y_prop @ kernel.tr_vec)
-        assert p == pytest.approx(gamma * dt, rel=2e-3)
+        assert p == pytest.approx(dt, rel=2e-3)
 
     def test_click_projects_to_ground(self):
-        model = build_tla(TlaParams(rabi=0.0, gamma=1.0))
+        model = build_tla(TlaParams(rabi=0.0))
         out, jumped = T.step_jump(model, T.UnravellingSpec("direct", 1.0), EXCITED, 0.0, 1e-3)
         assert jumped
         assert trace_distance(out, GROUND) < 1e-12
 
     def test_oversized_step_rejected(self):
-        model = build_tla(TlaParams(rabi=0.0, gamma=1.0))
+        model = build_tla(TlaParams(rabi=0.0))
         with pytest.raises(StepSizeError):
             T.step_jump(model, T.UnravellingSpec("direct", 1.0), EXCITED, 0.5, 0.2)
 
@@ -298,7 +301,7 @@ class TestRunEnsemble:
         spec = T.UnravellingSpec(kind, eta)
         cfg = T.TrajectoryConfig(2e-3, 0.2, seed=4, sample_stride=25)
         if dim > 8:
-            kernel = T._select_kernel(model, spec, rho0.matrix, 2e-3, "mean_state")
+            kernel = T._select_kernel(model, spec, rho0.matrix, 2e-3, "mean_state", None)
             assert isinstance(kernel, T._MatrixDiffusiveKernel)
         states = T.run_ensemble(model, spec, rho0, cfg, 16, "mean_state").states
         assert np.array_equal(states, np.conj(np.swapaxes(states, 1, 2)))
@@ -370,8 +373,10 @@ class TestKernelReferences:
     @pytest.mark.parametrize("eta", [0.7, 1.0])
     @pytest.mark.parametrize("gamma", [1.0, 2.0])
     def test_jump_kernel_matches_the_matrix_reference(self, kind, eta, gamma):
-        # at gamma = 2 the kernel's local oscillator must scale as sqrt(gamma)
-        model, spec, dt, n = build_tla(tla(5.0, gamma)), T.UnravellingSpec(kind, eta), 4e-3, 64
+        # the atom at Omega = 5 with emission rate gamma, in absolute units: at
+        # gamma = 2 the kernel's local oscillator must scale as sqrt(gamma)
+        model = LindbladModel(2.5 * PAULI_X, [math.sqrt(gamma) * SIGMA_MINUS])
+        spec, dt, n = T.UnravellingSpec(kind, eta), 4e-3, 64
         beta = 0.5 * math.sqrt(gamma) if kind == "aid" else 0.0
         kernel = T._SuperopJumpKernel(model, spec, dt)
         start = np.broadcast_to(self.RHO, (n, 2, 2))
@@ -462,6 +467,13 @@ class TestEfficiencyStack:
         k = len(curve.times) // 4
         assert averages.mean() == pytest.approx(curve.mean[-k:].mean(), abs=1e-14)
 
+    @pytest.mark.parametrize("kind", ALL_SCHEMES)
+    def test_zero_horizon_keeps_the_start_purity(self, kind):
+        model, spec = build_tla(tla()), T.UnravellingSpec(kind, 0.6)
+        cfg = T.TrajectoryConfig(1e-3, 0.0, seed=4)
+        averages = T.run_purity_averages(model, spec, EXCITED, cfg, 8, (0.6, 1.0))
+        assert np.array_equal(averages, np.ones((2, 8)))
+
     def test_stacks_need_small_dimension(self):
         model, _ = build_qbm_oracle(QbmParams(1.0), 12)
         rho0 = np.diag([1.0] + [0.0] * 11)
@@ -535,7 +547,7 @@ class TestEventSampler:
 
     def test_click_without_emission_raises(self):
         # an undriven atom in its ground state has nothing to emit
-        model = build_tla(TlaParams(rabi=0.0, gamma=1.0))
+        model = build_tla(TlaParams(rabi=0.0))
         sampler = T._EventJumpSampler(model, T.UnravellingSpec("direct"), 1e-3)
         sampler.prepare(1, 1)
         with pytest.raises(SimulationError, match="post-click trace"):
@@ -581,7 +593,7 @@ class TestEventSampler:
         model = build_tla(tla())
         for statistic in ("purity", "mean_state", "final_states", "trajectory"):
             kernel = T._select_kernel(model, T.UnravellingSpec("aid"), EXCITED.matrix, 1e-3,
-                                      statistic)
+                                      statistic, None)
             assert isinstance(kernel, T._EventJumpSampler)
         # step_jump's one window is the stepped kernel's step
         assert T._EventJumpSampler.step is T._SuperopJumpKernel.step
@@ -664,7 +676,7 @@ class TestEventSampler:
         # independent seeds, n = 20,000: long-run purities at four
         # efficiencies (the threshold setting) and a purity curve, against
         # the same runs stepped one window at a time (oracles.stepped_counting)
-        params = TlaParams(5.0, 1.0)
+        params = TlaParams(5.0)
         model = build_tla(params)
         rho_ss = steady_state(model).matrix
         spec, n = T.UnravellingSpec(kind), 20_000
@@ -703,7 +715,7 @@ class TestEventSampler:
         # independent seeds, n = 20,000: mixing and survival times at
         # Omega = 2 gamma from event-driven final states, against the same
         # measures from final states stepped one window at a time
-        params, spec = TlaParams(2.0, 1.0), T.UnravellingSpec(kind)
+        params, spec = TlaParams(2.0), T.UnravellingSpec(kind)
         opts = M.McOptions(n_traj=20_000, seed=31)
         event = M.mixing_and_survival_tla(params, spec, opts)
 
@@ -892,8 +904,7 @@ class TestNoiseStream:
 class TestJumpStatistics:
     def test_waiting_time_exponential(self):
         # Omega = 0 direct detection from the excited state
-        gamma = 1.0
-        model = build_tla(TlaParams(rabi=0.0, gamma=gamma))
+        model = build_tla(TlaParams(rabi=0.0))
         dt = 1e-3
         n = 10_000
         kernel = T._SuperopJumpKernel(model, T.UnravellingSpec("direct", 1.0), dt)
@@ -908,7 +919,7 @@ class TestJumpStatistics:
             first[newly] = (step + 1) * dt
         seen = first[~np.isnan(first)]
         assert len(seen) > 0.99 * n
-        _, p_value = stats.kstest(seen, "expon", args=(0, 1.0 / gamma))
+        _, p_value = stats.kstest(seen, "expon", args=(0, 1.0))
         assert p_value > 0.05
 
 
@@ -920,7 +931,7 @@ class TestPurifiedPath:
         spec = T.UnravellingSpec("general_dyne", 1.0, DiskPoint(1.0, 0.0))
         cfg = T.TrajectoryConfig(2e-3, 0.6, seed=7, sample_stride=100)
         _, dt, _ = cfg.grid()
-        assert isinstance(T._select_kernel(model, spec, rho0, dt, "purity"),
+        assert isinstance(T._select_kernel(model, spec, rho0, dt, "purity", None),
                           T._PurifiedKernel)
         pure = T.run_ensemble(model, spec, rho0, cfg, 120)
         monkeypatch.setattr(T, "_select_kernel",
@@ -991,5 +1002,24 @@ class TestPurifiedPath:
         spec = T.UnravellingSpec("general_dyne", 0.5, DiskPoint(1.0, 0.0))
         with pytest.raises(ValueError):
             T._PurifiedKernel(model, spec, rho0, 2e-3)
-        assert isinstance(T._select_kernel(model, spec, rho0, 2e-3, "purity"),
+        assert isinstance(T._select_kernel(model, spec, rho0, 2e-3, "purity", None),
                           T._MatrixDiffusiveKernel)
+
+    def test_second_jump_operator_takes_the_matrix_kernel(self):
+        # the bundle carries one measured channel; above d = 8 a model with a
+        # second (unmonitored) jump operator runs on the matrix kernel at
+        # eta = 1 too, for every statistic
+        ws = FockWorkspace(10)
+        a = ws.annihilation
+        model = LindbladModel(ws.position @ ws.position, [0.5 * a, 0.3 * (dag(a) @ a)])
+        spec, rho0 = T.UnravellingSpec("homodyne_x"), np.diag([0.0, 1.0] + [0.0] * 8)
+        cfg = T.TrajectoryConfig(2e-3, 0.1, seed=3, sample_stride=25)
+        for statistic in ("purity", "final_states"):
+            assert isinstance(T._select_kernel(model, spec, rho0, 2e-3, statistic, None),
+                              T._MatrixDiffusiveKernel)
+        curve = T.run_ensemble(model, spec, rho0, cfg, 4, "purity")
+        final = T.run_final_states(model, spec, rho0, cfg, 4)
+        assert curve.mean[0] == pytest.approx(1.0)
+        assert np.all((curve.mean > 0.1) & (curve.mean <= 1.0 + 1e-9))
+        assert final.shape == (4, 10, 10)
+        assert np.allclose(np.einsum("bii->b", final), 1.0)
