@@ -2,10 +2,10 @@
 
 Diffusive (homodyne / heterodyne / general-dyne), jump (direct detection)
 and adaptive-feedback jump (AID) unravellings, plus a seeded ensemble
-runner with one keying rule for its random numbers: one counter-based
-stream per group of _GROUP trajectories and family (noise or clicks),
-keyed by (master seed, group) (`_group_stream`).  Trajectory i reads
-column i mod _GROUP of group i // _GROUP, and chunks hold whole groups, so
+runner with one keying rule for its random numbers: one SFC64 stream per
+group of _GROUP trajectories and family (noise or clicks), keyed by
+(master seed, group) (`_group_stream`).  Trajectory i reads column
+i mod _GROUP of group i // _GROUP, and chunks hold whole groups, so
 results depend neither on chunking nor on the ensemble size.
 
 Every run, an ensemble or one trajectory, enters through one function,
@@ -191,7 +191,7 @@ def _group_stream(seed, group, *tag):
     Its spawn key (group, _GROUP, *tag) has two words for the click
     uniforms and three for the noise, so it is never another family's key
     nor the one-word key of a `trajectory_rng` stream."""
-    return np.random.Generator(np.random.Philox(
+    return np.random.Generator(np.random.SFC64(
         np.random.SeedSequence(entropy=seed, spawn_key=(group, _GROUP, *tag))))
 
 
@@ -288,8 +288,9 @@ def _basis_initial(kernel, mats):
 
 
 def _basis_to_matrices(kernel, y):
-    """`to_matrices` of the small-dimension kernels: (b, d, d) states."""
-    return _from_coords(y, kernel.dim)
+    """`to_matrices` of the small-dimension kernels: (b, d, d) unit-trace states.
+    Each trace is a GEMV, which unlike a sum along rows is fast in both layouts."""
+    return _from_coords(y / (y[:, :kernel.dim] @ np.ones(kernel.dim))[:, None], kernel.dim)
 
 
 class _KrausDiffusiveKernel:
@@ -302,59 +303,66 @@ class _KrausDiffusiveKernel:
     the exact drift exponential keeps strong driving accurate without tiny
     steps.  The map expands into fixed real superoperators with
     per-trajectory coefficients, S0 + sum_k u_k S_k + sum_{k<=l} u_k u_l S_kl,
-    stacked into one (J n, n) matrix for one GEMM against the contiguous
-    (n, b) view of the batch.  It steps E efficiencies `etas` (default
-    (spec.eta,)) at once, in eta-major rows: row e*b + i is trajectory i at
-    etas[e] and reads noise row i.  Only S0 (the (1 - eta) dt leak) depends
-    on eta, so the stack is (E, J n, n), one GEMM per efficiency block.
+    each term times eta^(p/2) for its degree p in u, so the coefficients
+    are those of v = u / sqrt(eta) = dW + sqrt(eta) <A + A^dag> dt.  One
+    GEMM of the (n n, J) terms against the (J, b) coefficients builds each
+    trajectory's map, and one einsum applies it to the contiguous (n, b)
+    view of the batch.  States are unnormalised between samples: a step
+    reads the means as (w . y) / (tr . y) and scales every coefficient by
+    1 / tr, so y steps as y / tr would and each trace stays within one step
+    of 1 at any horizon and dt (`to_matrices`, `_coord_purity` normalise).
+    E efficiencies `etas` (default (spec.eta,)) step at once in eta-major
+    rows, row e*b + i trajectory i at etas[e] reading noise row i, with
+    terms and weights stacked per efficiency: one GEMM per block.
     """
 
     def __init__(self, model, spec, dt, etas=None):
         self.dim = model.dim
-        self.dt = dt
         etas = (spec.eta,) if etas is None else etas
-        self.root_eta = np.sqrt(etas)[:, None]
-        self.eta_dt = (np.array(etas) * dt)[:, None]
         c = _measured_op(model)
         prop = expm(_no_jump_generator(model) * dt)
         ops = [z * c for z in spec.channel_coefficients()]
         self.n_ch = len(ops)
         sandwich = lambda x, y: np.kron(x, y.conj())
-
-        def leaky(eta):
-            s0 = sandwich(prop, prop)
-            for a in ops:
-                s0 = s0 + (1.0 - eta) * dt * sandwich(a, a)
-            for op in model.jump_operators[1:]:
-                s0 = s0 + dt * sandwich(op, op)
-            return _real_superop(s0)
-
-        terms = [sandwich(a, prop) + sandwich(prop, a) for a in ops]
+        shared = [(1, _real_superop(sandwich(a, prop) + sandwich(prop, a))) for a in ops]
         self.pairs = [(k, l) for k in range(self.n_ch) for l in range(k, self.n_ch)]
         for k, l in self.pairs:
             term = sandwich(ops[k], ops[l])
             if l != k:
                 term = term + sandwich(ops[l], ops[k])
-            terms.append(term)
-        shared = [_real_superop(t) for t in terms]
-        self.stack = np.stack([np.concatenate([leaky(eta), *shared]) for eta in etas])
-        self.weights = _coords(np.stack([a + dag(a) for a in ops]))
+            shared.append((2, _real_superop(term)))
+
+        def terms(eta):
+            """(n n, J): row i n + j holds entry (i, j) of every term at eta."""
+            s0 = sandwich(prop, prop)
+            for a in ops:
+                s0 = s0 + (1.0 - eta) * dt * sandwich(a, a)
+            for op in model.jump_operators[1:]:
+                s0 = s0 + dt * sandwich(op, op)
+            scaled = [eta ** (p / 2) * s for p, s in shared]
+            return np.stack([_real_superop(s0), *scaled], axis=-1).reshape(len(s0) ** 2, -1)
+
+        self.stack = np.stack([terms(eta) for eta in etas])
+        # per efficiency: the trace row, then sqrt(eta) dt <A_k + A_k^dag>
+        self.weights = np.stack([_coords(np.stack([np.eye(self.dim), *(
+            math.sqrt(eta) * dt * (a + dag(a)) for a in ops)])) for eta in etas])
 
     initial = _basis_initial
 
     def step(self, y, dw_row):
         n_eta, n = len(self.stack), y.shape[1]
         yt = y.T
-        means = (self.weights @ yt).reshape(self.n_ch, n_eta, -1)
-        u = (self.root_eta * dw_row.T[:, None, :] + self.eta_dt * means).reshape(self.n_ch, -1)
-        terms = _apply_blocks(self.stack, yt).reshape(-1, n, len(y))
-        out = terms[0]
-        # each coefficient scales a contiguous row of b trajectories
-        for term, coef in zip(terms[1:], [*u, *(u[k] * u[l] for k, l in self.pairs)]):
-            term *= coef
-            out += term
-        out /= out[:self.dim].sum(axis=0)
-        return out.T
+        traced = _apply_blocks(self.weights, yt)
+        # the coefficients over the trace: 1 / tr, v_k / tr, v_k v_l / tr
+        coef = np.empty((self.stack.shape[2], len(y)))
+        inv_tr = np.divide(1.0, traced[0], out=coef[0])
+        v = ((traced[1:] * inv_tr).reshape(self.n_ch, n_eta, -1)
+             + dw_row.T[:, None, :]).reshape(self.n_ch, -1)
+        np.multiply(v, inv_tr, out=coef[1:self.n_ch + 1])
+        for row, (k, l) in enumerate(self.pairs, self.n_ch + 1):
+            np.multiply(v[k], coef[l + 1], out=coef[row])
+        maps = _apply_blocks(self.stack, coef).reshape(n, n, -1)
+        return np.einsum("ijb,jb->ib", maps, yt).T
 
     to_matrices = _basis_to_matrices
 
@@ -870,11 +878,12 @@ def _noise_blocks(spec, n_steps, dt, seed, start, stop):
     """Wiener increments of trajectories start..stop-1 in (b, s, k) blocks.
 
     Trajectory i reads column i mod G of its group's noise stream, drawn in
-    (s, k, G) blocks of standard normals, G = _GROUP.  A chunk draws every
-    group it overlaps whole, and a Philox stream drawn in pieces gives the
-    numbers of one whole draw, so the noise depends neither on chunking,
-    the ensemble size nor the block size.  One buffer is refilled for every
-    block, so a yielded block is valid only until the next one.
+    (s, k, G) blocks of standard normals, G = _GROUP, scaled by sqrt(dt) as
+    they are copied in.  A chunk draws every group it overlaps whole, and a
+    stream drawn in pieces gives the numbers of one whole draw (a bit
+    generator's state advances in sequence), so the noise depends neither on
+    chunking, the ensemble size nor the block size.  One buffer is refilled
+    for every block, so a yielded block is valid only until the next one.
     """
     first, offset = divmod(start, _GROUP)
     rngs = [_group_stream(seed, g, _NOISE_TAG) for g in range(first, -(-stop // _GROUP))]
@@ -888,10 +897,9 @@ def _noise_blocks(spec, n_steps, dt, seed, start, stop):
     for done in range(0, n_steps, steps):
         block = buf[:min(steps, n_steps - done)]
         for g, rng in enumerate(rngs):
-            block[..., g * _GROUP:(g + 1) * _GROUP] = _noise_plan(spec, len(block), rng)
-        block = block[..., offset:offset + stop - start]
-        block *= root_dt
-        yield block.transpose(2, 0, 1)
+            np.multiply(_noise_plan(spec, len(block), rng), root_dt,
+                        out=block[..., g * _GROUP:(g + 1) * _GROUP])
+        yield block[..., offset:offset + stop - start].transpose(2, 0, 1)
 
 
 def _drive(kernel, y, blocks, sample_pos, sink, log):
@@ -1027,8 +1035,9 @@ def _batch_purity(mats):
 
 
 def _coord_purity(y):
-    """Tr rho^2 of each row of real coordinates y (the basis is orthonormal)."""
-    return np.einsum("ij,ij->i", y, y)
+    """Tr rho^2 / (Tr rho)^2 of each row of real coordinates y (orthonormal basis)."""
+    d = math.isqrt(y.shape[1])
+    return np.einsum("ij,ij->i", y, y) / (y[:, :d] @ np.ones(d)) ** 2
 
 
 def _collect_static(statistic, mats, sink, j):

@@ -249,20 +249,20 @@ class TestTlaRank:
         assert report["entries"][0]["scheme"] == "aid"
 
     def test_survival_ranking_matches_frozen_fixture(self, tmp_path):
-        # recorded with group-keyed noise and event-driven counting final
-        # states; at 200 trajectories homodyne_x (0.601 +- 0.032) and
-        # heterodyne (0.540 +- 0.018) are not resolved on this seed
-        frozen = {"aid": (1.384365864725082, 0.0004621858984296392),
-                  "homodyne_x": (0.6006824239988697, 0.031866637552566204),
-                  "heterodyne": (0.5395557839193076, 0.018429925904440002),
-                  "direct": (0.40350039216068045, 0.015486436097929919)}
+        # recorded with SFC64 group streams and event-driven counting final
+        # states; at 200 trajectories this seed resolves every pair, homodyne_x
+        # (0.657 +- 0.031) against heterodyne (0.527 +- 0.019) included
+        frozen = {"aid": (1.3849817645698983, 0.0004480937573835313),
+                  "homodyne_x": (0.656640171574999, 0.03078008154458137),
+                  "heterodyne": (0.5271446162334216, 0.01895124301772638),
+                  "direct": (0.40739610862586534, 0.015035184108412427)}
         out = tmp_path / "rank.json"
         code = run_cli(["tla-rank", "--omega", "2", "--measure", "survival",
                         "--schemes", "aid,homodyne_x,heterodyne,direct",
                         "--n-traj", "200", "--seed", "3", "--out", str(out)])
         report = json.loads(out.read_text())
-        assert code == 1 and report["verdict"] == "unresolved"
-        assert report["unresolved_after"] == ["homodyne_x"]
+        assert code == 0 and report["verdict"] == "resolved"
+        assert report["unresolved_after"] == []
         assert [e["scheme"] for e in report["entries"]] == list(frozen)
         for entry in report["entries"]:
             value, uncertainty = frozen[entry["scheme"]]

@@ -97,9 +97,15 @@ class TestStepDiffusive:
         rng = np.random.default_rng(0)
         n = 10_000
         acc = np.zeros((2, 2), dtype=complex)
+        worst_trace = 0.0
         for _ in range(n):
             noise = rng.standard_normal(2) * math.sqrt(dt)
-            acc += T.step_diffusive(model, spec, rho, noise, dt).matrix
+            out = T.step_diffusive(model, spec, rho, noise, dt).matrix
+            acc += out
+            worst_trace = max(worst_trace, abs(np.trace(out) - 1.0))
+        # the Kraus kernel steps unnormalised coordinates; the state it hands
+        # back is divided by its trace
+        assert worst_trace < 1e-12
         mean = acc / n
         ref = rho.matrix + dt * lindblad_rhs(model, rho)
         # statistical tolerance ~ 3 * |b| sqrt(dt/n), plus O(dt^2) bias
@@ -214,6 +220,27 @@ class TestRunEnsemble:
                 # 3/sqrt(N) statistical + O(dt) discretization allowance
                 assert dist < 3.0 / math.sqrt(400) + 0.02, (name, t, dist)
 
+    @pytest.mark.parametrize("kind,eta", [("heterodyne", 0.5), ("homodyne_x", 1.0)])
+    def test_long_coarse_run_keeps_final_states_normalised(self, monkeypatch, kind, eta):
+        # 100,000 unnormalised Kraus steps at a coarse dt and one sample at
+        # the end: each step maps y as it maps y / tr, so the kernel's own
+        # trace stays within one step of 1 (a linear map left alone grows it
+        # to 1e30-1e240 here)
+        traces, to_matrices = [], T._KrausDiffusiveKernel.to_matrices
+
+        def spy(kernel, y):
+            traces.append(y[:, :kernel.dim].sum(axis=1))
+            return to_matrices(kernel, y)
+
+        monkeypatch.setattr(T._KrausDiffusiveKernel, "to_matrices", spy)
+        model = build_tla(tla())
+        cfg = T.TrajectoryConfig(0.02, 2000.0, seed=12)
+        finals = T.run_final_states(model, T.UnravellingSpec(kind, eta), EXCITED, cfg, 64)
+        assert np.abs(np.log(traces[-1])).max() < 1.0
+        assert np.isfinite(finals).all()
+        assert np.abs(np.trace(finals, axis1=1, axis2=2) - 1.0).max() < 1e-12
+        assert np.linalg.eigvalsh(finals).min() >= -1e-12
+
     def test_stderr_scaling_with_n(self):
         # eta < 1 so per-trajectory purities actually spread out
         model = build_tla(tla())
@@ -305,6 +332,8 @@ class TestRunEnsemble:
             assert isinstance(kernel, T._MatrixDiffusiveKernel)
         states = T.run_ensemble(model, spec, rho0, cfg, 16, "mean_state").states
         assert np.array_equal(states, np.conj(np.swapaxes(states, 1, 2)))
+        # the Kraus kernel's unnormalised states are read off normalised
+        assert np.abs(np.trace(states, axis1=1, axis2=2) - 1.0).max() < 1e-12
         assert np.abs(states[-1] - states[0]).max() > 1e-3
 
     def test_member_matches_run_trajectory(self):
@@ -345,9 +374,13 @@ class TestKernelReferences:
         kernel = T._KrausDiffusiveKernel(model, T.UnravellingSpec("heterodyne"), 1e-3)
         y = kernel.initial(herm)
         assert y.shape == (5, dim * dim) and y.T.flags.c_contiguous
-        back = kernel.to_matrices(y)
+        back = T._from_coords(y, dim)
         assert np.abs(back - herm).max() < 1e-15
         assert np.array_equal(back, np.conj(np.swapaxes(back, 1, 2)))
+        # the Kraus kernel's states are unnormalised: it hands them back
+        # divided by their trace
+        tr = np.trace(herm, axis1=1, axis2=2).real[:, None, None]
+        assert np.abs(kernel.to_matrices(y) * tr - herm).max() < 1e-14
 
     @pytest.mark.parametrize("kind", ["homodyne_x", "heterodyne"])
     @pytest.mark.parametrize("eta", [0.5, 1.0])
@@ -364,7 +397,10 @@ class TestKernelReferences:
         worst = 0.0
         for dw in noise:
             y, rho = kraus.step(y, dw), matrix.step(rho, dw)
-            worst = max(worst, np.abs(kraus.to_matrices(y) - rho).max())
+            # the Kraus kernel's coordinates are unnormalised between
+            # samples; the matrix kernel renormalises every step
+            tr = y[:, :2].sum(axis=1)[:, None, None]
+            worst = max(worst, np.abs(T._from_coords(y, 2) / tr - rho).max())
         assert worst < 1e-10
         # the run moved the states: the check is not of a fixed point
         assert np.abs(rho - self.RHO).max() > 0.1
@@ -733,7 +769,7 @@ class TestEventSampler:
 
 
 class TestClickStreams:
-    """Click uniforms: one Philox stream per group of _GROUP trajectories."""
+    """Click uniforms: one SFC64 stream per group of _GROUP trajectories."""
 
     def _reference(self, seed, n, k_max):
         draw = T._click_uniforms(seed, 0, n)
@@ -826,7 +862,7 @@ class TestStreamFamilies:
 
 
 class TestNoiseStream:
-    """Diffusive noise: one Philox stream per group of _GROUP trajectories."""
+    """Diffusive noise: one SFC64 stream per group of _GROUP trajectories."""
 
     def _whole(self, spec, n_steps, dt, seed, rows):
         # trajectory i: column i mod G of one whole-horizon draw of group i // G
