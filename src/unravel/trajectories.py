@@ -17,25 +17,21 @@ Kraus-form kernels after Rouchon & Ralph, PRA 91, 012118 (2015):
 `_KrausDiffusiveKernel` on real superoperators at small dimension (the
 atom), `_MatrixDiffusiveKernel` on raw matrices at large dimension, and
 `_PurifiedKernel`, a bundle of pure states, for efficient runs at large
-dimension (the Fock oracle).  Every counting run goes through
-`_EventJumpSampler` instead: the exact no-click propagator of
-`_SuperopJumpKernel`, but one uniform per click rather than per step, with
-the waiting time to each click drawn from the no-click survival, which is
-the stepped kernel's law exactly.  `step_diffusive` and `step_jump` share
-one single-step body, `_single_step`, the only user of
-`_SuperopJumpKernel.step`.
+dimension (the Fock oracle).  Every counting run goes through one
+event-driven kernel instead, `_SuperopJumpKernel`, one uniform per click.
+`step_diffusive` and `step_jump` share one single-step body,
+`_single_step`; `step_jump`'s window is one `step` of the counting kernel.
 
-Up to dimension 8 the kernels and the sampler hold each state as its d^2
-real coordinates in an orthonormal Hermitian basis (`_coords`), so every
-superoperator is a real d^2 x d^2 matrix (4 x 4 for the atom) and states
-come back exactly Hermitian.  The stepping kernels store a batch
-column-major, (b, d^2) with y.T contiguous, so each GEMM and each
-per-trajectory scaling runs along the contiguous batch axis, and the noise
-blocks are laid out step-major to match.  `_select_kernel` alone chooses
-the kernel or sampler, from the scheme, the dimension, eta and what the
-run records; only `_run_chunks` and `_single_step` call it.  The Kraus
-kernel and the sampler also run stacks of efficiencies on shared random
-numbers (`run_purity_averages`).
+Up to dimension 8 the kernels hold each state as its d^2 real coordinates
+in an orthonormal Hermitian basis (`_coords`), so every superoperator is a
+real d^2 x d^2 matrix (4 x 4 for the atom) and states come back exactly
+Hermitian.  The stepping kernels store a batch column-major, (b, d^2)
+with y.T contiguous, so each GEMM and each per-trajectory scaling runs
+along the contiguous batch axis, and the noise blocks are laid out
+step-major to match.  `_select_kernel` alone chooses the kernel, from the
+scheme, the dimension, eta and what the run records; only `_run_chunks`
+and `_single_step` call it.  The Kraus and counting kernels also run
+stacks of efficiencies on shared random numbers (`run_purity_averages`).
 """
 
 import math
@@ -195,6 +191,16 @@ def _group_stream(seed, group, *tag):
         np.random.SeedSequence(entropy=seed, spawn_key=(group, _GROUP, *tag))))
 
 
+def _group_streams(seed, start, stop, *tag):
+    """The `tag` streams of the groups trajectories start..stop-1 overlap,
+    and the column of trajectory start in the first.  A chunk draws every
+    group it overlaps whole, so a group split between chunks gives the same
+    numbers in each, and a trajectory's numbers depend neither on chunking
+    nor on the ensemble size."""
+    first, offset = divmod(start, _GROUP)
+    return [_group_stream(seed, g, *tag) for g in range(first, -(-stop // _GROUP))], offset
+
+
 def noise_width(spec):
     return len(spec.channel_coefficients())
 
@@ -266,13 +272,6 @@ def _apply_blocks(mats, yt):
     np.matmul(mats, yt.reshape(n, n_eta, -1).swapaxes(0, 1),
               out=out.reshape(m, n_eta, -1).swapaxes(0, 1))
     return out
-
-
-def _resolve_lo(jump_op):
-    # AID's local oscillator is always beta = sqrt(gamma)/2, with gamma read
-    # off the jump operator
-    gamma = float(np.linalg.eigvalsh(dag(jump_op) @ jump_op).max())
-    return 0.5 * math.sqrt(gamma)
 
 
 def _measured_op(model):
@@ -417,83 +416,6 @@ class _MatrixDiffusiveKernel:
         return 0.5 * (rho + np.conj(np.swapaxes(rho, 1, 2)))
 
 
-class _SuperopJumpKernel:
-    """Jump stepper (direct detection and AID) with exact no-jump propagator.
-
-    The no-jump propagator is trace-decreasing; the detected-jump
-    probability per step is read off the trace decay.  For AID the
-    local-oscillator sign is per-trajectory state: both signed variants of
-    every operator are precomputed, and each column takes its sign's.
-    States and efficiency stacks are laid out as in _KrausDiffusiveKernel;
-    only the no-click propagators depend on eta, stacked (E, n, n) per sign
-    in `props`.  Every map acts on coordinate columns: y.T -> P @ y.T.
-    """
-
-    def __init__(self, model, spec, dt, etas=None):
-        d = model.dim
-        if d > _SUPEROP_DIM_LIMIT:
-            raise ValueError(
-                f"jump unravellings are only implemented for dim <= {_SUPEROP_DIM_LIMIT}")
-        self.dim = d
-        self.dt = dt
-        etas = (spec.eta,) if etas is None else etas
-        self.adaptive = spec.kind == "aid"
-        c = _measured_op(model)
-        beta = _resolve_lo(c) if self.adaptive else 0.0
-        rate_scale = float(np.linalg.eigvalsh(
-            dag(c + beta * np.eye(d)) @ (c + beta * np.eye(d))).max())
-        if dt * max(rate_scale, 1e-300) > 0.1:
-            raise StepSizeError(
-                f"dt * jump rate = {dt * rate_scale:.3f} > 0.1; first-order "
-                "jump splitting is invalid, reduce dt")
-        ident = np.eye(d)
-        self.props = []
-        self.jump_supers = []
-        signs = (+1.0, -1.0) if self.adaptive else (+1.0,)
-        for s in signs:
-            j = c + s * beta * ident
-            h = model.hamiltonian + 0.5j * (s * beta * dag(c) - np.conj(s * beta) * c)
-            liou = liouvillian_matrix(LindbladModel(h, (j, *model.jump_operators[1:]))).toarray()
-            click = np.kron(j, j.conj())
-            # the no-click generator: the whole generator less the detected clicks
-            self.props.append(np.stack([_real_superop(expm((liou - eta * click) * dt))
-                                        for eta in etas]))
-            self.jump_supers.append(_real_superop(click))
-        self.tr_vec = _coords(ident)
-
-    initial = _basis_initial
-
-    def step(self, y, u_row, signs):
-        """One step for the batch; mutates `signs` in place, returns (y, jumped)."""
-        d, n_eta = self.dim, len(self.props[0])
-        yt = y.T
-        y_prop = _apply_blocks(self.props[0], yt)
-        if self.adaptive:
-            y_prop = np.where(signs < 0, _apply_blocks(self.props[1], yt), y_prop)
-        tr = y_prop[:d].sum(axis=0)
-        # click probability = trace decay of the no-click propagator; the
-        # floor keeps roundoff from ever clicking a state with no emission
-        p_jump = 1.0 - tr
-        jumped = (u_row[:, 0] < p_jump.reshape(n_eta, -1)).ravel() & (p_jump > 1e-12)
-        # the click acts on the no-click-evolved state, so a trajectory
-        # sitting exactly in the ground state re-excites within the step
-        # before it can emit (and the renormalization stays regular)
-        idx = np.flatnonzero(jumped)
-        clicked = y_prop[:, idx]
-        y_prop /= tr
-        if idx.size:
-            post = self.jump_supers[0] @ clicked
-            if self.adaptive:
-                minus = signs[idx] < 0
-                if minus.any():
-                    post[:, minus] = self.jump_supers[1] @ clicked[:, minus]
-                signs[idx] = -signs[idx]
-            y_prop[:, idx] = post / post[:d].sum(axis=0)
-        return y_prop.T, jumped
-
-    to_matrices = _basis_to_matrices
-
-
 # uniforms per trajectory per draw
 _CLICK_DRAW = 32
 # tolerance on the no-click survival's step-to-step rise, relative to S(0) = 1
@@ -503,13 +425,9 @@ _SURVIVAL_RISE_TOL = 1e-12
 def _click_uniforms(seed, start, stop):
     """draw(traj, k): the k-th click uniform of each trajectory start + traj.
 
-    Trajectory i takes row k, column i mod G of its group's click stream,
-    drawn in (_CLICK_DRAW, G) blocks, G = _GROUP.  A chunk draws every
-    group it overlaps whole, so a group split between chunks gives the same
-    numbers in each, and a trajectory's uniforms depend neither on chunking
-    nor on the ensemble size."""
-    first, offset = divmod(start, _GROUP)
-    rngs = [_group_stream(seed, g) for g in range(first, -(-stop // _GROUP))]
+    Trajectory i takes row k, column i mod G of its group's click stream
+    (`_group_streams`), drawn in (_CLICK_DRAW, G) blocks, G = _GROUP."""
+    rngs, offset = _group_streams(seed, start, stop)
     drawn = np.empty((0, len(rngs) * _GROUP))
 
     def draw(traj, k):
@@ -522,26 +440,79 @@ def _click_uniforms(seed, start, stop):
     return draw
 
 
-class _EventJumpSampler(_SuperopJumpKernel):
-    """Event-driven direct detection and AID: one uniform per click, not per step.
+class _SuperopJumpKernel:
+    """Direct detection and AID, event-driven: one uniform per click, not per window.
 
-    Between clicks a state follows the stepped kernel's no-click map P, so
-    from a normalized state y no click comes in the next m steps with
-    probability S(m) = Tr[y P^m], and the stepped kernel's next click step
-    has the law of the smallest m with S(m) < r for one uniform r: the
-    waiting-time form of the quantum-jump method (Dalibard, Castin & Molmer,
-    PRL 68, 580 (1992)).  The sampler gathers and scatters rows, so it keeps
-    row-major states and the row form y -> y P^T of every map.  Per table,
-    one per (LO sign, eta) with index sign * E + eta, `prepare` keeps the
-    trace rows t_m with S(m) = y . t_m for m up to the horizon (found by
-    binary search) and the powers P^0 .. P^hop that carry a state from a
-    click or checkpoint to the next.  An AID click flips the row's sign, so
-    its table.  The k-th click of a trajectory, in each of its eta rows,
-    takes the trajectory's k-th click uniform, its column of its group's
-    stream (`_click_uniforms`), so the rows share common random numbers.
+    A detection window maps a state by the exact no-click propagator P (the
+    whole generator less the detected clicks), clicks with the trace P
+    loses, and then applies the click map to the no-click-evolved state; an
+    AID click flips the row's local-oscillator sign.  Each map is a real
+    superoperator on coordinates, kept once, in column form: `props[sign,
+    eta]` and `jumps[sign]`.  From a normalized y no click comes in m
+    windows with probability S(m) = Tr[y P^m], so the next click has the
+    law of the smallest m with S(m) < r for one uniform r (Dalibard, Castin
+    & Molmer, PRL 68, 580 (1992)).  Per table sign * E + eta, `prepare`
+    keeps the trace rows t_m, S(m) = y . t_m, up to the horizon and the
+    row-form powers (P^T)^0 .. (P^T)^hop that carry a row from a click or
+    checkpoint to the next.  A trajectory's k-th click takes its k-th click
+    uniform (`_click_uniforms`) in each of its eta rows.  `step` is one
+    window of the same carry, click and normalization (`step_jump`).
     """
 
     _shape = None       # (n_steps, hop) of the tables built last
+
+    def __init__(self, model, spec, dt, etas=None):
+        d = model.dim
+        if d > _SUPEROP_DIM_LIMIT:
+            raise ValueError(
+                f"jump unravellings are only implemented for dim <= {_SUPEROP_DIM_LIMIT}")
+        self.dim = d
+        etas = (spec.eta,) if etas is None else etas
+        self.adaptive = spec.kind == "aid"
+        c = _measured_op(model)
+        # AID's local oscillator is beta = sqrt(gamma)/2, gamma read off c
+        beta = 0.5 * math.sqrt(np.linalg.eigvalsh(dag(c) @ c).max()) if self.adaptive else 0.0
+        ident = np.eye(d)
+        rate_scale = float(np.linalg.eigvalsh(dag(c + beta * ident) @ (c + beta * ident)).max())
+        if dt * max(rate_scale, 1e-300) > 0.1:
+            raise StepSizeError(
+                f"dt * jump rate = {dt * rate_scale:.3f} > 0.1; first-order "
+                "jump splitting is invalid, reduce dt")
+        props, jumps = [], []
+        for s in (+1.0, -1.0) if self.adaptive else (+1.0,):
+            j = c + s * beta * ident
+            h = model.hamiltonian + 0.5j * (s * beta * dag(c) - np.conj(s * beta) * c)
+            liou = liouvillian_matrix(LindbladModel(h, (j, *model.jump_operators[1:]))).toarray()
+            click = np.kron(j, j.conj())
+            # the no-click generator: the whole generator less the detected clicks
+            props.append(np.stack([_real_superop(expm((liou - eta * click) * dt))
+                                   for eta in etas]))
+            jumps.append(_real_superop(click))
+        self.props, self.jumps = np.stack(props), np.stack(jumps)
+        self.tr_vec = _coords(ident)
+
+    initial = _basis_initial
+    to_matrices = _basis_to_matrices
+
+    def step(self, y, u_row, signs):
+        """One window: row e * b + i clicks when u_row[i, 0] falls below the
+        trace its no-click carry loses and that loss exceeds 1e-12 (roundoff
+        never clicks a state with no emission).  Flips AID `signs` in place;
+        returns (y, jumped)."""
+        if not self._shape or not self._shape[1]:
+            self.prepare(1, 1)
+        n_eta, minus = len(self.props[0]), signs < 0
+        z = self._carry_all(y, minus, 1)
+        tr = z @ self.tr_vec
+        jumped = (u_row[:, 0] < (1.0 - tr).reshape(n_eta, -1)).ravel() & (1.0 - tr > 1e-12)
+        idx = np.flatnonzero(jumped)
+        # table sign * E + eta of each clicking row e * b + i
+        post = self._click(z[idx], idx // len(u_row) + n_eta * (minus[idx] & self.adaptive))[0]
+        y = self._normalized(z, tr, "no-click")
+        y[idx] = post
+        if self.adaptive:
+            signs[idx] = -signs[idx]
+        return y, jumped
 
     def prepare(self, n_steps, hop):
         """Build the trace rows up to n_steps and the powers up to hop."""
@@ -571,15 +542,12 @@ class _EventJumpSampler(_SuperopJumpKernel):
             done += take
         self.traces = traces.reshape(-1, n)
         self.powers = powers
-        self.jumps = np.swapaxes(np.stack(self.jump_supers), 1, 2)
         self._shape = (n_steps, hop)
 
     def _check_survival_falls(self, traces):
-        """S(m) - S(m + 1) = Tr[y D_m] must be non-negative for every state
-        y, that is each D_m, read off t_m - t_{m+1}, positive semi-definite
-        to _SURVIVAL_RISE_TOL.  A Cholesky screen of each D_m + tol I passes
-        the tables one at a time; only when one fails does eigvalsh run, for
-        the verdict and the step it reports."""
+        """S(m) - S(m + 1) = Tr[y D_m] >= 0 for every y: each D_m, read off
+        t_m - t_{m+1}, positive semi-definite to _SURVIVAL_RISE_TOL.  A Cholesky
+        screen of D_m + tol I passes the tables; eigvalsh runs only on a miss."""
         shift = _SURVIVAL_RISE_TOL * np.eye(self.dim)
         if all(_positive_definite(_from_coords(rows[:-1] - rows[1:], self.dim) + shift).all()
                for rows in traces):
@@ -592,12 +560,12 @@ class _EventJumpSampler(_SuperopJumpKernel):
                 f"no-click survival rises by up to {-low.min():.3e} from step {m} to "
                 f"{m + 1} (table {table}): the no-click map is not trace-decreasing")
 
-    def _normalized(self, y, what):
-        tr = y @ self.tr_vec
+    def _normalized(self, y, tr, what):
+        """y / tr row by row, in place; a trace that is not positive raises."""
         if not np.all(tr > 0.0):
             bad = int(np.argmin(np.where(tr > 0.0, np.inf, -1.0)))
             raise InvariantViolationError(f"{what} trace {tr[bad]:.3e} is not positive")
-        return y / tr[:, None]
+        return np.divide(y, tr[:, None], out=y)
 
     def _wait(self, y, table, held, n_steps, r):
         """Click step of each row held at step `held`: held + the smallest m
@@ -615,25 +583,32 @@ class _EventJumpSampler(_SuperopJumpKernel):
         """Unnormalized rows y P^gap, row by row."""
         return (y[:, None, :] @ self.powers[table, gap])[:, 0]
 
-    def _click(self, y, table, gap):
-        """Post-click states of rows y clicking `gap` steps after being held,
-        and their tables after the click."""
+    def _carry_all(self, y, minus, gap):
+        """Unnormalized rows y P^gap, column-major, by their LO sign's tables
+        (`minus`: sign -1): one GEMM per table and efficiency block."""
+        n_eta, n = len(self.props[0]), y.shape[1]
+        signed = self.powers[:, gap].mT.reshape(-1, n_eta, n, n)
+        out = _apply_blocks(signed[0], y.T)
+        if len(signed) > 1:
+            out = np.where(minus, _apply_blocks(signed[1], y.T), out)
+        return out.T
+
+    def _click(self, z, table):
+        """Post-click states of unnormalized no-click rows z, and their tables."""
         n_eta = len(self.props[0])
-        z = (self._carry(y, table, gap)[:, None, :] @ self.jumps[table // n_eta])[:, 0]
-        return self._normalized(z, "post-click"), (table + n_eta) % (len(self.props) * n_eta)
+        z = (z[:, None, :] @ self.jumps.mT[table // n_eta])[:, 0]
+        after = (table + n_eta) % (len(self.props) * n_eta)
+        return self._normalized(z, z @ self.tr_vec, "post-click"), after
 
     def _advance(self, y, table, held, last, step):
         """Rows y, held since step `held` (at or after the checkpoint `last`)
         and clicking no more before `step`, carried to `step` and normalized."""
-        n_eta, n = len(self.props[0]), y.shape[1]
-        # rows held since `last`: one GEMM per table over each efficiency's
-        # rows, shaped as in a run at that efficiency alone, and each row
-        # keeps the product with its own sign's table
-        out = y.reshape(n_eta, -1, n) @ self.powers[:, step - last].reshape(-1, n_eta, n, n)
-        out = out.reshape(len(self.props), -1, n)[table // n_eta, np.arange(len(y))]
+        out = self._carry_all(y, table >= len(self.props[0]), step - last)
         moved = np.flatnonzero(held != last)
         out[moved] = self._carry(y[moved], table[moved], step - held[moved])
-        return self._normalized(out, "no-click")
+        # rows stay row-major between checkpoints: the row dot products of
+        # `_wait` and `_coord_purity` round by layout
+        return np.ascontiguousarray(self._normalized(out, out @ self.tr_vec, "no-click"))
 
     def run(self, y, n_steps, sample_pos, sink, draw, log):
         """Drive rows y to n_steps steps and hand them to sink(j, y) after
@@ -652,18 +627,16 @@ class _EventJumpSampler(_SuperopJumpKernel):
         b = len(y) // n_eta
         traj = np.arange(len(y)) % b
         table = np.repeat(np.arange(n_eta), b)
-        clicks = np.zeros(len(y), dtype=int)
-        held = np.zeros(len(y), dtype=int)       # step at which each row's y holds
+        # clicks so far, and the step at which each row's y holds
+        clicks, held = np.zeros((2, len(y)), dtype=int)
         due = self._wait(y, table, held, n_steps, draw(traj, clicks))
         if 0 in sample_pos:
             sink(sample_pos[0], y)
         last = 0
         for step in stops:
-            while True:
-                hit = np.flatnonzero(due <= step)
-                if not hit.size:
-                    break
-                y[hit], table[hit] = self._click(y[hit], table[hit], due[hit] - held[hit])
+            while (hit := np.flatnonzero(due <= step)).size:
+                y[hit], table[hit] = self._click(
+                    self._carry(y[hit], table[hit], due[hit] - held[hit]), table[hit])
                 held[hit] = due[hit]
                 if log is not None and hit[0] == 0:
                     log.append((int(held[0]), -1.0 if table[0] >= n_eta else 1.0))
@@ -671,8 +644,7 @@ class _EventJumpSampler(_SuperopJumpKernel):
                 due[hit] = self._wait(y[hit], table[hit], held[hit], n_steps,
                                       draw(traj[hit], clicks[hit]))
             y = self._advance(y, table, held, last, step)
-            held[:] = step
-            last = step
+            held[:] = last = step
             if step in sample_pos:
                 sink(sample_pos[step], y)
 
@@ -788,10 +760,10 @@ _SUPEROP_DIM_LIMIT = 8
 
 
 def _select_kernel(model, spec, rho0, dt, statistic, etas):
-    """The stepping kernel or sampler for one run; no other code chooses one.
+    """The kernel for one run; no other code chooses one.
 
-    Counting schemes run event-driven whatever the statistic (`step_jump`
-    takes the sampler's stepped step).  Diffusive schemes use the Kraus
+    Counting schemes run on the counting kernel whatever the statistic
+    (`step_jump` takes one window of it).  Diffusive schemes use the Kraus
     superoperators up to dimension _SUPEROP_DIM_LIMIT.  Above it, eta = 1
     runs of a single jump operator that need only purities or final states
     use the purified bundle, and the rest the matrix kernel.  Neither takes
@@ -799,7 +771,7 @@ def _select_kernel(model, spec, rho0, dt, statistic, etas):
     needs dimension <= _SUPEROP_DIM_LIMIT.
     """
     if not spec.is_diffusive:
-        return _EventJumpSampler(model, spec, dt, etas)
+        return _SuperopJumpKernel(model, spec, dt, etas)
     if model.dim <= _SUPEROP_DIM_LIMIT:
         return _KrausDiffusiveKernel(model, spec, dt, etas)
     if etas is not None:
@@ -829,9 +801,9 @@ def _single_step(model, spec, rho, dt, *draws):
     or None).  A state stepped off the manifold is a StepSizeError."""
     m = _as_matrix(rho)
     kernel = _select_kernel(model, spec, m, dt, "trajectory", None)
-    out = kernel.step(kernel.initial(m[None, :, :]), *draws)
-    y, extra = out if isinstance(out, tuple) else (out, None)
     try:
+        out = kernel.step(kernel.initial(m[None, :, :]), *draws)
+        y, extra = out if isinstance(out, tuple) else (out, None)
         return DensityMatrix(kernel.to_matrices(y)[0], pos_tol=_sample_pos_tol(dt)), extra
     except InvariantViolationError as exc:
         kind = "diffusive" if spec.is_diffusive else "jump"
@@ -848,7 +820,7 @@ def step_diffusive(model, spec, rho, noise, dt):
     if not spec.is_diffusive:
         raise ValueError(f"{spec.kind} is not a diffusive scheme")
     noise = np.atleast_1d(np.asarray(noise, dtype=float))
-    k = len(spec.channel_coefficients())
+    k = noise_width(spec)
     if noise.shape != (k,):
         raise ValueError(f"expected {k} noise increments, got shape {noise.shape}")
     return _single_step(model, spec, rho, dt, noise[None, :])[0]
@@ -860,9 +832,9 @@ def step_jump(model, spec, rho, uniform, dt, lo_sign=1.0):
     Returns (state, jumped).  A detected click occurs when `uniform`
     falls below the no-click trace decay (eta <J^dag J> dt to first
     order); undetected emission stays in the no-click drift as a
-    (1 - eta) dissipator with the LO-displaced operator.  This is the one
-    stepped step left (`_SuperopJumpKernel.step`); counting runs follow its
-    law click to click.
+    (1 - eta) dissipator with the LO-displaced operator.  The window is one
+    step of the counting kernel (`_SuperopJumpKernel.step`), whose runs
+    follow its law click to click.
     """
     if spec.is_diffusive:
         raise ValueError(f"{spec.kind} is not a counting scheme")
@@ -877,16 +849,14 @@ def step_jump(model, spec, rho, uniform, dt, lo_sign=1.0):
 def _noise_blocks(spec, n_steps, dt, seed, start, stop):
     """Wiener increments of trajectories start..stop-1 in (b, s, k) blocks.
 
-    Trajectory i reads column i mod G of its group's noise stream, drawn in
-    (s, k, G) blocks of standard normals, G = _GROUP, scaled by sqrt(dt) as
-    they are copied in.  A chunk draws every group it overlaps whole, and a
-    stream drawn in pieces gives the numbers of one whole draw (a bit
-    generator's state advances in sequence), so the noise depends neither on
-    chunking, the ensemble size nor the block size.  One buffer is refilled
-    for every block, so a yielded block is valid only until the next one.
+    Trajectory i reads column i mod G of its group's noise stream
+    (`_group_streams`), drawn in (s, k, G) blocks of standard normals,
+    G = _GROUP, scaled by sqrt(dt) as they are copied in.  A stream drawn in
+    pieces gives the numbers of one whole draw, so the noise does not depend
+    on the block size either.  One buffer is refilled for every block, so a
+    yielded block is valid only until the next one.
     """
-    first, offset = divmod(start, _GROUP)
-    rngs = [_group_stream(seed, g, _NOISE_TAG) for g in range(first, -(-stop // _GROUP))]
+    rngs, offset = _group_streams(seed, start, stop, _NOISE_TAG)
     k, width = noise_width(spec), len(rngs) * _GROUP
     # as many steps as fit _NOISE_BLOCK_BYTES, at least one
     steps = max(1, min(n_steps, int(_NOISE_BLOCK_BYTES // (width * k * 8))))
@@ -1065,7 +1035,7 @@ def run_ensemble(model, spec, rho0, config, n_traj, statistic="purity"):
     trajectory's random numbers depend only on (config.seed, trajectory
     index), and sums run group by group, so the result depends on chunking
     and thread count only through batch-shaped GEMMs.  Direct detection
-    and AID run event-driven (`_EventJumpSampler`): one uniform per click
+    and AID run event-driven (`_SuperopJumpKernel`): one uniform per click
     in place of one per step.
     """
     if statistic not in ("purity", "mean_state"):
@@ -1096,7 +1066,7 @@ def run_purity_averages(model, spec, rho0, config, n_traj, etas):
     every efficiency in `etas`, (E, n_traj), from one pass over each
     trajectory's one noise draw (common random numbers).  Each row equals,
     bit for bit, the row of a run at that efficiency alone.  Direct
-    detection and AID run event-driven (`_EventJumpSampler`): a
+    detection and AID run event-driven (`_SuperopJumpKernel`): a
     trajectory's k-th click at every efficiency takes its k-th click
     uniform.  Needs dimension <= _SUPEROP_DIM_LIMIT (real coordinates)."""
     if n_traj < 2:

@@ -445,7 +445,7 @@ class TestEfficiencyStack:
         model = build_tla(tla(5.0))
         cfg = T.TrajectoryConfig(4e-3, 3.0, seed=21, sample_stride=20)
         mixed = []
-        advance = T._EventJumpSampler._advance
+        advance = T._SuperopJumpKernel._advance
 
         def recording(sampler, y, table, *args):
             # a row's table is sign * E + eta; rows are eta-major
@@ -454,7 +454,7 @@ class TestEfficiencyStack:
             mixed.append(bool((minus.any(axis=1) & (~minus).any(axis=1)).all()))
             return advance(sampler, y, table, *args)
 
-        monkeypatch.setattr(T._EventJumpSampler, "_advance", recording)
+        monkeypatch.setattr(T._SuperopJumpKernel, "_advance", recording)
         for spec in (T.UnravellingSpec("direct"), T.UnravellingSpec("aid"),
                      T.UnravellingSpec("heterodyne")):
             mixed.clear()
@@ -535,7 +535,7 @@ class TestEfficiencyStack:
 
 
 class TestEventSampler:
-    """The event-driven counting sampler against the stepped jump kernel."""
+    """Event-driven counting runs against the counting kernel stepped one window at a time."""
 
     RHO = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
 
@@ -546,7 +546,7 @@ class TestEventSampler:
         # eta in {0.25, 1}, both LO signs for AID
         model = build_tla(tla(5.0))
         etas, n_steps = (0.25, 1.0), 1000
-        sampler = T._EventJumpSampler(model, T.UnravellingSpec(kind), 4e-3, etas)
+        sampler = T._SuperopJumpKernel(model, T.UnravellingSpec(kind), 4e-3, etas)
         sampler.prepare(n_steps, 1)
         n = sampler.tr_vec.size
         traces = sampler.traces.reshape(-1, n_steps + 1, n)
@@ -570,30 +570,28 @@ class TestEventSampler:
                              [("direct", 0.25, 1.0), ("direct", 1.0, 1.0),
                               ("aid", 1.0, 1.0), ("aid", 0.25, -1.0)])
     def test_forced_click_is_the_post_click_state_of_step_jump(self, kind, eta, lo_sign):
+        # u = 0 forces the click: step_jump's post-click state against the
+        # same window on complex matrices
         model = build_tla(tla(5.0))
         spec, dt = T.UnravellingSpec(kind, eta), 4e-3
-        ref, jumped = T.step_jump(model, spec, DensityMatrix(self.RHO), 0.0, dt, lo_sign)
-        assert jumped
-        sampler = T._EventJumpSampler(model, spec, dt)
-        sampler.prepare(1, 1)
-        table = np.array([0 if lo_sign > 0 else 1])
-        y, after = sampler._click(sampler.initial(self.RHO[None, :, :]), table, np.array([1]))
-        assert np.abs(sampler.to_matrices(y)[0] - ref.matrix).max() < 1e-12
-        assert after[0] == (1 - table[0] if kind == "aid" else 0)
+        state, jumped = T.step_jump(model, spec, DensityMatrix(self.RHO), 0.0, dt, lo_sign)
+        beta = 0.5 if kind == "aid" else 0.0
+        ref, ref_jumped, _ = oracles.counting_step(model, eta, beta, self.RHO[None, :, :],
+                                                   np.zeros(1), np.array([lo_sign]), dt)
+        assert jumped and ref_jumped[0]
+        assert np.abs(state.matrix - ref[0]).max() < 1e-12
 
     def test_click_without_emission_raises(self):
         # an undriven atom in its ground state has nothing to emit
         model = build_tla(TlaParams(rabi=0.0))
-        sampler = T._EventJumpSampler(model, T.UnravellingSpec("direct"), 1e-3)
-        sampler.prepare(1, 1)
+        sampler = T._SuperopJumpKernel(model, T.UnravellingSpec("direct"), 1e-3)
         with pytest.raises(SimulationError, match="post-click trace"):
-            sampler._click(sampler.initial(GROUND.matrix[None, :, :]), np.array([0]),
-                           np.array([1]))
+            sampler._click(sampler.initial(GROUND.matrix[None, :, :]), np.array([0]))
 
     def test_rising_survival_raises(self):
         # a no-click map that gains trace makes S(m) rise: no waiting-time law
         model = build_tla(tla(5.0))
-        sampler = T._EventJumpSampler(model, T.UnravellingSpec("aid"), 4e-3)
+        sampler = T._SuperopJumpKernel(model, T.UnravellingSpec("aid"), 4e-3)
         sampler.props = [1.01 * p for p in sampler.props]
         with pytest.raises(SimulationError, match="survival rises"):
             sampler.prepare(100, 1)
@@ -616,8 +614,8 @@ class TestEventSampler:
         assert np.array_equal(verdict, spectrum[:, 0] > -tol)
 
     def test_passing_prepare_calls_no_eigvalsh(self, monkeypatch):
-        sampler = T._EventJumpSampler(build_tla(tla(5.0)), T.UnravellingSpec("aid"), 4e-3,
-                                      (0.25, 1.0))
+        sampler = T._SuperopJumpKernel(build_tla(tla(5.0)), T.UnravellingSpec("aid"), 4e-3,
+                                       (0.25, 1.0))
 
         def eigvalsh(*args, **kwargs):
             raise AssertionError("eigvalsh ran although every table passed the screen")
@@ -630,9 +628,8 @@ class TestEventSampler:
         for statistic in ("purity", "mean_state", "final_states", "trajectory"):
             kernel = T._select_kernel(model, T.UnravellingSpec("aid"), EXCITED.matrix, 1e-3,
                                       statistic, None)
-            assert isinstance(kernel, T._EventJumpSampler)
-        # step_jump's one window is the stepped kernel's step
-        assert T._EventJumpSampler.step is T._SuperopJumpKernel.step
+            # one counting kernel, no subclass of it
+            assert type(kernel) is T._SuperopJumpKernel
 
     def test_trajectory_clicks_are_the_stepped_kernels(self):
         # the sampler's click steps and LO signs for one AID trajectory
@@ -689,13 +686,13 @@ class TestEventSampler:
                 for spec, statistic in cases]
         ref_finals = [T.run_final_states(model, spec, EXCITED, cfg, 128) for spec, _ in cases]
         hops = []
-        prepare = T._EventJumpSampler.prepare
+        prepare = T._SuperopJumpKernel.prepare
 
         def recording(sampler, n_steps, hop):
             hops.append(hop)
             return prepare(sampler, n_steps, hop)
 
-        monkeypatch.setattr(T._EventJumpSampler, "prepare", recording)
+        monkeypatch.setattr(T._SuperopJumpKernel, "prepare", recording)
         monkeypatch.setattr(T, "_NOISE_BLOCK_BYTES", 4 * 4 * 8 * 100 * 2)
         for (spec, statistic), ref, finals in zip(cases, refs, ref_finals):
             capped = T.run_ensemble(model, spec, EXCITED, cfg, 128, statistic)
