@@ -6,7 +6,9 @@ runner with one keying rule for its random numbers: one SFC64 stream per
 group of _GROUP trajectories and family (noise or clicks), keyed by
 (master seed, group) (`_group_stream`).  Trajectory i reads column
 i mod _GROUP of group i // _GROUP, and chunks hold whole groups, so
-results depend neither on chunking nor on the ensemble size.
+results depend, bit for bit, neither on chunking nor on the ensemble size.
+_NOISE_BLOCK_BYTES also places the counting kernel's carry-only
+checkpoints, so it moves counting results by rounding.
 
 Every run, an ensemble or one trajectory, enters through one function,
 `_run_chunks`, which picks the kernel, maps the sample steps and pairs the
@@ -25,12 +27,12 @@ event-driven kernel instead, `_SuperopJumpKernel`, one uniform per click.
 Up to dimension 8 the kernels hold each state as its d^2 real coordinates
 in an orthonormal Hermitian basis (`_coords`), so every superoperator is a
 real d^2 x d^2 matrix (4 x 4 for the atom) and states come back exactly
-Hermitian.  The stepping kernels store a batch column-major, (b, d^2)
-with y.T contiguous, so each GEMM and each per-trajectory scaling runs
-along the contiguous batch axis, and the noise blocks are laid out
-step-major to match.  `_select_kernel` alone chooses the kernel, from the
-scheme, the dimension, eta and what the run records; only `_run_chunks`
-and `_single_step` call it.  The Kraus and counting kernels also run
+Hermitian.  The Kraus kernel stores a batch column-major, (b, d^2) with
+y.T contiguous, so each GEMM and each per-trajectory scaling runs along
+the contiguous batch axis, and the noise blocks are laid out step-major to
+match; the counting kernel keeps its rows row-major.  `_select_kernel`
+alone chooses the kernel, from the scheme, the dimension, eta and what the
+run records; only `_run_chunks` and `_single_step` call it.  The Kraus and counting kernels also run
 stacks of efficiencies on shared random numbers (`run_purity_averages`).
 """
 
@@ -280,12 +282,6 @@ def _measured_op(model):
     return model.jump_operators[0]
 
 
-def _basis_initial(kernel, mats):
-    """`initial` of the small-dimension kernels: a (b, d^2) batch of
-    coordinates stored column-major, so y.T is a contiguous (d^2, b) array."""
-    return np.ascontiguousarray(_coords(mats).T).T
-
-
 def _basis_to_matrices(kernel, y):
     """`to_matrices` of the small-dimension kernels: (b, d, d) unit-trace states.
     Each trace is a GEMV, which unlike a sum along rows is fast in both layouts."""
@@ -346,7 +342,10 @@ class _KrausDiffusiveKernel:
         self.weights = np.stack([_coords(np.stack([np.eye(self.dim), *(
             math.sqrt(eta) * dt * (a + dag(a)) for a in ops)])) for eta in etas])
 
-    initial = _basis_initial
+    def initial(self, mats):
+        """A (b, d^2) batch of coordinates stored column-major, so y.T is a
+        contiguous (d^2, b) array."""
+        return np.ascontiguousarray(_coords(mats).T).T
 
     def step(self, y, dw_row):
         n_eta, n = len(self.stack), y.shape[1]
@@ -456,7 +455,9 @@ class _SuperopJumpKernel:
     row-form powers (P^T)^0 .. (P^T)^hop that carry a row from a click or
     checkpoint to the next.  A trajectory's k-th click takes its k-th click
     uniform (`_click_uniforms`) in each of its eta rows.  `step` is one
-    window of the same carry, click and normalization (`step_jump`).
+    window of the same carry, click and normalization (`step_jump`).  Rows
+    are row-major (b, n) throughout, and `_carry_all` multiplies each
+    efficiency block by its table in one GEMM.
     """
 
     _shape = None       # (n_steps, hop) of the tables built last
@@ -491,7 +492,9 @@ class _SuperopJumpKernel:
         self.props, self.jumps = np.stack(props), np.stack(jumps)
         self.tr_vec = _coords(ident)
 
-    initial = _basis_initial
+    def initial(self, mats):
+        return _coords(mats)
+
     to_matrices = _basis_to_matrices
 
     def step(self, y, u_row, signs):
@@ -584,14 +587,15 @@ class _SuperopJumpKernel:
         return (y[:, None, :] @ self.powers[table, gap])[:, 0]
 
     def _carry_all(self, y, minus, gap):
-        """Unnormalized rows y P^gap, column-major, by their LO sign's tables
-        (`minus`: sign -1): one GEMM per table and efficiency block."""
+        """Unnormalized rows y P^gap by their LO sign's tables (`minus`: sign
+        -1): one GEMM per table and efficiency block."""
         n_eta, n = len(self.props[0]), y.shape[1]
-        signed = self.powers[:, gap].mT.reshape(-1, n_eta, n, n)
-        out = _apply_blocks(signed[0], y.T)
-        if len(signed) > 1:
-            out = np.where(minus, _apply_blocks(signed[1], y.T), out)
-        return out.T
+        blocks = y.reshape(n_eta, -1, n)
+        out = (blocks @ self.powers[:n_eta, gap]).reshape(-1, n)
+        if self.adaptive:
+            minus_out = blocks @ self.powers[n_eta:, gap]
+            out = np.where(minus[:, None], minus_out.reshape(-1, n), out)
+        return out
 
     def _click(self, z, table):
         """Post-click states of unnormalized no-click rows z, and their tables."""
@@ -606,9 +610,7 @@ class _SuperopJumpKernel:
         out = self._carry_all(y, table >= len(self.props[0]), step - last)
         moved = np.flatnonzero(held != last)
         out[moved] = self._carry(y[moved], table[moved], step - held[moved])
-        # rows stay row-major between checkpoints: the row dot products of
-        # `_wait` and `_coord_purity` round by layout
-        return np.ascontiguousarray(self._normalized(out, out @ self.tr_vec, "no-click"))
+        return self._normalized(out, out @ self.tr_vec, "no-click")
 
     def run(self, y, n_steps, sample_pos, sink, draw, log):
         """Drive rows y to n_steps steps and hand them to sink(j, y) after
@@ -944,7 +946,9 @@ def run_trajectory(model, spec, rho0, config, traj_index=0):
 
     It is member traj_index of any ensemble on the same seed: the span
     [traj_index, traj_index + 1) of `_run_chunks`, which reads its column
-    of its group's noise or click stream.  The record holds the Wiener
+    of its group's noise or click stream.  Its one-row products go through
+    BLAS's single-vector path, so its states match the member's to
+    rounding (about 1e-15), not bit for bit.  The record holds the Wiener
     increments of a diffusive scheme, or the click times and LO signs of
     the event-driven counting run.
     """
@@ -1033,28 +1037,23 @@ def run_ensemble(model, spec, rho0, config, n_traj, statistic="purity"):
     purity; "mean_state" returns a MeanStateCurve of the ensemble-averaged
     state (whose contract is to match unconditional propagation).  A
     trajectory's random numbers depend only on (config.seed, trajectory
-    index), and sums run group by group, so the result depends on chunking
-    and thread count only through batch-shaped GEMMs.  Direct detection
-    and AID run event-driven (`_SuperopJumpKernel`): one uniform per click
-    in place of one per step.
+    index), and sums run group by group, so the result does not depend on
+    chunking, bit for bit; _NOISE_BLOCK_BYTES, which places the counting
+    kernel's checkpoints, moves counting results by rounding.  Direct
+    detection and AID run event-driven (`_SuperopJumpKernel`): one uniform
+    per click in place of one per step.
     """
     if statistic not in ("purity", "mean_state"):
         raise ValueError(f"unknown statistic {statistic!r}")
     if n_traj < 2:
         raise ValueError("n_traj must be at least 2")
-    n_steps, dt, sample_idx = config.grid()
-    rho0_m = _as_matrix(rho0)
+    _, dt, sample_idx = config.grid()
     if statistic == "purity":
         sink = _PurityCollector(len(sample_idx))
     else:
         sink = np.zeros((len(sample_idx), model.dim, model.dim), dtype=complex)
-    if n_steps == 0:
-        _collect_static(statistic, np.broadcast_to(rho0_m, (n_traj, *rho0_m.shape)), sink, 0)
-    else:
-        _run_chunks(model, spec, rho0_m, config, range(n_traj), statistic, sample_idx,
-                    lambda kernel, _rows, j, y: _emit(kernel, y, j, statistic, sink),
-                    None, None)
-
+    _run_chunks(model, spec, _as_matrix(rho0), config, range(n_traj), statistic, sample_idx,
+                lambda kernel, _rows, j, y: _emit(kernel, y, j, statistic, sink), None, None)
     times = sample_idx * dt
     if statistic == "mean_state":
         return MeanStateCurve(times=times, states=sink / n_traj, n=n_traj)
@@ -1093,15 +1092,11 @@ def run_final_states(model, spec, rho0, config, n_traj):
     """
     if n_traj < 2:
         raise ValueError("n_traj must be at least 2")
-    n_steps = config.grid()[0]
-    rho0_m = _as_matrix(rho0)
-    if n_steps == 0:
-        return np.broadcast_to(rho0_m, (n_traj, *rho0_m.shape)).copy()
     out = np.empty((n_traj, model.dim, model.dim), dtype=complex)
 
     def keep(kernel, rows, _j, y):
         out[rows] = kernel.to_matrices(y)
 
-    _run_chunks(model, spec, rho0_m, config, range(n_traj), "final_states", [n_steps], keep,
-                None, None)
+    _run_chunks(model, spec, _as_matrix(rho0), config, range(n_traj), "final_states",
+                [config.grid()[0]], keep, None, None)
     return out

@@ -220,6 +220,41 @@ class TestRunEnsemble:
                 # 3/sqrt(N) statistical + O(dt) discretization allowance
                 assert dist < 3.0 / math.sqrt(400) + 0.02, (name, t, dist)
 
+    @pytest.mark.parametrize("kind", ALL_SCHEMES)
+    def test_zero_horizon_reports_the_start_state(self, kind):
+        # a horizon-0 run goes through its kernel like any other: the start
+        # state's round trip through the coordinates
+        model, spec = build_tla(tla()), T.UnravellingSpec(kind, 0.6)
+        rho0 = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
+        cfg = T.TrajectoryConfig(1e-3, 0.0, seed=4)
+        curve = T.run_ensemble(model, spec, rho0, cfg, 8)
+        mean = T.run_ensemble(model, spec, rho0, cfg, 8, statistic="mean_state")
+        finals = T.run_final_states(model, spec, rho0, cfg, 8)
+        assert np.array_equal(curve.times, [0.0]) and np.array_equal(mean.times, [0.0])
+        assert np.array_equal(curve.mean, [purity(rho0)])
+        assert np.array_equal(finals, np.broadcast_to(rho0, finals.shape))
+        assert np.abs(mean.states[0] - rho0).max() <= 1e-15
+
+    def test_zero_horizon_purified_start_is_the_first_sample(self):
+        # at d = 30 and eta = 1 the bundle drops rho0's eigenvalues below
+        # _PURIFIED_WEIGHT_CUT of the largest and renormalises: a horizon-0
+        # run reports that bundle, as the first sample of a longer run does
+        model, ws = build_qbm_oracle(QbmParams(0.5), 30)
+        rho0 = gaussian_density_matrix(ws, CovarianceState(0.8, 0.8, 0.0)).matrix
+        spec = T.UnravellingSpec("heterodyne", 1.0)
+        zero = T.TrajectoryConfig(2e-3, 0.0, seed=3)
+        assert isinstance(T._select_kernel(model, spec, rho0, 2e-3, "purity", None),
+                          T._PurifiedKernel)
+        curve = T.run_ensemble(model, spec, rho0, zero, 4)
+        longer = T.run_ensemble(model, spec, rho0, T.TrajectoryConfig(2e-3, 0.01, seed=3), 4)
+        finals = T.run_final_states(model, spec, rho0, zero, 4)
+        assert np.array_equal(curve.mean, longer.mean[:1])
+        vals = np.linalg.eigvalsh(rho0)
+        dropped = vals[vals <= T._PURIFIED_WEIGHT_CUT * vals.max()].sum()
+        assert 0.0 < dropped <= len(vals) * T._PURIFIED_WEIGHT_CUT
+        assert abs(curve.mean[0] - purity(rho0)) <= 2.0 * dropped
+        assert np.abs(finals - rho0).max() <= 2.0 * dropped
+
     @pytest.mark.parametrize("kind,eta", [("heterodyne", 0.5), ("homodyne_x", 1.0)])
     def test_long_coarse_run_keeps_final_states_normalised(self, monkeypatch, kind, eta):
         # 100,000 unnormalised Kraus steps at a coarse dt and one sample at
@@ -252,51 +287,64 @@ class TestRunEnsemble:
         assert np.all(ratio > 1.5)
         assert np.all(ratio < 2.5)
 
-    def test_chunking_does_not_change_result(self, monkeypatch):
+    CHUNK_CFG = T.TrajectoryConfig(2e-3, 0.5, seed=8, sample_stride=50)
+    CHUNK_CASES = [(spec, statistic)
+                   for spec in (T.UnravellingSpec("heterodyne", 1.0), T.UnravellingSpec("aid", 1.0),
+                                T.UnravellingSpec("direct", 0.7))
+                   for statistic in ("purity", "mean_state")]
+
+    def _chunk_runs(self):
+        """(ensemble, final states) of 256 trajectories for every CHUNK_CASES case."""
         model = build_tla(tla())
-        cfg = T.TrajectoryConfig(2e-3, 0.5, seed=8, sample_stride=50)
-        cases = [(spec, statistic)
-                 for spec in (T.UnravellingSpec("heterodyne", 1.0), T.UnravellingSpec("aid", 1.0),
-                              T.UnravellingSpec("direct", 0.7))
-                 for statistic in ("purity", "mean_state")]
-        refs = [(T.run_ensemble(model, spec, EXCITED, cfg, 256, statistic),
-                 T.run_final_states(model, spec, EXCITED, cfg, 256))
-                for spec, statistic in cases]
-        # force 64-trajectory chunks and heterodyne noise blocks of 7 steps,
-        # which do not divide the 250 steps
+        return [(T.run_ensemble(model, spec, EXCITED, self.CHUNK_CFG, 256, statistic),
+                 T.run_final_states(model, spec, EXCITED, self.CHUNK_CFG, 256))
+                for spec, statistic in self.CHUNK_CASES]
+
+    def _assert_runs_agree(self, runs, refs, exact_kinds):
+        close = lambda a, b: np.abs(a - b).max() < 1e-12
+        for (spec, statistic), (run, finals), (ref, ref_finals) in zip(
+                self.CHUNK_CASES, runs, refs):
+            exact = np.array_equal if spec.kind in exact_kinds else close
+            case = (spec.kind, statistic)
+            assert exact(finals, ref_finals), case
+            if statistic == "purity":
+                assert exact(run.mean, ref.mean), case
+            else:
+                assert exact(run.states, ref.states), case
+
+    def test_chunking_does_not_change_result(self, monkeypatch):
+        refs = self._chunk_runs()
+        # force 64-trajectory chunks: every scheme's states, purity means and
+        # mean states (summed group by group) agree to the bit
         monkeypatch.setattr(T, "_MAX_SUPEROP_CHUNK", 64)
-        monkeypatch.setattr(T, "_NOISE_BLOCK_BYTES", 64 * 2 * 8 * 7)
-        chunks, draws = [], []
-        iter_chunks, noise_plan = T._iter_chunks, T._noise_plan
+        chunks = []
+        iter_chunks = T._iter_chunks
 
         def counted_chunks(n_traj, chunk):
             spans = list(iter_chunks(n_traj, chunk))
             chunks.append(len(spans))
             return spans
 
+        monkeypatch.setattr(T, "_iter_chunks", counted_chunks)
+        self._assert_runs_agree(self._chunk_runs(), refs, ALL_SCHEMES)
+        assert chunks == [4] * 2 * len(self.CHUNK_CASES)
+
+    def test_noise_budget_changes_only_counting_rounding(self, monkeypatch):
+        refs = self._chunk_runs()
+        # heterodyne noise blocks of 7 steps, which do not divide the 250
+        # steps: heterodyne agrees to the bit.  The budget also places the
+        # counting kernel's carry-only checkpoints, between the samples here,
+        # so the counting schemes agree only to rounding
+        monkeypatch.setattr(T, "_NOISE_BLOCK_BYTES", 256 * 2 * 8 * 7)
+        draws = []
+        noise_plan = T._noise_plan
+
         def counted_plan(spec, n_steps, rng):
             draws.append(n_steps)
             return noise_plan(spec, n_steps, rng)
 
-        monkeypatch.setattr(T, "_iter_chunks", counted_chunks)
         monkeypatch.setattr(T, "_noise_plan", counted_plan)
-        for (spec, statistic), (ref, ref_finals) in zip(cases, refs):
-            split = T.run_ensemble(model, spec, EXCITED, cfg, 256, statistic)
-            finals = T.run_final_states(model, spec, EXCITED, cfg, 256)
-            # heterodyne states agree to the bit, and so do their purity
-            # means and mean states, which are summed group by group; the
-            # counting states only to rounding, since the sampler carries
-            # rows in GEMMs shaped by the chunk
-            def close(a, b):
-                return np.abs(a - b).max() < 1e-12
-            exact = np.array_equal if spec.kind == "heterodyne" else close
-            case = (spec.kind, statistic)
-            assert exact(finals, ref_finals), case
-            if statistic == "purity":
-                assert exact(split.mean, ref.mean), case
-            else:
-                assert exact(split.states, ref.states), case
-        assert chunks == [4] * 2 * len(cases)
+        self._assert_runs_agree(self._chunk_runs(), refs, ("heterodyne",))
         assert max(draws) == 7 and min(draws) < 7
 
     @pytest.mark.parametrize("n", [256, 300])
@@ -466,15 +514,22 @@ class TestEfficiencyStack:
                 alone = T.run_purity_averages(model, spec, EXCITED, cfg, 48, (eta,))
                 assert np.array_equal(stacked[e], alone[0]), (spec.kind, eta)
 
-    def test_chunking_does_not_change_averages(self, monkeypatch):
+    @pytest.mark.parametrize("name, value, exact_kinds", [
+        # 256 rows hold one group of 64 trajectories at 4 efficiencies: every
+        # scheme to the bit
+        ("_MAX_SUPEROP_CHUNK", 256, ("heterodyne", "aid", "direct")),
+        # heterodyne noise blocks of 7 steps, and counting checkpoints
+        # between the samples: heterodyne to the bit, counting to rounding
+        ("_NOISE_BLOCK_BYTES", 256 * 2 * 8 * 7, ("heterodyne",)),
+    ], ids=["chunking", "budget"])
+    def test_chunking_does_not_change_averages(self, monkeypatch, name, value, exact_kinds):
         model = build_tla(tla())
         cfg = T.TrajectoryConfig(2e-3, 0.5, seed=8, sample_stride=50)
         specs = (T.UnravellingSpec("heterodyne"), T.UnravellingSpec("aid"),
                  T.UnravellingSpec("direct"))
         refs = [T.run_purity_averages(model, spec, EXCITED, cfg, 256, self.ETAS)
                 for spec in specs]
-        # 256 rows hold one group of 64 trajectories at 4 efficiencies
-        monkeypatch.setattr(T, "_MAX_SUPEROP_CHUNK", 256)
+        monkeypatch.setattr(T, name, value)
         chunks = []
         iter_chunks = T._iter_chunks
 
@@ -486,13 +541,11 @@ class TestEfficiencyStack:
         monkeypatch.setattr(T, "_iter_chunks", counted_chunks)
         for spec, ref in zip(specs, refs):
             split = T.run_purity_averages(model, spec, EXCITED, cfg, 256, self.ETAS)
-            # the rules of test_chunking_does_not_change_result: heterodyne
-            # to the bit, the counting schemes to rounding
-            if spec.kind == "heterodyne":
-                assert np.array_equal(split, ref)
+            if spec.kind in exact_kinds:
+                assert np.array_equal(split, ref), spec.kind
             else:
                 assert np.abs(split - ref).max() < 1e-12, spec.kind
-        assert chunks == [4] * len(specs)
+        assert chunks == [4 if name == "_MAX_SUPEROP_CHUNK" else 1] * len(specs)
 
     def test_window_is_the_last_quarter_of_the_purity_curve(self):
         model = build_tla(tla())
@@ -527,9 +580,9 @@ class TestEfficiencyStack:
         a = rng.standard_normal((50, dim, dim)) + 1j * rng.standard_normal((50, dim, dim))
         mats = a @ np.conj(np.swapaxes(a, 1, 2))
         mats /= np.trace(mats, axis1=1, axis2=2).real[:, None, None]
-        # both layouts: the stepping kernels' column-major batch, the
-        # sampler's row-major one
-        for y in (T._basis_initial(None, mats), T._coords(mats)):
+        # both layouts: the Kraus kernel's column-major batch, the counting
+        # kernel's row-major one
+        for y in (T._KrausDiffusiveKernel.initial(None, mats), T._coords(mats)):
             ref = T._batch_purity(T._from_coords(y, dim))
             assert np.abs(T._coord_purity(y) - ref).max() <= 1e-15
 
