@@ -18,12 +18,14 @@ import sys
 import numpy as np
 
 from . import __version__
+from . import gaussian as G
 from . import measures as M
 from . import trajectories as T
 from .errors import SimulationError
-from .gaussian import DiskPoint, QbmParams, qbm_generators
-from .hilbert import DensityMatrix, propagate_matrices, trace_distance
-from .systems import TLA_SCHEMES, TlaParams, build_tla
+from .gaussian import CovarianceState, DiskPoint, QbmParams, qbm_generators
+from .hilbert import DensityMatrix, propagate_matrices, purity, trace_distance
+from .systems import (TLA_SCHEMES, TlaParams, build_qbm_oracle, build_tla,
+                      gaussian_density_matrix)
 
 THREADS_ENV = "UNRAVEL_THREADS"
 
@@ -58,8 +60,8 @@ def _apply_config(argv, parser, subparsers, args):
     coerced = {}
     for key, value in cfg.items():
         action = actions.get(key)
-        if action is None:
-            raise UsageError(f"config key {key!r} is not a flag of {args.command}")
+        if action is None or action.nargs == 0:
+            raise UsageError(f"config key {key!r} is no flag of {args.command} with a value")
         coerced[key] = action.type(value) if action.type else value
     sub.set_defaults(**coerced)
     return parser.parse_args(argv)
@@ -201,7 +203,7 @@ def cmd_tla_curves(args):
     if args.dump_count < 1:
         raise UsageError(f"--dump-count must be at least 1, got {args.dump_count}")
     model = build_tla(params)
-    theta, rho_ss = M.tla_theta(params)
+    theta, rho_ss = M.tla_theta(model)
     cfg = T.TrajectoryConfig(dt=args.dt, horizon=args.horizon, seed=args.seed,
                              sample_stride=args.stride)
     rows = []
@@ -223,8 +225,6 @@ def cmd_tla_curves(args):
 
 
 def _dump_trajectories(model, scheme, rho0, cfg, count, path, config):
-    from .hilbert import purity
-
     rows = []
     for index in range(count):
         res = T.run_trajectory(model, T.UnravellingSpec(scheme), rho0, cfg,
@@ -290,10 +290,6 @@ def _suite_invariance(args):
 
 
 def _suite_gaussian_oracle(args):
-    import unravel.gaussian as G
-    from unravel.gaussian import CovarianceState
-    from unravel.systems import build_qbm_oracle, gaussian_density_matrix
-
     params = QbmParams(0.5)
     model, ws = build_qbm_oracle(params, 60)
     v0 = CovarianceState(1.0, 1.0, 0.0)
@@ -313,9 +309,6 @@ def _suite_gaussian_oracle(args):
 
 
 def _suite_properties(args):
-    import unravel.gaussian as G
-    from unravel.gaussian import CovarianceState
-
     # the trajectory check's config first: a bad seed stops the suite at once
     cfg = T.TrajectoryConfig(dt=1e-3, horizon=0.5, seed=args.seed)
     checks = []

@@ -49,6 +49,11 @@ def _as_complex_matrix(elements):
     return m
 
 
+def _as_matrix(state):
+    """The raw matrix of a state (DensityMatrix or other holder of .matrix) or array."""
+    return np.asarray(getattr(state, "matrix", state))
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A valid quantum state: Hermitian, unit trace, positive semidefinite."""
@@ -151,7 +156,7 @@ class FockWorkspace:
     def check_tail(self, rho):
         """Population in the top _TAIL_LEVELS Fock levels of a state; raises
         TruncationError above _TAIL_TOL."""
-        m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
+        m = _as_matrix(rho)
         mass = float(np.real(np.diag(m)[-_TAIL_LEVELS:].sum()))
         if mass > _TAIL_TOL:
             raise TruncationError(
@@ -162,22 +167,20 @@ class FockWorkspace:
 
 def purity(rho):
     """Tr[rho^2]."""
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    m = _as_matrix(rho)
     return float(np.real(np.einsum("ij,ji->", m, m)))
 
 
 def overlap(rho1, rho2):
     """Tr[rho1 rho2]; symmetric, equals purity when the states coincide."""
-    m1 = rho1.matrix if isinstance(rho1, DensityMatrix) else np.asarray(rho1)
-    m2 = rho2.matrix if isinstance(rho2, DensityMatrix) else np.asarray(rho2)
+    m1, m2 = _as_matrix(rho1), _as_matrix(rho2)
     if m1.shape != m2.shape:
         raise DimensionMismatchError(f"{m1.shape} vs {m2.shape}")
     return float(np.real(np.einsum("ij,ji->", m1, m2)))
 
 
 def trace_distance(rho1, rho2):
-    m1 = rho1.matrix if isinstance(rho1, DensityMatrix) else np.asarray(rho1)
-    m2 = rho2.matrix if isinstance(rho2, DensityMatrix) else np.asarray(rho2)
+    m1, m2 = _as_matrix(rho1), _as_matrix(rho2)
     return float(0.5 * np.abs(np.linalg.eigvalsh(m1 - m2)).sum())
 
 
@@ -188,7 +191,7 @@ def lindblad_rhs(model, rho):
     Takes one state or a stack (..., d, d) of raw matrices and returns raw
     trace-zero matrices of the same shape.
     """
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    m = _as_matrix(rho)
     if m.shape[-1] != model.dim:
         raise DimensionMismatchError(f"state dim {m.shape[-1]} != model dim {model.dim}")
     h = model.hamiltonian
@@ -255,8 +258,7 @@ def propagate(model, rho0, duration):
     """
     if duration == 0 and isinstance(rho0, DensityMatrix):
         return rho0
-    _, m = next(propagate_matrices(
-        model, rho0.matrix if isinstance(rho0, DensityMatrix) else rho0, [duration]))
+    _, m = next(propagate_matrices(model, _as_matrix(rho0), [duration]))
     try:
         return DensityMatrix(m)
     except InvariantViolationError as exc:

@@ -1,18 +1,23 @@
 """The four robustness measures, over either backend.
 
 Purification time, efficiency threshold, mixing time and survival time,
-all defined against the shared halfway threshold theta = (1 + Tr[rho_ss^2])/2.
-The Brownian-particle backend is deterministic (closed-form Riccati and
-Lyapunov curves, closed-form survival); the two-level-atom backend is Monte
-Carlo with explicit statistical uncertainties, in the atom's unit gamma
-(times in 1/gamma, so Omega alone sets a result).  Each QBM measure has
-one body over a stack of disk points, which the detection-disk optimizer
-calls once for its coarse grid and once per compass-search iteration; the
-module also hosts the unravelling ranking harness.
+all defined against the shared halfway threshold theta = (1 + Tr[rho_ss^2])/2,
+each in the docstring of its front door (purification_time, ...), which
+picks the backend by the system's type.  The Brownian-particle backend is
+deterministic (closed-form Riccati and Lyapunov curves, closed-form
+survival): one body per measure over a stack of disk points, which the
+detection-disk optimizer calls once for its coarse grid and once per
+compass-search iteration.  The two-level-atom backend is Monte Carlo with
+explicit statistical uncertainties, in the atom's unit gamma (times in
+1/gamma, so Omega alone sets a result): each measure sets the atom up once
+(_atom), and the efficiency threshold's averaging window, the final quarter
+of each run, is chosen here (_long_run_purity).  The module also hosts the
+ranking harness.
 """
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -182,30 +187,6 @@ def _qbm_values(kind, params, points):
     return taus, faults
 
 
-def purification_time_qbm(params, u):
-    """Time for the conditional purity to climb to 1/2, conditioning from the
-    unconditional long-time state (information-form flow from Y = diag(0, 1/T))."""
-    return _qbm_measure("purification", params, u)
-
-
-def mixing_time_qbm(params, u):
-    """Time for an unobserved, conditionally-pure state to mix down to theta."""
-    return _qbm_measure("mixing", params, u)
-
-
-def survival_time_qbm(params, u):
-    """Time for a frozen conditioned state's mean overlap with its
-    unconditionally evolved copy to fall to theta."""
-    return _qbm_measure("survival", params, u)
-
-
-def efficiency_threshold_qbm(params, u):
-    """Detection efficiency at which the stationary conditional purity sits
-    halfway between no observation (0) and perfect observation
-    (_threshold_values on a stack of one)."""
-    return _qbm_measure("efficiency_threshold", params, u)
-
-
 def _threshold_values(params, points):
     """The efficiency threshold at each disk point, as _qbm_values gives it.
 
@@ -242,12 +223,7 @@ def _threshold_values(params, points):
     return eta, faults
 
 
-_QBM_MEASURES = {
-    "purification": purification_time_qbm,
-    "efficiency_threshold": efficiency_threshold_qbm,
-    "mixing": mixing_time_qbm,
-    "survival": survival_time_qbm,
-}
+_QBM_MEASURES = {kind: functools.partial(_qbm_measure, kind) for kind in MEASURE_KINDS}
 
 
 # ---------------------------------------------------------------------------
@@ -277,36 +253,41 @@ _TLA_ETA_TIME = 20.0
 _TLA_SAMPLE_STRIDE = 20
 
 
-def tla_theta(params):
-    rho_ss = steady_state(build_tla(params))
+def tla_theta(model):
+    """The atom model's halfway threshold and steady state: (theta, rho_ss)."""
+    rho_ss = steady_state(model)
     return ThetaThreshold.from_purity(purity(rho_ss)), rho_ss
 
 
-def _mixed_steady_state(params, degenerate):
-    """tla_theta, or, for an undriven atom's pure steady state (theta = 1),
-    an AssumptionError that the measure is `degenerate`."""
-    theta, rho_ss = tla_theta(params)
-    if theta.rho_ss_purity >= 1.0 - 1e-9:
-        raise AssumptionError(
-            f"steady state is already pure (theta = 1): {degenerate} for an undriven atom")
-    return theta, rho_ss
+_Atom = namedtuple("_Atom", "model theta rho_ss")       # what _atom sets up
+
+
+def _atom(params, degenerate):
+    """The atom of one measure call, its model built and steady state solved
+    once.  A steady state pure to 1e-9 (theta = 1) makes every measure
+    degenerate: None, or an AssumptionError naming `degenerate` if given."""
+    model = build_tla(params)
+    theta, rho_ss = tla_theta(model)
+    if theta.rho_ss_purity < 1.0 - 1e-9:
+        return _Atom(model, theta, rho_ss)
+    if degenerate is None:
+        return None
+    raise AssumptionError(f"steady state is already pure (purity "
+                          f"{theta.rho_ss_purity:.12g}, theta = 1): {degenerate}")
 
 
 def purification_time_tla(params, spec, opts=McOptions()):
-    """First crossing of the mean conditional purity up through theta,
-    conditioning from the unconditional steady state at unit efficiency."""
-    theta, rho_ss = tla_theta(params)
-    if theta.rho_ss_purity >= 1.0 - 1e-12:
+    atom = _atom(params, None)
+    if atom is None:
         return MeasureResult("purification", 0.0,
                              metadata={"rabi": params.rabi, "scheme": spec.kind,
                                        "degenerate": True})
-    spec1 = replace(spec, eta=1.0)
-    model = build_tla(params)
     cfg = TrajectoryConfig(dt=opts.dt, horizon=_TLA_PUR_HORIZON, seed=opts.seed,
                            sample_stride=_TLA_SAMPLE_STRIDE)
-    curve = T.run_ensemble(model, spec1, rho_ss, cfg, opts.n_traj, "purity")
+    curve = T.run_ensemble(atom.model, replace(spec, eta=1.0), atom.rho_ss, cfg, opts.n_traj,
+                           "purity")
     tau, err = crossing_with_uncertainty(curve.times, curve.mean, curve.stderr,
-                                         theta.theta)
+                                         atom.theta.theta)
     return MeasureResult("purification", tau, err,
                          metadata=_mc_meta(params, spec, opts, curve.n))
 
@@ -322,36 +303,29 @@ def _superop_steps(model, mats, tau_grid):
     return propagate_matrices(model, mats, tau_grid)
 
 
-def conditioned_stationary_states(params, spec, opts):
-    """Sample stationary conditioned states from long unit-efficiency runs."""
-    model = build_tla(params)
-    _, rho_ss = tla_theta(params)
-    cfg = TrajectoryConfig(dt=opts.dt, horizon=_TLA_RELAX_TIME, seed=opts.seed)
-    return T.run_final_states(model, replace(spec, eta=1.0), rho_ss, cfg, opts.n_traj)
-
-
 def mixing_and_survival_tla(params, spec, opts=McOptions()):
     """Both unobserved-decay measures from one conditioned ensemble.
 
-    Freeze each conditioned state, evolve a copy deterministically, and
-    average purity (mixing) and frozen-against-evolved overlap (survival)
-    across the ensemble at each delay.
+    Condition at unit efficiency for _TLA_RELAX_TIME, freeze each final
+    state, evolve a copy deterministically, and average purity (mixing) and
+    frozen-against-evolved overlap (survival) across the ensemble per delay.
     """
-    theta, _ = _mixed_steady_state(params, "the mixing and survival times are degenerate")
-    model = build_tla(params)
-    frozen = conditioned_stationary_states(params, spec, opts)
+    atom = _atom(params, "the mixing and survival times are degenerate")
+    cfg = TrajectoryConfig(dt=opts.dt, horizon=_TLA_RELAX_TIME, seed=opts.seed)
+    frozen = T.run_final_states(atom.model, replace(spec, eta=1.0), atom.rho_ss, cfg,
+                                opts.n_traj)
     n = frozen.shape[0]
     tau_grid = np.linspace(0.0, _TLA_TAU_HORIZON, 241)
     # mean and standard error of the purity and the overlap at each delay
     stats, root_n = [], math.sqrt(n)
-    for _, states in _superop_steps(model, frozen, tau_grid):
-        p = np.einsum("bij,bji->b", states, states).real
+    for _, states in _superop_steps(atom.model, frozen, tau_grid):
+        p = T._batch_purity(states)
         ov = np.einsum("bij,bji->b", frozen, states).real
         stats.append([p.mean(), p.std(ddof=1) / root_n, ov.mean(), ov.std(ddof=1) / root_n])
     pur_mean, pur_err, ov_mean, ov_err = np.array(stats).T
     meta = _mc_meta(params, spec, opts, n)
-    t_mix, e_mix = crossing_with_uncertainty(tau_grid, pur_mean, pur_err, theta.theta)
-    t_sur, e_sur = crossing_with_uncertainty(tau_grid, ov_mean, ov_err, theta.theta)
+    t_mix, e_mix = crossing_with_uncertainty(tau_grid, pur_mean, pur_err, atom.theta.theta)
+    t_sur, e_sur = crossing_with_uncertainty(tau_grid, ov_mean, ov_err, atom.theta.theta)
     return (MeasureResult("mixing", t_mix, e_mix, metadata=meta),
             MeasureResult("survival", t_sur, e_sur, metadata=meta))
 
@@ -364,14 +338,15 @@ def survival_time_tla(params, spec, opts=McOptions()):
     return mixing_and_survival_tla(params, spec, opts)[1]
 
 
-def _long_run_purity(params, spec, etas, opts):
-    """Each trajectory's mean purity over the final quarter of a 20/gamma run,
-    at every efficiency in `etas` from one pass on shared noise: (E, n_traj)."""
-    model = build_tla(params)
-    _, rho_ss = tla_theta(params)
+def _long_run_purity(atom, spec, etas, opts):
+    """Each trajectory's mean purity over the final quarter of a _TLA_ETA_TIME
+    run from the steady state, at every efficiency in `etas` from one pass on
+    shared noise: (E, n_traj)."""
     cfg = TrajectoryConfig(dt=opts.dt, horizon=_TLA_ETA_TIME, seed=opts.seed,
                            sample_stride=_TLA_SAMPLE_STRIDE)
-    return T.run_purity_averages(model, spec, rho_ss, cfg, opts.n_traj, etas)
+    samples = cfg.grid()[2]
+    return T.run_purity_averages(atom.model, replace(spec, eta=1.0), atom.rho_ss, cfg,
+                                 opts.n_traj, etas, samples[-max(1, len(samples) // 4):])
 
 
 _JACKKNIFE_BLOCKS = 20
@@ -401,9 +376,10 @@ def efficiency_threshold_tla(params, spec, opts=McOptions()):
     trajectories.  The error is a jackknife over _JACKKNIFE_BLOCKS blocks of
     trajectories (Efron & Stein, Ann. Stat. 9, 586, 1981).
     """
-    theta, _ = _mixed_steady_state(params, "the efficiency threshold is degenerate")
+    atom = _atom(params, "the efficiency threshold is degenerate")
+    theta = atom.theta
     probe = np.array([0.25, 0.5, 0.75, 1.0])
-    first = _long_run_purity(params, spec, probe, opts)
+    first = _long_run_purity(atom, spec, probe, opts)
     n = first.shape[1]
     vals, errs = first.mean(axis=1), first.std(axis=1, ddof=1) / math.sqrt(n)
     for va, vb, sa, sb in zip(vals, vals[1:], errs, errs[1:]):
@@ -419,7 +395,7 @@ def efficiency_threshold_tla(params, spec, opts=McOptions()):
     hi = int(np.argmax(vals >= theta.theta)) + 1
     lo_eta, hi_eta = ([0.0] + probe.tolist())[hi - 1:hi + 1]
     inner = lo_eta + (hi_eta - lo_eta) * np.array([0.25, 0.5, 0.75])
-    second = _long_run_purity(params, spec, inner, opts)
+    second = _long_run_purity(atom, spec, inner, opts)
     bracket = np.vstack([grid[hi - 1], second, grid[hi]])
     etas = np.concatenate([[lo_eta], inner, [hi_eta]])
     eta_thr = _eta_crossing(etas, bracket.mean(axis=1), theta.theta)
@@ -436,30 +412,39 @@ def efficiency_threshold_tla(params, spec, opts=McOptions()):
     return MeasureResult("efficiency_threshold", eta_thr, uncertainty, metadata=meta)
 
 
-_TLA_MEASURES = {
-    "purification": purification_time_tla,
-    "efficiency_threshold": efficiency_threshold_tla,
-    "mixing": mixing_time_tla,
-    "survival": survival_time_tla,
-}
+_TLA_MEASURES = dict(zip(MEASURE_KINDS, (purification_time_tla, efficiency_threshold_tla,
+                                         mixing_time_tla, survival_time_tla)))
 
 
 # ---------------------------------------------------------------------------
 # dispatch front door
 
 def purification_time(system, spec, **kw):
+    """Time for the mean conditional purity to climb up through theta,
+    conditioning from the unconditional steady state at unit efficiency (the
+    particle's information-form flow starts from Y = diag(0, 1/T)).  An atom
+    whose steady state is already pure purifies at once: 0, flagged degenerate.
+    """
     return _dispatch("purification", system, spec, **kw)
 
 
 def efficiency_threshold(system, spec, **kw):
+    """Detection efficiency at which the long-run conditional purity sits
+    halfway (theta) between no observation and perfect observation: the
+    particle's stationary purity (_threshold_values), the atom's mean purity
+    over the final quarter of each run (efficiency_threshold_tla)."""
     return _dispatch("efficiency_threshold", system, spec, **kw)
 
 
 def mixing_time(system, spec, **kw):
+    """Time for an unobserved, conditionally pure state to mix down to
+    theta (mixing_and_survival_tla for the atom)."""
     return _dispatch("mixing", system, spec, **kw)
 
 
 def survival_time(system, spec, **kw):
+    """Time for a frozen conditioned state's mean overlap with its
+    unconditionally evolved copy to fall to theta (as mixing_time, for the atom)."""
     return _dispatch("survival", system, spec, **kw)
 
 
@@ -532,8 +517,7 @@ def optimize_disk(params, kind):
               if n == order[0] or not (near_best(n) or np.isinf(values[n]))]
     u = _compass_search(objective, starts)
     result = _QBM_MEASURES[kind](params, u)
-    meta = dict(result.metadata, grid_failures=len(failures))
-    return u, MeasureResult(result.kind, result.value, result.uncertainty, meta)
+    return u, replace(result, metadata=dict(result.metadata, grid_failures=len(failures)))
 
 
 # the compass stencil's eight directions at the start steps (0.08 in r, 0.12

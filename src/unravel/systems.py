@@ -21,6 +21,7 @@ from .hilbert import (
     LindbladModel,
     PAULI_X,
     SIGMA_MINUS,
+    _as_matrix,
     dag,
 )
 
@@ -78,7 +79,7 @@ def gaussian_density_matrix(workspace, cov):
     TruncationError through the workspace tail check if the state does not
     fit the truncation.
     """
-    v = cov.matrix if hasattr(cov, "matrix") else np.asarray(cov, dtype=float)
+    v = _as_matrix(cov)
     det = float(np.linalg.det(v))
     if det < 0.25 - 1e-9:
         raise InvariantViolationError(f"covariance below Heisenberg bound: det={det}")

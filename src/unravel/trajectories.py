@@ -44,7 +44,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import InvariantViolationError, StepSizeError
-from .hilbert import DensityMatrix, LindbladModel, _no_jump_generator, dag, liouvillian_matrix
+from .hilbert import (DensityMatrix, LindbladModel, _as_matrix, _no_jump_generator, dag,
+                      liouvillian_matrix)
 
 DIFFUSIVE_KINDS = ("homodyne_x", "homodyne_y", "heterodyne", "general_dyne")
 JUMP_KINDS = ("direct", "aid")
@@ -784,10 +785,6 @@ def _select_kernel(model, spec, rho0, dt, statistic, etas):
     return _MatrixDiffusiveKernel(model, spec, dt)
 
 
-def _as_matrix(rho):
-    return np.asarray(rho.matrix if isinstance(rho, DensityMatrix) else rho)
-
-
 # ---------------------------------------------------------------------------
 # public single-state steps (the contract surface; ensembles use the same kernels)
 
@@ -1060,26 +1057,29 @@ def run_ensemble(model, spec, rho0, config, n_traj, statistic="purity"):
     return sink.finish(times, n_traj)
 
 
-def run_purity_averages(model, spec, rho0, config, n_traj, etas):
-    """Each trajectory's mean purity over the final quarter of its samples at
-    every efficiency in `etas`, (E, n_traj), from one pass over each
-    trajectory's one noise draw (common random numbers).  Each row equals,
-    bit for bit, the row of a run at that efficiency alone.  Direct
-    detection and AID run event-driven (`_SuperopJumpKernel`): a
+def run_purity_averages(model, spec, rho0, config, n_traj, etas, steps):
+    """Each trajectory's mean purity after the distinct `steps` (0: the start)
+    at every efficiency in `etas` (spec.eta must be 1), (E, n_traj), from one
+    pass over each trajectory's one noise draw (common random numbers).  Each
+    row equals, bit for bit, the row of a run at that efficiency alone.
+    Direct detection and AID run event-driven (`_SuperopJumpKernel`): a
     trajectory's k-th click at every efficiency takes its k-th click
     uniform.  Needs dimension <= _SUPEROP_DIM_LIMIT (real coordinates)."""
     if n_traj < 2:
         raise ValueError("n_traj must be at least 2")
-    sample_idx = config.grid()[2]
-    window = sample_idx[-max(1, len(sample_idx) // 4):]
+    if spec.eta != 1.0:
+        raise ValueError(f"etas sets the efficiencies: spec.eta must be 1, not {spec.eta}")
+    last = config.grid()[0]
+    if len(set(steps)) != len(steps) or not 0 <= min(steps, default=-1) <= max(steps) <= last:
+        raise ValueError(f"steps must be distinct steps of the run, 0 .. {last}")
     acc = np.zeros((len(etas), n_traj))
 
     def add(_kernel, rows, _j, y):
         acc[:, rows] += _coord_purity(y).reshape(len(etas), -1)
 
-    _run_chunks(model, spec, _as_matrix(rho0), config, range(n_traj), "purity", window, add,
+    _run_chunks(model, spec, _as_matrix(rho0), config, range(n_traj), "purity", steps, add,
                 etas, None)
-    return acc / len(window)
+    return acc / len(steps)
 
 
 def run_final_states(model, spec, rho0, config, n_traj):

@@ -200,8 +200,8 @@ def test_criterion_5_survival_below_mixing(qbm_optima, tla_mix_sur):
                 continue
             seen.add(key)
             try:
-                t_mix = M.mixing_time_qbm(params, u).value
-                t_sur = M.survival_time_qbm(params, u).value
+                t_mix = M.mixing_time(params, u).value
+                t_sur = M.survival_time(params, u).value
             except SimulationError:
                 continue
             checked += 1
@@ -334,7 +334,7 @@ def test_backend_agreement_mixing_time():
     params = QbmParams(0.5)
     u = DiskPoint(1.0, 2.0)
     gen = qbm_generators(params, u, 1.0)
-    gauss = M.mixing_time_qbm(params, u).value
+    gauss = M.mixing_time(params, u).value
 
     model, ws = build_qbm_oracle(params, 48)
     rho0 = gaussian_density_matrix(ws, CovarianceState(1.0, 1.0, 0.0))

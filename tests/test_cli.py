@@ -425,3 +425,17 @@ class TestConfigParsing:
         cfg.write_text("omega 3.5\n")
         with pytest.raises(ValueError):
             cli.read_config(str(cfg))
+
+    @pytest.mark.parametrize("command", ["qbm-optimal", "tla-curves", "tla-rank", "validate"])
+    def test_config_key_of_a_flag_without_value_is_usage_error(self, tmp_path, monkeypatch,
+                                                                capsys, command):
+        # `help = x` would otherwise be accepted and do nothing
+        monkeypatch.setattr(cli.M, "optimize_disk", _never_called)
+        monkeypatch.setattr(cli.M, "rank_unravellings", _never_called)
+        monkeypatch.setattr(cli.T, "run_ensemble", _never_called)
+        out, cfg = tmp_path / "x", tmp_path / "h.cfg"
+        cfg.write_text("help = x\n")
+        argv = [command] + (["properties"] if command == "validate" else [])
+        assert run_cli(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+        assert "'help' is no flag of" in capsys.readouterr().err
+        assert not out.exists()

@@ -15,7 +15,7 @@ from unravel.errors import (
     SimulationError,
 )
 from unravel.gaussian import DiskPoint, QbmParams
-from unravel.systems import TlaParams
+from unravel.systems import TlaParams, build_tla
 
 from oracles import direct_detection_threshold, qbm_efficiency_threshold as _threshold_by_brentq
 
@@ -32,7 +32,7 @@ class TestThetaThreshold:
         assert th.theta == pytest.approx(8.0 / 9.0)
 
     def test_tla_theta_matches_bloch_solution(self):
-        th, _ = M.tla_theta(TlaParams(1.0))
+        th, _ = M.tla_theta(build_tla(TlaParams(1.0)))
         assert th.rho_ss_purity == pytest.approx(7.0 / 9.0, abs=1e-9)
 
 
@@ -104,7 +104,7 @@ class TestQbmMeasures:
     def test_purification_regression(self):
         # frozen from the information-form flow; the large-initial-covariance
         # limit is cross-validated in test_limit_of_finite_starts below
-        res = M.purification_time_qbm(QbmParams(1.0), DiskPoint(1.0, 0.0))
+        res = M.purification_time(QbmParams(1.0), DiskPoint(1.0, 0.0))
         assert res.value == pytest.approx(0.14362, rel=1e-3)
 
     def test_limit_of_finite_starts(self):
@@ -115,7 +115,7 @@ class TestQbmMeasures:
 
         params = QbmParams(1.0)
         gen = qbm_generators(params, DiskPoint(1.0, 0.0), 1.0)
-        ref = M.purification_time_qbm(params, DiskPoint(1.0, 0.0)).value
+        ref = M.purification_time(params, DiskPoint(1.0, 0.0)).value
         crossings = []
         for big in (1e3, 1e5):
             grid = np.concatenate([[0.0], np.geomspace(1e-6, 5.0, 500)])
@@ -127,15 +127,15 @@ class TestQbmMeasures:
 
     def test_momentum_homodyne_never_purifies(self):
         with pytest.raises(HorizonError):
-            M.purification_time_qbm(QbmParams(1.0), DiskPoint(1.0, math.pi))
+            M.purification_time(QbmParams(1.0), DiskPoint(1.0, math.pi))
 
     @pytest.mark.parametrize("temp", (0.5, 100.0))
     def test_momentum_homodyne_failures_are_typed(self, temp):
         # the closed-form curves keep the undetectable point's verdicts
         params, u = QbmParams(temp), DiskPoint(1.0, math.pi)
         with pytest.raises(HorizonError):
-            M.purification_time_qbm(params, u)
-        for measure in (M.mixing_time_qbm, M.survival_time_qbm):
+            M.purification_time(params, u)
+        for measure in (M.mixing_time, M.survival_time):
             with pytest.raises(ConvergenceError):
                 measure(params, u)
 
@@ -148,11 +148,11 @@ class TestQbmMeasures:
             M.optimize_disk(QbmParams(1.0), "purification")
 
     def test_mixing_regression(self):
-        res = M.mixing_time_qbm(QbmParams(1.0), DiskPoint(1.0, 2.086))
+        res = M.mixing_time(QbmParams(1.0), DiskPoint(1.0, 2.086))
         assert res.value == pytest.approx(1.16414, rel=1e-3)
 
     def test_survival_below_one_or_horizon(self):
-        res = M.survival_time_qbm(QbmParams(1.0), DiskPoint(1.0, 1.0))
+        res = M.survival_time(QbmParams(1.0), DiskPoint(1.0, 1.0))
         assert 0.0 < res.value < 50.0
 
     def test_efficiency_threshold_interval(self):
@@ -161,7 +161,7 @@ class TestQbmMeasures:
         assert res.uncertainty <= 1e-3
 
     def test_efficiency_threshold_regression(self):
-        res = M.efficiency_threshold_qbm(QbmParams(1.0), DiskPoint(1.0, 0.0))
+        res = M.efficiency_threshold(QbmParams(1.0), DiskPoint(1.0, 0.0))
         assert res.value == pytest.approx(0.0913, abs=2e-3)
 
 
@@ -216,7 +216,7 @@ class TestQbmThresholdNewton:
         compared = 0
         for u in _disk_grid():
             try:
-                got = M.efficiency_threshold_qbm(params, u).value
+                got = M.efficiency_threshold(params, u).value
             except ConvergenceError:
                 # only pure momentum homodyne has no stationary state
                 assert u.r == 1.0 and u.phi == pytest.approx(math.pi)
@@ -261,7 +261,7 @@ class TestQbmThresholdNewton:
         params = QbmParams(0.01)
         for phi in (2.0 * math.pi * 7 / 24, 2.0 * math.pi * 17 / 24):
             u = DiskPoint(0.75, phi)
-            got = M.efficiency_threshold_qbm(params, u).value
+            got = M.efficiency_threshold(params, u).value
             assert 0.0 < got <= 0.25
             assert abs(got - _threshold_by_brentq(params, u)) <= 1e-11
 
@@ -282,7 +282,7 @@ class TestQbmThresholdNewton:
         with pytest.raises(ConvergenceError, match=(
                 r"^no efficiency threshold accepted in the bracket \[0, 0.25\]: "
                 r"Newton reached eta = ")):
-            M.efficiency_threshold_qbm(QbmParams(1.0), DiskPoint(0.5, 0.0))
+            M.efficiency_threshold(QbmParams(1.0), DiskPoint(0.5, 0.0))
         assert len(stored) == 1 and stored[0]() is None
         # 96 rejected roots, and pure momentum homodyne with its own fault
         with pytest.raises(ConvergenceError, match=(
@@ -296,7 +296,7 @@ class TestQbmThresholdNewton:
         monkeypatch.setattr(G, "gaussian_purity", lambda v: np.broadcast_to(
             np.array([0.9, 0.8, 0.7, 0.6]), v.shape[:-2]))
         with pytest.raises(AssumptionError) as info:
-            M.efficiency_threshold_qbm(QbmParams(1.0), DiskPoint(1.0, 0.0))
+            M.efficiency_threshold(QbmParams(1.0), DiskPoint(1.0, 0.0))
         assert "[0.9, 0.8, 0.7, 0.6]" in str(info.value)
 
 
@@ -320,14 +320,14 @@ class TestSyntheticBisection:
         offsets = 1e-6 * np.random.default_rng(0).standard_normal(40)
         offsets -= offsets.mean()
 
-        def fake_long_run(params, spec, etas, opts):
+        def fake_long_run(atom, spec, etas, opts):
             if calls is not None:
                 calls.append(list(etas))
             return curve(np.asarray(etas, dtype=float))[:, None] + offsets
 
         monkeypatch.setattr(M, "_long_run_purity", fake_long_run)
         monkeypatch.setattr(M, "tla_theta",
-                            lambda params: (M.ThetaThreshold.from_purity(self.P0), None))
+                            lambda model: (M.ThetaThreshold.from_purity(self.P0), None))
 
     def test_midpoint_threshold(self, monkeypatch):
         # p(eta) = p0 + (1 - p0) eta with theta = (1 + p0)/2 gives eta_thr = 1/2
@@ -391,6 +391,39 @@ class TestTlaMeasures:
         with pytest.raises(AssumptionError, match="steady state is already pure"):
             measure(TlaParams(0.0), T.UnravellingSpec("aid"), opts=FAST_MC)
 
+    def test_near_pure_steady_state_is_degenerate_for_every_measure(self, monkeypatch):
+        # at Omega = 0.002 the steady-state purity is 1 - 3e-11: one rule
+        # (1e-9) makes all four measures degenerate before any ensemble runs
+        def never(*args, **kwargs):
+            raise AssertionError("an ensemble ran for a pure steady state")
+        for name in ("run_ensemble", "run_final_states", "run_purity_averages"):
+            monkeypatch.setattr(T, name, never)
+        params, spec = TlaParams(0.002), T.UnravellingSpec("heterodyne")
+        res = M.purification_time(params, spec, opts=FAST_MC)
+        assert res.value == 0.0 and res.metadata.get("degenerate") is True
+        for measure in (M.efficiency_threshold, M.mixing_time, M.survival_time):
+            with pytest.raises(AssumptionError, match="steady state is already pure"):
+                measure(params, spec, opts=FAST_MC)
+
+    @pytest.mark.parametrize("kind", M.MEASURE_KINDS)
+    def test_each_call_sets_the_atom_up_once(self, kind, monkeypatch):
+        calls = {"build_tla": 0, "steady_state": 0}
+
+        def counted(name):
+            fn = getattr(M, name)
+
+            def spy(*args):
+                calls[name] += 1
+                return fn(*args)
+            return spy
+
+        for name in calls:
+            monkeypatch.setattr(M, name, counted(name))
+        res = M._TLA_MEASURES[kind](TlaParams(2.0), T.UnravellingSpec("heterodyne"),
+                                    M.McOptions(n_traj=64, dt=1e-2, seed=3))
+        assert res.kind == kind
+        assert calls == {"build_tla": 1, "steady_state": 1}
+
     @pytest.mark.parametrize("seed", [-2, 1.5, True, "3"])
     def test_options_reject_a_seed_that_is_no_non_negative_integer(self, seed):
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
@@ -445,7 +478,7 @@ class TestOptimizeDisk:
         monkeypatch.setattr(M, "_DISK_PHI_POINTS", 12)
         u, res = M.optimize_disk(QbmParams(1.0), "mixing")
         assert u.r >= 0.98
-        again = M.mixing_time_qbm(QbmParams(1.0), u)
+        again = M.mixing_time(QbmParams(1.0), u)
         assert again.value == res.value  # deterministic backend, same point
 
     def test_efficiency_threshold_minimized_near_position(self, monkeypatch):
@@ -453,7 +486,7 @@ class TestOptimizeDisk:
         u, res = M.optimize_disk(QbmParams(1.0), "efficiency_threshold")
         assert u.r >= 0.98
         assert min(u.phi, 2 * math.pi - u.phi) < 0.3
-        worse = M.efficiency_threshold_qbm(QbmParams(1.0), DiskPoint(1.0, 1.5))
+        worse = M.efficiency_threshold(QbmParams(1.0), DiskPoint(1.0, 1.5))
         assert res.value < worse.value
 
     def test_efficiency_threshold_optimum_off_grid(self, monkeypatch):
