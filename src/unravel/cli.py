@@ -154,11 +154,9 @@ def _optimal_point(job):
 
 def cmd_qbm_optimal(args):
     temps = _temps(args.temps)
-    kinds = (list(M.MEASURE_KINDS) if args.measure == "all"
-             else [args.measure])
-    for kind in kinds:
-        if kind not in M.MEASURE_KINDS:
-            raise UsageError(f"unknown measure {kind!r}")
+    if args.measure not in (*M.MEASURE_KINDS, "all"):
+        raise UsageError(f"unknown measure {args.measure!r}")
+    kinds = list(M.MEASURE_KINDS) if args.measure == "all" else [args.measure]
     threads = _threads(args.threads)
     jobs = [(t, k) for t in temps for k in kinds]
     results = _map_jobs(_optimal_point, jobs, threads)

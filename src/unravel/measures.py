@@ -11,7 +11,7 @@ compass-search iteration.  The two-level-atom backend is Monte Carlo with
 explicit statistical uncertainties, in the atom's unit gamma (times in
 1/gamma, so Omega alone sets a result): each measure sets the atom up once
 (_atom), and the efficiency threshold's averaging window, the final quarter
-of each run, is chosen here (_long_run_purity).  The module also hosts the
+of each run, is chosen here (_threshold_window).  The module also hosts the
 ranking harness.
 """
 
@@ -338,15 +338,20 @@ def survival_time_tla(params, spec, opts=McOptions()):
     return mixing_and_survival_tla(params, spec, opts)[1]
 
 
+def _threshold_window(cfg):
+    """The sample steps the efficiency threshold averages over: the final quarter of cfg's."""
+    samples = cfg.grid()[2]
+    return samples[-max(1, len(samples) // 4):]
+
+
 def _long_run_purity(atom, spec, etas, opts):
-    """Each trajectory's mean purity over the final quarter of a _TLA_ETA_TIME
-    run from the steady state, at every efficiency in `etas` from one pass on
-    shared noise: (E, n_traj)."""
+    """Each trajectory's mean purity over the _threshold_window of a
+    _TLA_ETA_TIME run from the steady state, at every efficiency in `etas`
+    from one pass on shared noise: (E, n_traj)."""
     cfg = TrajectoryConfig(dt=opts.dt, horizon=_TLA_ETA_TIME, seed=opts.seed,
                            sample_stride=_TLA_SAMPLE_STRIDE)
-    samples = cfg.grid()[2]
     return T.run_purity_averages(atom.model, replace(spec, eta=1.0), atom.rho_ss, cfg,
-                                 opts.n_traj, etas, samples[-max(1, len(samples) // 4):])
+                                 opts.n_traj, etas, _threshold_window(cfg))
 
 
 _JACKKNIFE_BLOCKS = 20
@@ -412,8 +417,9 @@ def efficiency_threshold_tla(params, spec, opts=McOptions()):
     return MeasureResult("efficiency_threshold", eta_thr, uncertainty, metadata=meta)
 
 
-_TLA_MEASURES = dict(zip(MEASURE_KINDS, (purification_time_tla, efficiency_threshold_tla,
-                                         mixing_time_tla, survival_time_tla)))
+_TLA_MEASURES = {"purification": purification_time_tla,
+                 "efficiency_threshold": efficiency_threshold_tla,
+                 "mixing": mixing_time_tla, "survival": survival_time_tla}
 
 
 # ---------------------------------------------------------------------------
@@ -579,10 +585,8 @@ def rank_unravellings(params, kind, schemes, opts=McOptions()):
     intervals overlap are flagged unresolved rather than broken
     arbitrarily.
     """
-    results = {}
-    for name in schemes:
-        spec = T.UnravellingSpec(name)
-        results[name] = _TLA_MEASURES[kind](params, spec, opts=opts)
+    results = {name: _TLA_MEASURES[kind](params, T.UnravellingSpec(name), opts=opts)
+               for name in schemes}
     reverse = kind in ("mixing", "survival")
     ordered = sorted(results.items(), key=lambda kv: kv[1].value, reverse=reverse)
     entries = []

@@ -1069,9 +1069,6 @@ def run_purity_averages(model, spec, rho0, config, n_traj, etas, steps):
         raise ValueError("n_traj must be at least 2")
     if spec.eta != 1.0:
         raise ValueError(f"etas sets the efficiencies: spec.eta must be 1, not {spec.eta}")
-    last = config.grid()[0]
-    if len(set(steps)) != len(steps) or not 0 <= min(steps, default=-1) <= max(steps) <= last:
-        raise ValueError(f"steps must be distinct steps of the run, 0 .. {last}")
     acc = np.zeros((len(etas), n_traj))
 
     def add(_kernel, rows, _j, y):

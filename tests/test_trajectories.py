@@ -36,12 +36,6 @@ def tla(omega=2.0):
     return TlaParams(rabi=omega)
 
 
-def final_quarter(cfg):
-    """The sample steps of a run's last quarter, the efficiency threshold's window."""
-    samples = cfg.grid()[2]
-    return samples[-max(1, len(samples) // 4):]
-
-
 ALL_SCHEMES = ["homodyne_x", "homodyne_y", "heterodyne", "direct", "aid"]
 
 
@@ -513,13 +507,13 @@ class TestEfficiencyStack:
                      T.UnravellingSpec("heterodyne")):
             mixed.clear()
             stacked = T.run_purity_averages(model, spec, EXCITED, cfg, 48, self.ETAS,
-                                             final_quarter(cfg))
+                                            M._threshold_window(cfg))
             assert stacked.shape == (len(self.ETAS), 48)
             if spec.kind == "aid":
                 assert any(mixed)
             for e, eta in enumerate(self.ETAS):
                 alone = T.run_purity_averages(model, spec, EXCITED, cfg, 48, (eta,),
-                                               final_quarter(cfg))
+                                              M._threshold_window(cfg))
                 assert np.array_equal(stacked[e], alone[0]), (spec.kind, eta)
 
     @pytest.mark.parametrize("name, value, exact_kinds", [
@@ -535,8 +529,8 @@ class TestEfficiencyStack:
         cfg = T.TrajectoryConfig(2e-3, 0.5, seed=8, sample_stride=50)
         specs = (T.UnravellingSpec("heterodyne"), T.UnravellingSpec("aid"),
                  T.UnravellingSpec("direct"))
-        refs = [T.run_purity_averages(model, spec, EXCITED, cfg, 256, self.ETAS, final_quarter(cfg))
-                for spec in specs]
+        refs = [T.run_purity_averages(model, spec, EXCITED, cfg, 256, self.ETAS,
+                                      M._threshold_window(cfg)) for spec in specs]
         monkeypatch.setattr(T, name, value)
         chunks = []
         iter_chunks = T._iter_chunks
@@ -549,19 +543,22 @@ class TestEfficiencyStack:
         monkeypatch.setattr(T, "_iter_chunks", counted_chunks)
         for spec, ref in zip(specs, refs):
             split = T.run_purity_averages(model, spec, EXCITED, cfg, 256, self.ETAS,
-                                            final_quarter(cfg))
+                                          M._threshold_window(cfg))
             if spec.kind in exact_kinds:
                 assert np.array_equal(split, ref), spec.kind
             else:
                 assert np.abs(split - ref).max() < 1e-12, spec.kind
         assert chunks == [4 if name == "_MAX_SUPEROP_CHUNK" else 1] * len(specs)
 
-    def test_averages_the_purity_curve_over_the_given_steps(self):
-        model = build_tla(tla())
-        cfg = T.TrajectoryConfig(2e-3, 1.0, seed=4, sample_stride=25)
-        curve = T.run_ensemble(model, T.UnravellingSpec("homodyne_x", 0.6), EXCITED, cfg, 40)
-        averages = T.run_purity_averages(model, T.UnravellingSpec("homodyne_x"), EXCITED, cfg,
-                                         40, (0.6,), final_quarter(cfg))
+    def test_window_is_the_last_quarter_of_the_purity_curve(self):
+        # the efficiency threshold's own long run, against the purity curve of
+        # the same run at that efficiency
+        atom, opts = M._atom(tla(), None), M.McOptions(n_traj=40, dt=2e-3, seed=4)
+        averages = M._long_run_purity(atom, T.UnravellingSpec("homodyne_x"), (0.6,), opts)
+        cfg = T.TrajectoryConfig(opts.dt, M._TLA_ETA_TIME, seed=opts.seed,
+                                 sample_stride=M._TLA_SAMPLE_STRIDE)
+        curve = T.run_ensemble(atom.model, T.UnravellingSpec("homodyne_x", 0.6), atom.rho_ss,
+                               cfg, opts.n_traj)
         k = len(curve.times) // 4
         assert averages.mean() == pytest.approx(curve.mean[-k:].mean(), abs=1e-14)
 
@@ -578,14 +575,6 @@ class TestEfficiencyStack:
         with pytest.raises(ValueError, match="spec.eta must be 1"):
             T.run_purity_averages(model, T.UnravellingSpec("heterodyne", 0.3), EXCITED, cfg, 8,
                                   (0.7,), [100])
-
-    @pytest.mark.parametrize("steps", [[], [50, 50], [-1], [101]], ids=str)
-    def test_steps_must_be_distinct_steps_of_the_run(self, steps):
-        # a step past the horizon would run the counting kernel beyond it
-        model, cfg = build_tla(tla()), T.TrajectoryConfig(1e-3, 0.1, seed=4)
-        with pytest.raises(ValueError, match="steps must be distinct steps of the run"):
-            T.run_purity_averages(model, T.UnravellingSpec("direct"), EXCITED, cfg, 8,
-                                  (0.7,), steps)
 
     def test_stacks_need_small_dimension(self):
         model, _ = build_qbm_oracle(QbmParams(1.0), 12)
@@ -801,11 +790,11 @@ class TestEventSampler:
         curve = T.run_ensemble(model, spec, rho_ss, curve_cfg, n)
         event, event_err = summary(
             T.run_purity_averages(model, spec, rho_ss, long_cfg, n, etas,
-                                  final_quarter(long_cfg)),
+                                  M._threshold_window(long_cfg)),
             curve.mean[1:], curve.stderr[1:])
 
         n_steps, dt, _ = long_cfg.grid()
-        window = set(final_quarter(long_cfg).tolist())
+        window = set(M._threshold_window(long_cfg).tolist())
         acc = np.zeros(len(etas) * n)
         for step, y in oracles.stepped_counting(model, spec, rho_ss, dt, n_steps, n, 32, etas):
             if step in window:
@@ -877,12 +866,12 @@ class TestClickStreams:
         etas = (0.25, 0.5, 0.75, 1.0)
         for n in (70, 200):
             T.run_purity_averages(model, T.UnravellingSpec("aid"), EXCITED, cfg, n, etas,
-                                  final_quarter(cfg))
+                                  M._threshold_window(cfg))
         # 256 rows hold one group at 4 efficiencies: chunks (0, 64) and the
         # partial group (64, 70)
         monkeypatch.setattr(T, "_MAX_SUPEROP_CHUNK", 256)
         T.run_purity_averages(model, T.UnravellingSpec("aid"), EXCITED, cfg, 70, etas,
-                              final_quarter(cfg))
+                              M._threshold_window(cfg))
         # single trajectories draw their groups whole, each a split group
         for index in (5, 67):
             T.run_trajectory(model, T.UnravellingSpec("aid"), EXCITED, cfg, traj_index=index)
@@ -908,7 +897,7 @@ class TestClickStreams:
         monkeypatch.setattr(T, "trajectory_rng", counted_trajectory)
         cfg = T.TrajectoryConfig(4e-3, 0.4, seed=2, sample_stride=25)
         T.run_purity_averages(build_tla(tla(5.0)), T.UnravellingSpec("direct"), EXCITED, cfg, 2000,
-                              (0.5, 1.0), final_quarter(cfg))
+                              (0.5, 1.0), M._threshold_window(cfg))
         assert counts == {"click": 32, "noise": 0, "trajectory": 0}
 
 
