@@ -279,7 +279,7 @@ def _suite_invariance(args):
     for name in TLA_SCHEMES:
         spec = T.UnravellingSpec(name, eta=1.0 if name == "aid" else 0.7)
         curve = T.run_ensemble(model, spec, rho0, cfg, n, "mean_state")
-        worst = max(trace_distance(DensityMatrix(m, pos_tol=1e-2), ref)
+        worst = max(trace_distance(DensityMatrix(m), ref)
                     for m, ref in zip(curve.states, refs))
         tol = 3.0 / math.sqrt(n) + 0.02
         checks.append({"check": f"invariance[{name}]", "value": worst,
@@ -419,7 +419,7 @@ def build_parser():
                         help="Rabi frequency, units of gamma")
     curves.add_argument("--schemes", default=",".join(TLA_SCHEMES))
     curves.add_argument("--n-traj", type=int, default=2000)
-    curves.add_argument("--dt", type=float, default=1e-3,
+    curves.add_argument("--dt", type=float, default=M.McOptions.dt,
                         help="step, units of 1/gamma")
     curves.add_argument("--horizon", type=float, default=6.0,
                         help="duration, units of 1/gamma")
@@ -437,9 +437,10 @@ def build_parser():
                       help="Rabi frequency, units of gamma")
     rank.add_argument("--measure", default="survival")
     rank.add_argument("--schemes", default=",".join(TLA_SCHEMES))
-    rank.add_argument("--n-traj", type=int, default=10_000)
-    rank.add_argument("--dt", type=float, default=1e-3)
-    rank.add_argument("--seed", type=int, default=2024)
+    rank.add_argument("--n-traj", type=int, default=M.McOptions.n_traj)
+    rank.add_argument("--dt", type=float, default=M.McOptions.dt,
+                      help="step, units of 1/gamma")
+    rank.add_argument("--seed", type=int, default=M.McOptions.seed)
     rank.add_argument("--out", default="-")
     rank.add_argument("--config", default=None)
     rank.set_defaults(fn=cmd_tla_rank)

@@ -22,8 +22,8 @@ from .errors import (
     TruncationError,
 )
 
-# Tolerances of the state checks; only the positivity slack is set per state
-# (pos_tol, for trajectory samples within O(dt) of the cone)
+# Tolerances of the state checks, one of each for every state: trajectory
+# samples too, since every kernel is a completely positive map
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
 POSITIVITY_TOL = 1e-9
@@ -46,6 +46,8 @@ def _as_complex_matrix(elements):
     m = np.asarray(elements, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvariantViolationError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():      # NaN would pass every invariant check
+        raise InvariantViolationError("matrix has a non-finite entry")
     return m
 
 
@@ -60,7 +62,7 @@ class DensityMatrix:
 
     matrix: np.ndarray
 
-    def __init__(self, elements, pos_tol=POSITIVITY_TOL):
+    def __init__(self, elements):
         m = _as_complex_matrix(elements)
         herm_err = np.abs(m - dag(m)).max()
         if herm_err > HERMITICITY_TOL:
@@ -69,7 +71,7 @@ class DensityMatrix:
         if tr_err > TRACE_TOL:
             raise InvariantViolationError(f"trace differs from 1 by {tr_err:.3e}")
         min_eig = np.linalg.eigvalsh((m + dag(m)) / 2).min()
-        if min_eig < -pos_tol:
+        if min_eig < -POSITIVITY_TOL:
             raise InvariantViolationError(f"negative eigenvalue {min_eig:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

@@ -90,17 +90,14 @@ class CrossingCurve:
             raise ValueError("time grid must be strictly increasing")
 
 
-def first_crossing(curve):
-    """Earliest time at which the curve meets its threshold, by linear
-    interpolation inside the first straddling grid interval: a float, or
-    HorizonError; for a stack of curves (values (..., len(times))), (times,
-    faults) row by row, a HorizonError for each row that never meets it."""
+def _crossing(curve):
+    """first_crossing row by row, unsettled: (times, faults, i), i the start
+    of each row's first interval whose ends straddle (or touch) theta, or 0."""
     t, theta = np.asarray(curve.times, dtype=float), curve.threshold
-    values = np.asarray(curve.values, dtype=float)
-    v = values.reshape(-1, len(t))
+    v = np.asarray(curve.values, dtype=float).reshape(-1, len(t))
     d = v - theta
-    # each row's first interval whose ends straddle (or touch) theta, or its first
-    ends = np.argmax(d[:, :-1] * d[:, 1:] <= 0, axis=1)[:, None] + [0, 1]
+    i = np.argmax(d[:, :-1] * d[:, 1:] <= 0, axis=1)
+    ends = i[:, None] + [0, 1]
     (d_i, d_next), (t_i, t_next) = d[np.arange(len(d))[:, None], ends].T, t[ends].T
     faults = np.full(len(d), None, dtype=object)
     G._flag(faults, ~(d_i * d_next <= 0), lambda k: HorizonError(
@@ -109,19 +106,29 @@ def first_crossing(curve):
         first_value=float(v[k, 0]), last_value=float(v[k, -1]), threshold=theta))
     # a flat straddle lies on theta, which it meets at the interval's start
     frac = d_i / np.where(d_next == d_i, 1.0, d_i - d_next)
-    return G._settle(t_i + frac * (t_next - t_i), faults, values.shape[:-1])
+    return t_i + frac * (t_next - t_i), faults, i
+
+
+def first_crossing(curve):
+    """Earliest time at which the curve meets its threshold, by linear
+    interpolation inside the first straddling grid interval: a float, or
+    HorizonError; for a stack of curves (values (..., len(times))), (times,
+    faults) row by row, a HorizonError for each row that never meets it."""
+    tau, faults, _ = _crossing(curve)
+    return G._settle(tau, faults, np.shape(curve.values)[:-1])
 
 
 def crossing_with_uncertainty(times, values, stderr, theta):
-    """Crossing time of a noisy mean curve and its propagated 1-sigma error."""
-    tau = first_crossing(CrossingCurve(times, values, theta))
-    i = int(np.searchsorted(times, tau, side="right") - 1)
-    i = min(max(i, 0), len(times) - 2)
+    """Crossing time of a noisy mean curve and its propagated 1-sigma error,
+    from the slope of the interval the crossing lies in.  A curve that lies
+    on theta from its first sample has no slope there: HorizonError."""
+    tau, faults, (i,) = _crossing(CrossingCurve(times, values, theta))
+    tau = G._settle(tau, faults, ())
     slope = (values[i + 1] - values[i]) / (times[i + 1] - times[i])
-    local_err = 0.5 * (stderr[i] + stderr[i + 1])
     if slope == 0:
-        return tau, float("inf")
-    return tau, float(abs(local_err / slope))
+        raise HorizonError(f"the curve lies on {theta:.6g} from its first sample",
+                           first_value=values[0], last_value=values[-1], threshold=theta)
+    return tau, float(abs(0.5 * (stderr[i] + stderr[i + 1]) / slope))
 
 
 # ---------------------------------------------------------------------------
@@ -583,10 +590,13 @@ def rank_unravellings(params, kind, schemes, opts=McOptions()):
     purification time (information arrives fast) and the efficiency
     threshold (less of the environment is needed).  Adjacent pairs whose
     intervals overlap are flagged unresolved rather than broken
-    arbitrarily.
+    arbitrarily.  A degenerate result (an atom whose steady state is
+    already pure) ranks nothing: AssumptionError.
     """
     results = {name: _TLA_MEASURES[kind](params, T.UnravellingSpec(name), opts=opts)
                for name in schemes}
+    if any(res.metadata.get("degenerate") for res in results.values()):
+        raise AssumptionError(f"steady state is already pure: the {kind} ranking is degenerate")
     reverse = kind in ("mixing", "survival")
     ordered = sorted(results.items(), key=lambda kv: kv[1].value, reverse=reverse)
     entries = []

@@ -17,10 +17,10 @@ kernel with its random numbers.  Diffusive runs step through one loop,
 most _NOISE_BLOCK_BYTES per chunk whatever the horizon), with one of three
 Kraus-form kernels after Rouchon & Ralph, PRA 91, 012118 (2015):
 `_KrausDiffusiveKernel` on real superoperators at small dimension (the
-atom), `_MatrixDiffusiveKernel` on raw matrices at large dimension, and
-`_PurifiedKernel`, a bundle of pure states, for efficient runs at large
-dimension (the Fock oracle).  Every counting run goes through one
-event-driven kernel instead, `_SuperopJumpKernel`, one uniform per click.
+atom), `_PurifiedKernel`, a bundle of pure states, for efficient runs of one
+jump operator at large dimension (the Fock oracle), and
+`_MatrixDiffusiveKernel` on raw matrices for the rest.  Every counting run
+goes through one event-driven kernel, `_SuperopJumpKernel`, one uniform per click.
 `step_diffusive` and `step_jump` share one single-step body,
 `_single_step`; `step_jump`'s window is one `step` of the counting kernel.
 
@@ -31,8 +31,10 @@ Hermitian.  The Kraus kernel stores a batch column-major, (b, d^2) with
 y.T contiguous, so each GEMM and each per-trajectory scaling runs along
 the contiguous batch axis, and the noise blocks are laid out step-major to
 match; the counting kernel keeps its rows row-major.  `_select_kernel`
-alone chooses the kernel, from the scheme, the dimension, eta and what the
-run records; only `_run_chunks` and `_single_step` call it.  The Kraus and counting kernels also run
+alone chooses the kernel, from the model and the strategy, never from what
+the run records, so all statistics of a seed read one set of trajectories.
+Every kernel is a completely positive map: each DensityMatrix handed out is
+checked at the one POSITIVITY_TOL.  The Kraus and counting kernels also run
 stacks of efficiencies on shared random numbers (`run_purity_averages`).
 """
 
@@ -371,11 +373,9 @@ class _MatrixDiffusiveKernel:
 
     Same one-step completely positive map as the small-dimension kernel
     (M rho M^dag with M = e^{K dt} + sum_k u_k A_k, plus the undetected
-    sandwich), built per trajectory since M depends on the record.  The
-    earlier plain Euler-Maruyama variant was marginally unstable in the
-    high Fock tail over long horizons; this form is unconditionally
-    positivity-preserving.  Used for oracle cross-checks at modest batch
-    sizes; the purified path is the throughput engine at eta = 1.
+    sandwich), built per trajectory since M depends on the record.  It runs
+    what the purified bundle cannot: eta < 1, and models with more than one
+    jump operator.
     """
 
     def __init__(self, model, spec, dt):
@@ -387,7 +387,6 @@ class _MatrixDiffusiveKernel:
         self.others = list(model.jump_operators[1:])
         self.prop = expm(_no_jump_generator(model) * dt)
         self.zs = np.array(spec.channel_coefficients())
-        self.quad_weights = 2.0 * self.zs  # x_k = Re(2 z_k tr(c rho))
 
     def initial(self, mats):
         return np.array(mats, dtype=complex)
@@ -398,15 +397,14 @@ class _MatrixDiffusiveKernel:
         tr_c = np.einsum("ij,bji->b", self.c, rho)
         m = np.broadcast_to(self.prop, rho.shape).copy()
         for k, z in enumerate(self.zs):
-            x_k = (self.quad_weights[k] * tr_c).real
+            x_k = (2.0 * z * tr_c).real
             u = root_eta * dw_row[:, k] + self.eta * x_k * dt
             m += (u * z)[:, None, None] * self.c
         out = m @ rho @ np.conj(np.swapaxes(m, 1, 2))
         leak = (1.0 - self.eta) * dt
         if leak > 0:
             # sum_k A_k rho A_k^dag = c rho c^dag since sum |z_k|^2 = 1
-            u_mat = self.c @ rho
-            out += leak * (u_mat @ dag(self.c))
+            out += leak * (self.c @ rho @ dag(self.c))
         for op in self.others:
             out += dt * (op @ rho @ dag(op))
         tr = np.einsum("bii->b", out).real
@@ -762,16 +760,17 @@ class _PurifiedKernel:
 _SUPEROP_DIM_LIMIT = 8
 
 
-def _select_kernel(model, spec, rho0, dt, statistic, etas):
-    """The kernel for one run; no other code chooses one.
+def _select_kernel(model, spec, rho0, dt, etas):
+    """The kernel for one run, from the model and the strategy alone; only
+    `_run_chunks` and `_single_step` call it.
 
-    Counting schemes run on the counting kernel whatever the statistic
-    (`step_jump` takes one window of it).  Diffusive schemes use the Kraus
-    superoperators up to dimension _SUPEROP_DIM_LIMIT.  Above it, eta = 1
-    runs of a single jump operator that need only purities or final states
-    use the purified bundle, and the rest the matrix kernel.  Neither takes
-    `etas` (None: spec.eta alone), so any efficiency stack, even of one,
-    needs dimension <= _SUPEROP_DIM_LIMIT.
+    Counting schemes run on the counting kernel (`step_jump` takes one
+    window of it).  Diffusive schemes use the Kraus superoperators up to
+    dimension _SUPEROP_DIM_LIMIT.  Above it, every eta = 1 run of a model
+    with one jump operator steps the purified bundle, whatever it records,
+    and the rest the matrix kernel.  Neither takes `etas` (None: spec.eta
+    alone), so any efficiency stack, even of one, needs dimension <=
+    _SUPEROP_DIM_LIMIT.
     """
     if not spec.is_diffusive:
         return _SuperopJumpKernel(model, spec, dt, etas)
@@ -779,8 +778,7 @@ def _select_kernel(model, spec, rho0, dt, statistic, etas):
         return _KrausDiffusiveKernel(model, spec, dt, etas)
     if etas is not None:
         raise ValueError(f"efficiency stacks need dimension <= {_SUPEROP_DIM_LIMIT}")
-    if (spec.eta == 1.0 and len(model.jump_operators) == 1
-            and statistic in ("purity", "final_states")):
+    if spec.eta == 1.0 and len(model.jump_operators) == 1:
         return _PurifiedKernel(model, spec, rho0, dt)
     return _MatrixDiffusiveKernel(model, spec, dt)
 
@@ -788,25 +786,15 @@ def _select_kernel(model, spec, rho0, dt, statistic, etas):
 # ---------------------------------------------------------------------------
 # public single-state steps (the contract surface; ensembles use the same kernels)
 
-def _sample_pos_tol(dt):
-    # Euler-Maruyama samples hover within O(dt) of the positive cone;
-    # anything beyond this slack is a genuine step-size failure
-    return max(1e-6, min(0.05, 100.0 * dt))
-
-
 def _single_step(model, spec, rho, dt, *draws):
     """One step of one state by the kernel `_select_kernel` picks, fed the
     kernel's step inputs `draws`: (DensityMatrix, the step's further output
-    or None).  A state stepped off the manifold is a StepSizeError."""
+    or None); a stepped state that is not valid raises InvariantViolationError."""
     m = _as_matrix(rho)
-    kernel = _select_kernel(model, spec, m, dt, "trajectory", None)
-    try:
-        out = kernel.step(kernel.initial(m[None, :, :]), *draws)
-        y, extra = out if isinstance(out, tuple) else (out, None)
-        return DensityMatrix(kernel.to_matrices(y)[0], pos_tol=_sample_pos_tol(dt)), extra
-    except InvariantViolationError as exc:
-        kind = "diffusive" if spec.is_diffusive else "jump"
-        raise StepSizeError(f"{kind} step left the state manifold: {exc}") from exc
+    kernel = _select_kernel(model, spec, m, dt, None)
+    out = kernel.step(kernel.initial(m[None, :, :]), *draws)
+    y, extra = out if isinstance(out, tuple) else (out, None)
+    return DensityMatrix(kernel.to_matrices(y)[0]), extra
 
 
 def step_diffusive(model, spec, rho, noise, dt):
@@ -900,18 +888,18 @@ def _iter_chunks(n_traj, chunk):
         start = stop
 
 
-def _run_chunks(model, spec, rho0_m, config, trajs, statistic, sample_steps, sink, etas, log):
+def _run_chunks(model, spec, rho0_m, config, trajs, sample_steps, sink, etas, log):
     """Drive trajectories `trajs` (a range) from rho0 in chunks sized by the
-    dimension, on the kernel `_select_kernel` picks for `statistic` and the
-    efficiency stack `etas` (None: spec.eta alone), fed each chunk's noise
-    blocks or click uniforms.  sink(kernel, rows, j, y) receives the state
+    dimension, on the kernel `_select_kernel` picks for the efficiency stack
+    `etas` (None: spec.eta alone), fed each chunk's noise blocks or click
+    uniforms.  sink(kernel, rows, j, y) receives the state
     after the j-th step of `sample_steps` of the chunk holding trajectories
     `rows` (a slice); a trajectory takes one row per efficiency.  `log`, if
     not None, receives the record of each chunk's first row: its Wiener
     increments block by block, or (step, LO sign) of each of its clicks.
     """
     n_steps, dt, _ = config.grid()
-    kernel = _select_kernel(model, spec, rho0_m, dt, statistic, etas)
+    kernel = _select_kernel(model, spec, rho0_m, dt, etas)
     sample_pos = {int(s): j for j, s in enumerate(sample_steps)}
     n_eta = 1 if etas is None else len(etas)
     rows = _MAX_DM_CHUNK if rho0_m.shape[0] > _SUPEROP_DIM_LIMIT else _MAX_SUPEROP_CHUNK
@@ -942,10 +930,11 @@ def run_trajectory(model, spec, rho0, config, traj_index=0):
     """One conditional trajectory; a pure function of (inputs, seed, index).
 
     It is member traj_index of any ensemble on the same seed: the span
-    [traj_index, traj_index + 1) of `_run_chunks`, which reads its column
-    of its group's noise or click stream.  Its one-row products go through
-    BLAS's single-vector path, so its states match the member's to
-    rounding (about 1e-15), not bit for bit.  The record holds the Wiener
+    [traj_index, traj_index + 1) of `_run_chunks`, on the kernel every run
+    of the model and strategy takes, which reads its column of its group's
+    noise or click stream.  Its one-row products go through BLAS's
+    single-vector path, so its states match the member's to rounding
+    (about 1e-15), not bit for bit.  The record holds the Wiener
     increments of a diffusive scheme, or the click times and LO signs of
     the event-driven counting run.
     """
@@ -956,12 +945,11 @@ def run_trajectory(model, spec, rho0, config, traj_index=0):
         return TrajectoryResult(np.array([0.0]), tuple(states), InnovationRecord())
 
     def sample(kernel, _rows, _j, y):
-        states.append(DensityMatrix(kernel.to_matrices(y)[0],
-                                    pos_tol=_sample_pos_tol(dt)))
+        states.append(DensityMatrix(kernel.to_matrices(y)[0]))
 
     log = []
     _run_chunks(model, spec, rho0_m, config, range(traj_index, traj_index + 1),
-                "trajectory", sample_idx[1:], sample, None, log)
+                sample_idx[1:], sample, None, log)
     if spec.is_diffusive:
         record = InnovationRecord(wiener=np.concatenate(log))
     else:
@@ -1020,8 +1008,9 @@ def _collect_static(statistic, mats, sink, j):
 
 
 def _emit(kernel, y, j, statistic, sink):
-    """Add the statistic of kernel state y at sample index j to `sink`."""
-    if isinstance(kernel, _PurifiedKernel):
+    """Add the statistic of kernel state y at sample index j to `sink`; a
+    bundle's purity is read off the bundle itself."""
+    if statistic == "purity" and isinstance(kernel, _PurifiedKernel):
         sink.add(j, kernel.purity(y))
     else:
         _collect_static(statistic, kernel.to_matrices(y), sink, j)
@@ -1036,9 +1025,7 @@ def run_ensemble(model, spec, rho0, config, n_traj, statistic="purity"):
     trajectory's random numbers depend only on (config.seed, trajectory
     index), and sums run group by group, so the result does not depend on
     chunking, bit for bit; _NOISE_BLOCK_BYTES, which places the counting
-    kernel's checkpoints, moves counting results by rounding.  Direct
-    detection and AID run event-driven (`_SuperopJumpKernel`): one uniform
-    per click in place of one per step.
+    kernel's checkpoints, moves counting results by rounding.
     """
     if statistic not in ("purity", "mean_state"):
         raise ValueError(f"unknown statistic {statistic!r}")
@@ -1049,7 +1036,7 @@ def run_ensemble(model, spec, rho0, config, n_traj, statistic="purity"):
         sink = _PurityCollector(len(sample_idx))
     else:
         sink = np.zeros((len(sample_idx), model.dim, model.dim), dtype=complex)
-    _run_chunks(model, spec, _as_matrix(rho0), config, range(n_traj), statistic, sample_idx,
+    _run_chunks(model, spec, _as_matrix(rho0), config, range(n_traj), sample_idx,
                 lambda kernel, _rows, j, y: _emit(kernel, y, j, statistic, sink), None, None)
     times = sample_idx * dt
     if statistic == "mean_state":
@@ -1074,8 +1061,7 @@ def run_purity_averages(model, spec, rho0, config, n_traj, etas, steps):
     def add(_kernel, rows, _j, y):
         acc[:, rows] += _coord_purity(y).reshape(len(etas), -1)
 
-    _run_chunks(model, spec, _as_matrix(rho0), config, range(n_traj), "purity", steps, add,
-                etas, None)
+    _run_chunks(model, spec, _as_matrix(rho0), config, range(n_traj), steps, add, etas, None)
     return acc / len(steps)
 
 
@@ -1094,6 +1080,6 @@ def run_final_states(model, spec, rho0, config, n_traj):
     def keep(kernel, rows, _j, y):
         out[rows] = kernel.to_matrices(y)
 
-    _run_chunks(model, spec, _as_matrix(rho0), config, range(n_traj), "final_states",
-                [config.grid()[0]], keep, None, None)
+    _run_chunks(model, spec, _as_matrix(rho0), config, range(n_traj), [config.grid()[0]],
+                keep, None, None)
     return out

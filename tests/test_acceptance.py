@@ -101,7 +101,7 @@ def test_criterion_1_unravelling_invariance():
                     continue
                 if t not in refs:
                     refs[t] = propagate(model, rho0, t)
-                dist = trace_distance(DensityMatrix(m, pos_tol=1e-2), refs[t])
+                dist = trace_distance(DensityMatrix(m), refs[t])
                 worst = max(worst, dist)
             assert worst <= 0.05, (name, eta, worst)
             worst_overall = max(worst_overall, worst)

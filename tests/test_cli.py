@@ -220,6 +220,16 @@ class TestTlaCurves:
         assert not out.exists()
 
 
+def test_atom_run_defaults_are_the_measures_defaults():
+    # tla-rank builds its McOptions from these flags, and tla-curves steps
+    # at the same dt, so their defaults have one home
+    _, commands = cli.build_parser()
+    opts = cli.M.McOptions()
+    rank = commands["tla-rank"].parse_args([])
+    assert (rank.n_traj, rank.dt, rank.seed) == (opts.n_traj, opts.dt, opts.seed)
+    assert commands["tla-curves"].parse_args([]).dt == opts.dt
+
+
 class TestTlaRank:
     def test_tiny_ensembles_unresolved_exit(self, tmp_path):
         out = tmp_path / "rank.json"
@@ -345,12 +355,13 @@ def test_negative_seed_is_usage_error(tmp_path, monkeypatch, capsys, argv):
 class TestUndrivenAtom:
     @pytest.mark.parametrize("measure, schemes", [
         ("survival", "aid,direct"), ("mixing", "homodyne_x,direct"),
-        ("efficiency_threshold", "aid,direct")])
+        ("efficiency_threshold", "aid,direct"), ("purification", "direct,heterodyne")])
     def test_degenerate_measure_is_a_numeric_failure(self, tmp_path, monkeypatch, capsys,
                                                      measure, schemes):
         # the pure steady state (theta = 1) stops the ranking before any
-        # ensemble runs, and no report with an infinite uncertainty is written
-        for name in ("run_final_states", "run_purity_averages"):
+        # ensemble runs, and no report with an infinite uncertainty or a tie
+        # of degenerate zeros is written
+        for name in ("run_ensemble", "run_final_states", "run_purity_averages"):
             monkeypatch.setattr(T, name, _never_called)
         out = tmp_path / "rank.json"
         assert run_cli(["tla-rank", "--omega", "0", "--measure", measure,

@@ -51,6 +51,20 @@ class TestDensityMatrix:
         with pytest.raises(InvariantViolationError):
             DensityMatrix(np.diag([1.5, -0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # every comparison with NaN is False, so no invariant check sees one
+        for elements in ([[bad, 0.0], [0.0, 0.5]], np.full((2, 2), bad)):
+            with pytest.raises(InvariantViolationError, match="non-finite"):
+                DensityMatrix(elements)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_model_rejects_non_finite_entries(self, bad):
+        with pytest.raises(InvariantViolationError, match="non-finite"):
+            LindbladModel(np.diag([bad, 0.0]))
+        with pytest.raises(InvariantViolationError, match="non-finite"):
+            LindbladModel(np.zeros((2, 2)), [np.array([[0.0, 0.0], [bad, 0.0]])])
+
     def test_from_ket_normalizes(self):
         rho = DensityMatrix.from_ket([2.0, 0.0])
         assert np.allclose(rho.matrix, np.diag([1.0, 0.0]))

@@ -85,6 +85,21 @@ class TestFirstCrossing:
         assert np.all(times == 2.0) and not faults.astype(bool).any()
 
 
+class TestCrossingUncertainty:
+    def test_slope_is_the_crossing_intervals(self):
+        # the curve touches theta at t = 1 and stays flat to t = 2: the
+        # crossing lies in the first interval, whose slope is -0.5
+        tau, err = M.crossing_with_uncertainty(np.arange(4.0), np.array([1.0, 0.5, 0.5, 0.2]),
+                                               np.full(4, 0.01), 0.5)
+        assert tau == 1.0
+        assert err == pytest.approx(0.02)
+
+    def test_curve_on_theta_from_the_start_has_no_slope(self):
+        with pytest.raises(HorizonError):
+            M.crossing_with_uncertainty(np.arange(4.0), np.array([0.5, 0.5, 0.5, 0.9]),
+                                        np.full(4, 0.01), 0.5)
+
+
 class TestMeasureResult:
     def test_kind_checked(self):
         with pytest.raises(ValueError):

@@ -34,7 +34,7 @@ def test_public_names_are_pinned():
 
 # Parameters with a default plus dataclass fields with a default, over
 # src/unravel.  A change to this number adds or removes a knob on purpose.
-SETTABLE_VALUES = 33
+SETTABLE_VALUES = 32
 
 
 def _settable_values(tree):
